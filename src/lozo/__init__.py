@@ -8,7 +8,6 @@ benchmark/verification CLI (cli).
 """
 
 from .estimators import (
-    EstimatorConfig,
     EvaluationError,
     cge,
     lge,

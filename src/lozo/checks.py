@@ -1,8 +1,9 @@
 """Verification battery behind the CLI verify and compare commands.
 
 Each check returns a CheckResult with the measured value and its threshold so
-reports can show numbers, not just pass/fail. The acceptance test suite runs
-the same functions at their full sizes.
+reports can show numbers, not just pass/fail. BATTERY lists every check with
+its fast and full sizes; the CLI verify command and the acceptance test suite
+both run from it.
 """
 
 from __future__ import annotations
@@ -81,12 +82,16 @@ def lge_unbiasedness(
 
 
 def _check_problems(seed: int) -> list:
-    """Small instances of all four problem families for sampling-style checks."""
+    """Small instances of all four problem families, as (oracle, shapes) pairs."""
+    quad = [LayerShape(8, 6, 2), LayerShape(5, 7, 3)]
+    planted = [LayerShape(12, 10, 2)]
+    logistic = [LayerShape(6, 8, 2)]
+    mlp = [LayerShape(6, 5, 2), LayerShape(4, 6, 2)]
     return [
-        problems.make_quadratic([LayerShape(8, 6, 2), LayerShape(5, 7, 3)], seed, noise_scale=0.3, num_samples=4),
-        problems.make_planted_low_rank(LayerShape(12, 10, 2), 2, seed, noise_scale=1.0, num_batches=8),
-        problems.make_logistic(LayerShape(6, 8, 2), seed, num_batches=4, batch_size=8),
-        problems.make_tiny_mlp([LayerShape(6, 5, 2), LayerShape(4, 6, 2)], seed, num_batches=4, batch_size=8),
+        (problems.make_quadratic(quad, seed, noise_scale=0.3, num_samples=4), quad),
+        (problems.make_planted_low_rank(planted[0], 2, seed, noise_scale=1.0, num_batches=8), planted),
+        (problems.make_logistic(logistic[0], seed, num_batches=4, batch_size=8), logistic),
+        (problems.make_tiny_mlp(mlp, seed, num_batches=4, batch_size=8), mlp),
     ]
 
 
@@ -98,17 +103,11 @@ def _random_params_like(oracle_index: int, trial: int, seed: int, shapes) -> Par
 def lge_rank_bound(num_evals: int = 1000, seed: int = 77, rel_tol: float = 1e-10) -> CheckResult:
     """Every per-layer low-rank estimate must have numeric rank <= its r."""
     pool = _check_problems(seed)
-    shape_sets = [
-        [LayerShape(8, 6, 2), LayerShape(5, 7, 3)],
-        [LayerShape(12, 10, 2)],
-        [LayerShape(6, 8, 2)],
-        [LayerShape(6, 5, 2), LayerShape(4, 6, 2)],
-    ]
     kinds = list(SamplerKind)
     violations = 0
     for i in range(num_evals):
         oi = i % len(pool)
-        oracle, shapes = pool[oi], shape_sets[oi]
+        oracle, shapes = pool[oi]
         x = _random_params_like(oi, i, seed, shapes)
         sketch = make_sketch(derive_seed(seed, 0xC, i), shapes, kinds[i % len(kinds)], step=i, period=i)
         est = estimators.lge(oracle, x, sketch, 1e-5, i % oracle.num_samples)
@@ -216,16 +215,10 @@ def momentum_projection_agreement(trials: int = 100, seed: int = 404) -> CheckRe
 def perturb_restore_drift(num_calls: int = 10_000, seed: int = 515) -> CheckResult:
     """After each low-rank scalar call, X must return to within 1e-12 * (1 + ||X||)."""
     pool = _check_problems(seed)
-    shape_sets = [
-        [LayerShape(8, 6, 2), LayerShape(5, 7, 3)],
-        [LayerShape(12, 10, 2)],
-        [LayerShape(6, 8, 2)],
-        [LayerShape(6, 5, 2), LayerShape(4, 6, 2)],
-    ]
     worst = 0.0
     for i in range(num_calls):
         oi = i % len(pool)
-        oracle, shapes = pool[oi], shape_sets[oi]
+        oracle, shapes = pool[oi]
         x = _random_params_like(oi, i, seed, shapes)
         before = x.copy()
         norm_before = before.norm()
@@ -478,3 +471,30 @@ def smoke_public_surface(seed: int = 909) -> CheckResult:
     except Exception as e:  # pragma: no cover - the failure detail is the point
         return CheckResult("smoke_public_surface", 1.0, 0.0, False, f"{type(e).__name__}: {e}")
     return CheckResult("smoke_public_surface", 0.0, 0.0, bool(ok), "all public operations touched")
+
+
+# The verify battery: (check, fast-level kwargs, full-level kwargs). None skips
+# the check at that level. The acceptance suite runs every check at its full
+# kwargs.
+BATTERY = (
+    (smoke_public_surface, {}, {}),
+    (
+        lge_unbiasedness,
+        dict(num_sketches=50_000, shape=(6, 4), rank=2),
+        dict(num_sketches=100_000, shape=(8, 6), rank=2, epsilon=1e-6),
+    ),
+    (lge_rank_bound, dict(num_evals=200), dict(num_evals=1000, rel_tol=1e-10)),
+    (
+        lazy_accumulation_rank,
+        dict(nus=(5, 10), num_seeds=2, periods=3),
+        dict(nus=(10, 50), num_seeds=5, periods=4, rel_tol=1e-8),
+    ),
+    (subspace_equivalence, dict(nu=10, periods=5), dict(nu=10, periods=5, size=16)),
+    (momentum_projection_agreement, dict(trials=30), dict(trials=100)),
+    (perturb_restore_drift, dict(num_calls=2000), dict(num_calls=10_000)),
+    (footprint_ratio, {}, {}),
+    (nu1_matches_vanilla, dict(steps=100), dict(steps=200)),
+    (cge_rge_exactness, {}, {}),
+    (run_determinism, dict(steps=60), dict(steps=120)),
+    (lozo_vs_rge, None, dict(num_seeds=10)),
+)

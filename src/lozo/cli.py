@@ -50,13 +50,8 @@ class ExperimentConfig:
             "problem": self.problem.to_dict(),
             "algo": self.algo,
             "optimizer": {
-                "alpha": opt.alpha,
-                "epsilon": opt.epsilon,
-                "nu": opt.nu,
+                **{key: getattr(opt, key) for key in _OPTIMIZER_KEYS},
                 "ranks": list(opt.ranks) if opt.ranks is not None else None,
-                "beta": opt.beta,
-                "total_steps": opt.total_steps,
-                "base_seed": opt.base_seed,
                 "v_kind": opt.v_kind.value,
             },
             "eval_every": self.eval_every,
@@ -65,32 +60,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _reject_unknown(d, {"problem", "algo", "optimizer", "eval_every", "output_path"}, "config")
+        _reject_unknown(d, set(_CONFIG_KEYS), "config")
         _reject_unknown(
             d.get("problem", {}),
             {"kind", "shapes", "data_seed", "noise_scale", "num_samples", "true_rank"},
             "problem",
         )
-        _reject_unknown(
-            d.get("optimizer", {}),
-            {"alpha", "epsilon", "nu", "ranks", "beta", "total_steps", "base_seed", "v_kind"},
-            "optimizer",
-        )
         opt = d["optimizer"]
-        ranks = opt.get("ranks")
-        try:
-            optimizer = OptimizerConfig(
-                alpha=float(opt["alpha"]),
-                epsilon=float(opt.get("epsilon", 1e-3)),
-                nu=int(opt.get("nu", 50)),
-                ranks=tuple(int(r) for r in ranks) if ranks is not None else None,
-                beta=float(opt.get("beta", 0.9)),
-                total_steps=int(opt["total_steps"]),
-                base_seed=int(opt["base_seed"]),
-                v_kind=_sampler(opt.get("v_kind", "normal")),
-            )
-        except KeyError as e:
-            raise ConfigError(f"missing required optimizer key: {e.args[0]}") from e
+        _reject_unknown(opt, set(_OPTIMIZER_KEYS), "optimizer")
+        for key in ("alpha", "total_steps", "base_seed"):
+            if key not in opt:
+                raise ConfigError(f"missing required optimizer key: {key}")
+        # keys left out take OptimizerConfig's own defaults
+        optimizer = OptimizerConfig(**{k: conv(opt[k]) for k, conv in _OPTIMIZER_KEYS.items() if k in opt})
         algo = d.get("algo", "lozo")
         if algo not in optimizers.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}; expected one of {optimizers.ALGORITHMS}")
@@ -107,6 +89,9 @@ class ExperimentConfig:
         )
 
 
+_CONFIG_KEYS = ("problem", "algo", "optimizer", "eval_every", "output_path")
+
+
 def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
     for key in d:
         if key not in allowed:
@@ -117,6 +102,38 @@ def _sampler(name: str) -> SamplerKind:
     if name not in _SAMPLER_NAMES:
         raise ConfigError(f"unknown sampler {name!r}; expected one of {sorted(_SAMPLER_NAMES)}")
     return _SAMPLER_NAMES[name]
+
+
+_OPTIMIZER_KEYS = {
+    "alpha": float,
+    "epsilon": float,
+    "nu": int,
+    "ranks": lambda ranks: tuple(int(r) for r in ranks) if ranks is not None else None,
+    "beta": float,
+    "total_steps": int,
+    "base_seed": int,
+    "v_kind": _sampler,
+}
+
+
+# Flags that override one config value as given: argparse dest -> (section, key).
+# A section of None puts the key at the top level of the config.
+_FLAG_KEYS = {
+    "problem": ("problem", "kind"),
+    "data_seed": ("problem", "data_seed"),
+    "noise": ("problem", "noise_scale"),
+    "num_samples": ("problem", "num_samples"),
+    "true_rank": ("problem", "true_rank"),
+    "algo": (None, "algo"),
+    "eval_every": (None, "eval_every"),
+    "out": (None, "output_path"),
+    "nu": ("optimizer", "nu"),
+    "eps": ("optimizer", "epsilon"),
+    "beta": ("optimizer", "beta"),
+    "steps": ("optimizer", "total_steps"),
+    "seed": ("optimizer", "base_seed"),
+    "sampler": ("optimizer", "v_kind"),
+}
 
 
 def _parse_shape(text: str) -> tuple[int, int]:
@@ -182,61 +199,28 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {args.config}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"malformed JSON in {args.config} at line {e.lineno}: {e.msg}") from e
+        _reject_unknown(base, set(_CONFIG_KEYS), "config file")
+    d = {**base, "problem": dict(base.get("problem", {})), "optimizer": dict(base.get("optimizer", {}))}
 
-    d = {
-        "problem": dict(base.get("problem", {})),
-        "algo": base.get("algo", "lozo"),
-        "optimizer": dict(base.get("optimizer", {})),
-        "eval_every": base.get("eval_every", 1),
-        "output_path": base.get("output_path", ""),
-    }
-    if args.config is not None:
-        _reject_unknown(base, {"problem", "algo", "optimizer", "eval_every", "output_path"}, "config file")
-
+    rank = args.rank if args.rank is not None else 2
+    for dest, (section, key) in _FLAG_KEYS.items():
+        value = getattr(args, dest)
+        if value is not None:
+            (d if section is None else d[section])[key] = value
     prob = d["problem"]
     prob.setdefault("kind", "quadratic")
     prob.setdefault("data_seed", 0)
-    if args.problem is not None:
-        prob["kind"] = args.problem
     if args.shape is not None:
-        rank = args.rank if args.rank is not None else 2
         prob["shapes"] = [[m, n, min(rank, m, n)] for m, n in (_parse_shape(s) for s in args.shape)]
-    prob.setdefault("shapes", [[16, 16, args.rank if args.rank is not None else 2]])
-    if args.data_seed is not None:
-        prob["data_seed"] = args.data_seed
-    if args.noise is not None:
-        prob["noise_scale"] = args.noise
-    if args.num_samples is not None:
-        prob["num_samples"] = args.num_samples
-    if args.true_rank is not None:
-        prob["true_rank"] = args.true_rank
-
-    if args.algo is not None:
-        d["algo"] = args.algo
-    if args.eval_every is not None:
-        d["eval_every"] = args.eval_every
-    if args.out is not None:
-        d["output_path"] = args.out
+    prob.setdefault("shapes", [[16, 16, rank]])
 
     opt = d["optimizer"]
     if args.rank is not None:
         opt["ranks"] = [args.rank]
-    if args.nu is not None:
-        opt["nu"] = args.nu
-    if args.eps is not None:
-        opt["epsilon"] = args.eps
     if args.lr is not None:
-        rank_for_lr = (opt.get("ranks") or [2])[0]
+        rank_for_lr = (opt.get("ranks") or [rank])[0]
         convention = args.lr_convention or "direct"
         opt["alpha"] = args.lr * (rank_for_lr if convention == "subspace" else 1)
-    if args.beta is not None:
-        opt["beta"] = args.beta
-    if args.steps is not None:
-        opt["total_steps"] = args.steps
-    if args.seed is not None:
-        opt["base_seed"] = args.seed
-    if args.sampler is not None:
-        opt["v_kind"] = args.sampler
     opt.setdefault("base_seed", 0)
     if "alpha" not in opt:
         raise ConfigError("missing required key: --lr (or optimizer.alpha in the config file)")
@@ -264,6 +248,14 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _execute(config: ExperimentConfig) -> tuple:
+    """Build the problem, run the optimizer from zeros; (oracle, shapes, records)."""
+    oracle = make_problem(config.problem)
+    shapes = config.optimizer.effective_shapes(ParamSet.zeros(config.problem.shapes))
+    x = ParamSet.zeros(shapes)
+    return oracle, shapes, optimizers.run(oracle, x, config.optimizer, config.algo, eval_every=config.eval_every)
+
+
 def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> dict:
     """Run one experiment and write <out>.csv and <out>.json.
 
@@ -273,10 +265,7 @@ def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> d
     """
     if timing not in ("deterministic", "live"):
         raise ConfigError(f"unknown timing mode {timing!r}")
-    oracle = make_problem(config.problem)
-    shapes = config.optimizer.effective_shapes(ParamSet.zeros(config.problem.shapes))
-    x = ParamSet.zeros(shapes)
-    records = optimizers.run(oracle, x, config.optimizer, config.algo, eval_every=config.eval_every)
+    oracle, shapes, records = _execute(config)
 
     lines = ["step,loss,fd_scalar_abs,est_norm,wall_ms"]
     for rec in records:
@@ -316,17 +305,11 @@ def compare_algorithms(
             raise ConfigError("compare requires all configs to share the same problem")
     table: list[tuple[str, object, float]] = []
     for cfg in configs:
-        oracle = make_problem(cfg.problem)
-        shapes = cfg.optimizer.effective_shapes(ParamSet.zeros(cfg.problem.shapes))
-        x = ParamSet.zeros(shapes)
-        records = optimizers.run(oracle, x, cfg.optimizer, cfg.algo, eval_every=cfg.eval_every)
+        oracle, shapes, records = _execute(cfg)
         e2t = checks.evals_to_target(records, target_loss, trailing=trailing)
-        final = records[-1].loss if records else oracle.eval_metric(x)
+        final = records[-1].loss if records else oracle.eval_metric(ParamSet.zeros(shapes))
         table.append((cfg.algo, e2t if e2t is not None else "not reached", final))
     return table
-
-
-FAST_BUDGET_SECONDS = 120.0
 
 
 def verify_suite(level: str = "fast") -> tuple[list[checks.CheckResult], bool]:
@@ -334,38 +317,12 @@ def verify_suite(level: str = "fast") -> tuple[list[checks.CheckResult], bool]:
     if level not in ("fast", "full"):
         raise ConfigError(f"unknown verify level {level!r}; expected fast or full")
     started = time.perf_counter()
-    if level == "fast":
-        battery = [
-            lambda: checks.smoke_public_surface(),
-            lambda: checks.lge_unbiasedness(num_sketches=50_000, shape=(6, 4), rank=2),
-            lambda: checks.lge_rank_bound(num_evals=200),
-            lambda: checks.lazy_accumulation_rank(nus=(5, 10), num_seeds=2, periods=3),
-            lambda: checks.subspace_equivalence(nu=10, periods=5),
-            lambda: checks.momentum_projection_agreement(trials=30),
-            lambda: checks.perturb_restore_drift(num_calls=2000),
-            lambda: checks.footprint_ratio(),
-            lambda: checks.nu1_matches_vanilla(steps=100),
-            lambda: checks.cge_rge_exactness(),
-            lambda: checks.run_determinism(steps=60),
-        ]
-    else:
-        battery = [
-            lambda: checks.smoke_public_surface(),
-            lambda: checks.lge_unbiasedness(num_sketches=100_000, shape=(8, 6), rank=2),
-            lambda: checks.lge_rank_bound(num_evals=1000),
-            lambda: checks.lazy_accumulation_rank(nus=(10, 50), num_seeds=5, periods=4),
-            lambda: checks.subspace_equivalence(nu=10, periods=5),
-            lambda: checks.momentum_projection_agreement(trials=100),
-            lambda: checks.perturb_restore_drift(num_calls=10_000),
-            lambda: checks.footprint_ratio(),
-            lambda: checks.nu1_matches_vanilla(steps=200),
-            lambda: checks.cge_rge_exactness(),
-            lambda: checks.run_determinism(steps=120),
-            lambda: checks.lozo_vs_rge(),
-        ]
     results = []
-    for make in battery:
-        res = make()
+    for check, fast, full in checks.BATTERY:
+        kwargs = fast if level == "fast" else full
+        if kwargs is None:
+            continue
+        res = check(**kwargs)
         print(res.line())
         results.append(res)
     elapsed = time.perf_counter() - started

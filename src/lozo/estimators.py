@@ -1,21 +1,22 @@
 """Zeroth-order gradient estimators: coordinate-wise, random-direction, low-rank.
 
-All estimators perturb the parameter set in place with the +eps / -2eps / +eps
-phase pattern and restore it before returning, accepting a few ulps of
-floating-point drift rather than checkpointing the parameters. The low-rank
-path works from a PerturbationSketch, so the only persistent state between
-calls is seeds.
+One perturbation core serves every estimator and every optimizer step:
+add_low_rank adds scale_l * U_l V_l^T to each layer, add_dense adds
+scale * Z_l, and _central_difference drives either one through the
++eps / -2eps / +eps phase pattern. The parameter set is restored before
+returning, accepting a few ulps of floating-point drift rather than
+checkpointing it. The low-rank estimators work from a PerturbationSketch, so
+the only persistent state between calls is seeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .linalg import Matrix, ParamSet
-from .sampling import PerturbationSketch, SamplerKind, regenerate
+from .sampling import PerturbationSketch, regenerate
 
 DEFAULT_EPSILON = 1e-3
 CGE_DIMENSION_CAP = 100_000
@@ -30,58 +31,49 @@ class EvaluationError(RuntimeError):
         self.entry = entry
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Perturbation scale, per-layer ranks, and the V sampler family."""
+def add_low_rank(x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], scale: float | Sequence[float]) -> None:
+    """X_l += scale_l * U_l V_l^T in place; scale is one float or one per layer."""
+    scales = scale if isinstance(scale, (list, tuple)) else (scale,) * len(x)
+    for a, (u, v), s in zip(x.layers, factors, scales):
+        a += s * (u @ v.T)
 
-    epsilon: float = DEFAULT_EPSILON
-    ranks: tuple[int, ...] = (2,)
-    v_kind: SamplerKind = SamplerKind.STANDARD_NORMAL
 
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if any(r < 1 for r in self.ranks):
-            raise ValueError("ranks must be positive")
+def add_dense(x: ParamSet, directions: Sequence[Matrix], scale: float) -> None:
+    """X_l += scale * Z_l in place."""
+    for a, z in zip(x.layers, directions):
+        a += scale * z
 
 
 def _factors(sketch: PerturbationSketch) -> list[tuple[Matrix, Matrix]]:
     return [regenerate(sketch, i) for i in range(len(sketch))]
 
 
-def _apply_factors(x: ParamSet, scale: float, factors: Sequence[tuple[Matrix, Matrix]]) -> None:
-    if scale == 0.0:
-        return
-    for a, (u, v) in zip(x.layers, factors):
-        a += scale * (u @ v.T)
-
-
 def perturb_in_place(x: ParamSet, scale: float, sketch: PerturbationSketch) -> None:
     """X_l += scale * U_l V_l^T, factors regenerated from seeds and discarded."""
     if len(sketch) != len(x):
         raise ValueError(f"sketch has {len(sketch)} layers, parameters have {len(x)}")
-    if scale == 0.0:
-        return
-    for i, a in enumerate(x.layers):
-        u, v = regenerate(sketch, i)
-        a += scale * (u @ v.T)
+    if scale != 0.0:
+        add_low_rank(x, _factors(sketch), scale)
 
 
-def _central_difference(loss, x: ParamSet, xi: int, epsilon: float, apply) -> float:
+def _central_difference(
+    loss, x: ParamSet, xi: int, epsilon: float, add: Callable[[ParamSet, Sequence, float], None], directions: Sequence
+) -> float:
     """Evaluate (F(X + eps P) - F(X - eps P)) / 2 eps via in-place phases.
 
-    `apply(scale)` adds scale * P to x. The parameter set is restored on every
-    exit path, including oracle exceptions.
+    `add(x, directions, scale)` adds scale * P to x: add_low_rank for
+    per-layer (U, V) factors, add_dense for per-layer matrices. The parameter
+    set is restored on every exit path, including oracle exceptions.
     """
-    apply(epsilon)
+    add(x, directions, epsilon)
     offset = 1.0
     try:
         f_plus = float(loss.evaluate(x, xi))
-        apply(-2.0 * epsilon)
+        add(x, directions, -2.0 * epsilon)
         offset = -1.0
         f_minus = float(loss.evaluate(x, xi))
     finally:
-        apply(-offset * epsilon)
+        add(x, directions, -offset * epsilon)
     if not np.isfinite(f_plus) or not np.isfinite(f_minus):
         raise EvaluationError(f"non-finite loss in central difference: F+={f_plus}, F-={f_minus}")
     return (f_plus - f_minus) / (2.0 * epsilon)
@@ -96,8 +88,7 @@ def lge_scalar(loss, x: ParamSet, sketch: PerturbationSketch, epsilon: float, xi
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    factors = _factors(sketch)
-    return _central_difference(loss, x, xi, epsilon, lambda s: _apply_factors(x, s, factors))
+    return _central_difference(loss, x, xi, epsilon, add_low_rank, _factors(sketch))
 
 
 def lge(loss, x: ParamSet, sketch: PerturbationSketch, epsilon: float, xi: int) -> ParamSet:
@@ -105,7 +96,7 @@ def lge(loss, x: ParamSet, sketch: PerturbationSketch, epsilon: float, xi: int) 
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     factors = _factors(sketch)
-    c = _central_difference(loss, x, xi, epsilon, lambda s: _apply_factors(x, s, factors))
+    c = _central_difference(loss, x, xi, epsilon, add_low_rank, factors)
     grads = [(c / s.r) * (u @ v.T) for s, (u, v) in zip(x.shapes, factors)]
     return ParamSet(grads, x.shapes)
 
@@ -118,14 +109,7 @@ def rge(loss, x: ParamSet, z: ParamSet | Sequence[Matrix], epsilon: float, xi: i
     for a, zm in zip(x.layers, zs):
         if a.shape != zm.shape:
             raise ValueError(f"Z layer shape {zm.shape} does not match parameters {a.shape}")
-
-    def apply(scale: float) -> None:
-        if scale == 0.0:
-            return
-        for a, zm in zip(x.layers, zs):
-            a += scale * zm
-
-    c = _central_difference(loss, x, xi, epsilon, apply)
+    c = _central_difference(loss, x, xi, epsilon, add_dense, zs)
     return ParamSet([c * zm for zm in zs], x.shapes)
 
 

@@ -1,10 +1,15 @@
 """ZO-SGD, the low-rank lazy-subspace optimizer, and its momentum variant.
 
-All three optimizers follow the same in-place pattern: perturb the parameters
-with factors regenerated from seeds, take one central difference (two loss
-evaluations per step), restore, and apply the update layer by layer.
-Persistent optimizer state is seeds plus, for the momentum variant, one
-m x r factor per layer. Trajectories are pure functions of
+All three optimizers run on the perturbation core of the estimators module:
+perturb the parameters with directions regenerated from seeds, take one
+central difference (two loss evaluations per step), restore, and apply the
+update with the same add_low_rank / add_dense helpers. The lazy optimizer and
+its momentum variant share one step body, _lge_step; the momentum variant
+only adds an m x r factor per layer, projected onto the new subspace at each
+resample boundary. A step commits its new V seeds, momentum factors and
+counter only after the central difference succeeds, so a StepError leaves the
+optimizer state as it was. Persistent optimizer state is seeds plus the
+momentum factors. Trajectories are pure functions of
 (X0, config, base_seed, loss).
 """
 
@@ -16,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import DEFAULT_EPSILON, EvaluationError, _central_difference
+from .estimators import DEFAULT_EPSILON, EvaluationError, _central_difference, add_dense, add_low_rank
 from .linalg import LayerShape, ParamSet
 from .sampling import (
     STREAM_U,
@@ -74,12 +79,10 @@ class OptimizerConfig:
 
 @dataclass
 class LozoState:
-    """Step counter, period index, and the replayable V seeds."""
+    """Step counter and the replayable V seeds of the current period."""
 
     t: int = 0
-    k: int = -1
     v_seeds: Optional[tuple[Seed, ...]] = None
-    prev_v_seeds: Optional[tuple[Seed, ...]] = None
 
 
 @dataclass
@@ -118,12 +121,17 @@ def _outer_norm(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sqrt(max(np.vdot(u.T @ u, v.T @ v).real, 0.0)))
 
 
-def _u_seed(config: OptimizerConfig, layer: int, t: int) -> Seed:
-    return derive_seed(config.base_seed, STREAM_U, layer, t)
-
-
 def _v_seeds(config: OptimizerConfig, num_layers: int, period: int) -> tuple[Seed, ...]:
     return tuple(derive_seed(config.base_seed, STREAM_V, i, period) for i in range(num_layers))
+
+
+def _probe(x: ParamSet, loss, config: OptimizerConfig, t: int, add, directions, label: str) -> float:
+    """The step's central difference; a non-finite loss becomes a StepError."""
+    xi = sample_index(t, loss.num_samples)
+    try:
+        return _central_difference(loss, x, xi, config.epsilon, add, directions)
+    except EvaluationError as e:
+        raise StepError(f"{label} step {t} aborted: {e}", step=t) from e
 
 
 def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, float]:
@@ -137,21 +145,10 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
         sample_gaussian(derive_seed(config.base_seed, STREAM_Z, i, t), a.shape[0], a.shape[1])
         for i, a in enumerate(x.layers)
     ]
-
-    def apply(scale: float) -> None:
-        if scale == 0.0:
-            return
-        for a, z in zip(x.layers, zs):
-            a += scale * z
-
-    xi = sample_index(t, loss.num_samples)
-    try:
-        c = _central_difference(loss, x, xi, config.epsilon, apply)
-    except EvaluationError as e:
-        raise StepError(f"zo-sgd step {t} aborted: {e}", step=t) from e
+    c = _probe(x, loss, config, t, add_dense, zs, "zo-sgd")
+    add_dense(x, zs, -(config.alpha * c))
     sq = 0.0
-    for a, z in zip(x.layers, zs):
-        a -= (config.alpha * c) * z
+    for z in zs:
         sq += float(np.vdot(z, z))
     return c, abs(c) * float(np.sqrt(sq))
 
@@ -159,45 +156,67 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
 def _materialize(config: OptimizerConfig, shapes: Sequence[LayerShape], t: int, v_seeds: Sequence[Seed]):
     return [
         (
-            sample_gaussian(_u_seed(config, i, t), s.m, s.r),
+            sample_gaussian(derive_seed(config.base_seed, STREAM_U, i, t), s.m, s.r),
             sample_v(v_seeds[i], s.n, s.r, config.v_kind),
         )
         for i, s in enumerate(shapes)
     ]
 
 
-def _lge_step(x: ParamSet, loss, config: OptimizerConfig, t: int, v_seeds: Sequence[Seed]) -> tuple[float, float]:
-    """Shared core of the lazy and vanilla low-rank steps."""
+def _lge_step(
+    x: ParamSet,
+    loss,
+    config: OptimizerConfig,
+    t: int,
+    v_seeds: Sequence[Seed],
+    mom: Optional[MomentumState] = None,
+    old_v_seeds: Optional[Sequence[Seed]] = None,
+) -> tuple[float, float]:
+    """Shared body of the lazy, momentum and vanilla low-rank steps.
+
+    Layer l moves by -(alpha c / r_l) U_l V_l^T, or with momentum by
+    -(alpha / r_l) N_l V_l^T where N_l = beta N_l + (1 - beta) c U_l. When
+    old_v_seeds is given (a resample boundary), the momentum factors are first
+    projected from the old subspace onto the new one. They are committed to
+    mom only after the central difference succeeds.
+    """
     shapes = config.effective_shapes(x)
+    n_factors = mom.n_factors if mom is not None else None
+    if n_factors is not None and old_v_seeds is not None:
+        kind = config.v_kind
+        n_factors = [
+            project_momentum(nf, sample_v(old, s.n, s.r, kind), sample_v(new, s.n, s.r, kind), s.n)
+            for nf, s, old, new in zip(n_factors, shapes, old_v_seeds, v_seeds)
+        ]
     factors = _materialize(config, shapes, t, v_seeds)
-
-    def apply(scale: float) -> None:
-        if scale == 0.0:
-            return
-        for a, (u, v) in zip(x.layers, factors):
-            a += scale * (u @ v.T)
-
-    xi = sample_index(t, loss.num_samples)
-    try:
-        c = _central_difference(loss, x, xi, config.epsilon, apply)
-    except EvaluationError as e:
-        raise StepError(f"low-rank step {t} aborted: {e}", step=t) from e
+    c = _probe(x, loss, config, t, add_low_rank, factors, "low-rank" if mom is None else "lozo-m")
+    if mom is None:
+        gain, steps = c, factors
+    else:
+        mom.n_factors = [mom.beta * nf + (1.0 - mom.beta) * c * u for nf, (u, _) in zip(n_factors, factors)]
+        gain, steps = 1.0, [(nf, v) for nf, (_, v) in zip(mom.n_factors, factors)]
+    add_low_rank(x, steps, [-(config.alpha * gain / s.r) for s in shapes])
     sq = 0.0
-    for a, s, (u, v) in zip(x.layers, shapes, factors):
-        a -= (config.alpha * c / s.r) * (u @ v.T)
+    for s, (u, v) in zip(shapes, steps):
         sq += (_outer_norm(u, v) / s.r) ** 2
-    return c, abs(c) * float(np.sqrt(sq))
+    return c, abs(gain) * float(np.sqrt(sq))
 
 
-def lozo_step(x: ParamSet, state: LozoState, loss, config: OptimizerConfig) -> tuple[float, float]:
-    """One lazy-subspace step: V rotates only when t mod nu == 0."""
+def lozo_step(
+    x: ParamSet, state: LozoState, loss, config: OptimizerConfig, mom: Optional[MomentumState] = None
+) -> tuple[float, float]:
+    """One lazy-subspace step: V rotates only when t mod nu == 0.
+
+    With mom, this is the momentum variant: at a resample boundary the old
+    momentum factors are projected onto the new subspace before being
+    updated; at t = 0 there is no old subspace and nothing is projected.
+    """
     t = state.t
+    v_seeds, old_v_seeds = state.v_seeds, None
     if t % config.nu == 0:
-        state.prev_v_seeds = state.v_seeds
-        state.k = t // config.nu
-        state.v_seeds = _v_seeds(config, len(x), state.k)
-    c, est_norm = _lge_step(x, loss, config, t, state.v_seeds)
-    state.t = t + 1
+        v_seeds, old_v_seeds = _v_seeds(config, len(x), t // config.nu), state.v_seeds
+    c, est_norm = _lge_step(x, loss, config, t, v_seeds, mom, old_v_seeds)
+    state.v_seeds, state.t = v_seeds, t + 1
     return c, est_norm
 
 
@@ -217,45 +236,8 @@ def project_momentum(n_factor: np.ndarray, v_old: np.ndarray, v_new: np.ndarray,
 def lozo_m_step(
     x: ParamSet, state: LozoState, mom: MomentumState, loss, config: OptimizerConfig
 ) -> tuple[float, float]:
-    """Momentum step with low-rank accumulators and cross-subspace projection.
-
-    At a resample boundary the old momentum factors are projected onto the
-    new subspace before being updated; at t = 0 the momentum is all zeros and
-    the projection branch is a no-op.
-    """
-    t = state.t
-    shapes = config.effective_shapes(x)
-    if t % config.nu == 0:
-        new_seeds = _v_seeds(config, len(x), t // config.nu)
-        if state.v_seeds is not None:
-            for i, s in enumerate(shapes):
-                v_old = sample_v(state.v_seeds[i], s.n, s.r, config.v_kind)
-                v_new = sample_v(new_seeds[i], s.n, s.r, config.v_kind)
-                mom.n_factors[i] = project_momentum(mom.n_factors[i], v_old, v_new, s.n)
-        state.prev_v_seeds = state.v_seeds
-        state.k = t // config.nu
-        state.v_seeds = new_seeds
-    factors = _materialize(config, shapes, t, state.v_seeds)
-
-    def apply(scale: float) -> None:
-        if scale == 0.0:
-            return
-        for a, (u, v) in zip(x.layers, factors):
-            a += scale * (u @ v.T)
-
-    xi = sample_index(t, loss.num_samples)
-    try:
-        c = _central_difference(loss, x, xi, config.epsilon, apply)
-    except EvaluationError as e:
-        raise StepError(f"lozo-m step {t} aborted: {e}", step=t) from e
-    beta = mom.beta
-    sq = 0.0
-    for i, (a, s, (u, v)) in enumerate(zip(x.layers, shapes, factors)):
-        mom.n_factors[i] = beta * mom.n_factors[i] + (1.0 - beta) * c * u
-        a -= (config.alpha / s.r) * (mom.n_factors[i] @ v.T)
-        sq += (_outer_norm(mom.n_factors[i], v) / s.r) ** 2
-    state.t = t + 1
-    return c, float(np.sqrt(sq))
+    """Momentum step with low-rank accumulators and cross-subspace projection."""
+    return lozo_step(x, state, loss, config, mom)
 
 
 def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int = 1) -> list[RunRecord]:
@@ -276,10 +258,8 @@ def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int =
         t0 = time.perf_counter()
         if algo == "zo-sgd":
             c, est_norm = zo_sgd_step(x, loss, config, t)
-        elif algo == "lozo":
-            c, est_norm = lozo_step(x, state, loss, config)
         else:
-            c, est_norm = lozo_m_step(x, state, mom, loss, config)
+            c, est_norm = lozo_step(x, state, loss, config, mom)
         wall_ms = (time.perf_counter() - t0) * 1e3
         if t % eval_every == 0 or t == config.total_steps - 1:
             records.append(

@@ -1,8 +1,9 @@
 """Acceptance suite: every verification criterion at its stated tolerance.
 
 Each test runs one criterion through the same check functions the CLI verify
-command uses, prints its PASS/FAIL line with the measured value, and asserts
-the documented threshold and runtime budget.
+command uses, at the full-level sizes of checks.BATTERY, prints its PASS/FAIL
+line with the measured value, and asserts the documented threshold and
+runtime budget.
 """
 
 import time
@@ -10,6 +11,12 @@ import time
 import pytest
 
 from lozo import checks
+
+FULL = {check: full for check, _, full in checks.BATTERY}
+
+
+def _full(check):
+    return check(**FULL[check])
 
 
 def _report(result, budget_s=None, elapsed=None):
@@ -19,7 +26,7 @@ def _report(result, budget_s=None, elapsed=None):
 
 def test_ac1_estimator_unbiasedness():
     t0 = time.perf_counter()
-    res = checks.lge_unbiasedness(num_sketches=100_000, shape=(8, 6), rank=2, epsilon=1e-6)
+    res = _full(checks.lge_unbiasedness)
     elapsed = time.perf_counter() - t0
     _report(res, 30.0, elapsed)
     assert res.value <= 0.05
@@ -27,20 +34,20 @@ def test_ac1_estimator_unbiasedness():
 
 
 def test_ac2_rank_bound_everywhere():
-    res = checks.lge_rank_bound(num_evals=1000, rel_tol=1e-10)
+    res = _full(checks.lge_rank_bound)
     _report(res)
     assert res.value == 0  # zero violations allowed
 
 
 def test_ac3_lazy_accumulation_rank():
-    res = checks.lazy_accumulation_rank(nus=(10, 50), num_seeds=5, periods=4, rel_tol=1e-8)
+    res = _full(checks.lazy_accumulation_rank)
     _report(res)
     assert res.value == 0
 
 
 def test_ac4_subspace_equivalence():
     t0 = time.perf_counter()
-    res = checks.subspace_equivalence(nu=10, periods=5, size=16)
+    res = _full(checks.subspace_equivalence)
     elapsed = time.perf_counter() - t0
     _report(res, 5.0, elapsed)
     assert res.value <= 1e-8
@@ -48,20 +55,20 @@ def test_ac4_subspace_equivalence():
 
 
 def test_ac5_restoration_drift():
-    res = checks.perturb_restore_drift(num_calls=10_000)
+    res = _full(checks.perturb_restore_drift)
     _report(res)
     assert res.value <= 1e-12
 
 
 def test_ac6_momentum_projection():
-    res = checks.momentum_projection_agreement(trials=100)
+    res = _full(checks.momentum_projection_agreement)
     _report(res)
     assert res.value <= 1e-10
 
 
 def test_ac7_lozo_beats_rge():
     t0 = time.perf_counter()
-    res = checks.lozo_vs_rge(num_seeds=10)
+    res = _full(checks.lozo_vs_rge)
     elapsed = time.perf_counter() - t0
     _report(res, 180.0, elapsed)
     assert res.value >= 7  # wins in at least 7 of 10 seeds
@@ -69,25 +76,25 @@ def test_ac7_lozo_beats_rge():
 
 
 def test_ac8_state_footprint_ratio():
-    res = checks.footprint_ratio()
+    res = _full(checks.footprint_ratio)
     _report(res)
     assert res.passed
     assert res.value == pytest.approx(2 / 2048, rel=1e-15)
 
 
 def test_ac9_nu1_degeneration_bit_exact():
-    res = checks.nu1_matches_vanilla(steps=200)
+    res = _full(checks.nu1_matches_vanilla)
     _report(res)
     assert res.value == 0.0
 
 
 def test_ac10_cge_rge_exactness():
-    res = checks.cge_rge_exactness()
+    res = _full(checks.cge_rge_exactness)
     _report(res)
     assert res.passed
 
 
 def test_ac11_run_determinism():
-    res = checks.run_determinism(steps=120)
+    res = _full(checks.run_determinism)
     _report(res)
     assert res.passed

@@ -300,3 +300,48 @@ class TestConfigValidation:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             OptimizerConfig(alpha=1e-3, total_steps=1, base_seed=0, epsilon=0.0)
+
+
+class TestRetryAfterStepError:
+    """A step that fails leaves every piece of optimizer state as it was."""
+
+    shapes = [LayerShape(6, 5, 2)]
+    failing_call = 21  # the first evaluation of step t = 10, a resample boundary at nu = 5
+
+    def _trajectory(self, algo, fail):
+        base = make_quadratic(self.shapes, data_seed=40, noise_scale=0.2, num_samples=3)
+        calls = {"n": 0}
+
+        def flaky(x, xi):
+            calls["n"] += 1
+            value = base.evaluate(x, xi)
+            return float("nan") if fail and calls["n"] == self.failing_call else value
+
+        oracle = LossOracle("flaky", base.num_samples, flaky)
+        config = OptimizerConfig(alpha=2e-2, total_steps=30, base_seed=41, nu=5)
+        x = ParamSet([sample_gaussian(42, 6, 5)], self.shapes)
+        state = LozoState()
+        mom = MomentumState.zeros(self.shapes, config.beta) if algo == "lozo-m" else None
+        failures = 0
+        while state.t < config.total_steps:
+            before = (state.t, state.v_seeds, [f.copy() for f in mom.n_factors] if mom else [])
+            try:
+                if mom is None:
+                    lozo_step(x, state, oracle, config)
+                else:
+                    lozo_m_step(x, state, mom, oracle, config)
+            except StepError as e:
+                failures += 1
+                assert e.step == 10
+                assert (state.t, state.v_seeds) == before[:2]
+                for f, g in zip(mom.n_factors if mom else [], before[2]):
+                    np.testing.assert_array_equal(f, g)
+        return x, failures
+
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_retry_at_boundary_matches_uninterrupted_run(self, algo):
+        clean, clean_failures = self._trajectory(algo, fail=False)
+        retried, failures = self._trajectory(algo, fail=True)
+        assert (clean_failures, failures) == (0, 1)
+        # the failed probe's +eps / -2eps / +eps round trip leaves a few ulps of drift
+        assert np.max(np.abs(clean.layers[0] - retried.layers[0])) <= 1e-10
