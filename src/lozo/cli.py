@@ -7,13 +7,15 @@ Subcommands:
     compare  run several configs on one problem and tabulate evaluations
              needed to reach a target loss
 
-Exit codes: 0 success, 1 check or step failure, 2 usage error.
+Exit codes: 0 success, 1 check or step failure or a diverged run, 2 usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -34,6 +36,14 @@ _SAMPLER_NAMES = {k.value: k for k in SamplerKind}
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
+
+
+class DivergenceError(RuntimeError):
+    """A run finished, but its telemetry shows that it diverged or stalled."""
+
+    def __init__(self, message: str, step: int):
+        super().__init__(f"run diverged at step {step}: {message}")
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -256,16 +266,39 @@ def _execute(config: ExperimentConfig) -> tuple:
     return oracle, shapes, optimizers.run(oracle, x, config.optimizer, config.algo, eval_every=config.eval_every)
 
 
+def _check_divergence(records: Sequence[optimizers.RunRecord], initial: float) -> None:
+    """Raise DivergenceError on a non-finite loss, or on a run that ends stalled above its start.
+
+    Stalled: the last record's F+ - F- is exactly 0.0 (the loss is so large
+    that the two probes round to the same value) while its loss is above the
+    starting loss. The reported step is where that run of zero records began.
+    """
+    for rec in records:
+        if not math.isfinite(rec.loss):
+            raise DivergenceError(f"non-finite loss {rec.loss!r}", rec.step)
+    if records and records[-1].fd_scalar_abs == 0.0 and records[-1].loss > initial:
+        k = len(records) - 1
+        while k > 0 and records[k - 1].fd_scalar_abs == 0.0:
+            k -= 1
+        raise DivergenceError(
+            f"F+ - F- is 0.0 from here on, at loss {records[-1].loss!r} above the starting loss {initial!r}",
+            records[k].step,
+        )
+
+
 def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> dict:
     """Run one experiment and write <out>.csv and <out>.json.
 
     With timing="deterministic" (the default) the wall_ms column is written as
     0.0 so byte-identical reruns stay byte-identical; timing="live" writes the
-    measured per-step times and sacrifices that guarantee.
+    measured per-step times and sacrifices that guarantee. A diverged or
+    stalled run raises DivergenceError and writes nothing.
     """
     if timing not in ("deterministic", "live"):
         raise ConfigError(f"unknown timing mode {timing!r}")
     oracle, shapes, records = _execute(config)
+    initial = oracle.eval_metric(ParamSet.zeros(shapes))
+    _check_divergence(records, initial)
 
     lines = ["step,loss,fd_scalar_abs,est_norm,wall_ms"]
     for rec in records:
@@ -274,7 +307,6 @@ def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> d
     csv_text = "\n".join(lines) + "\n"
 
     losses = [rec.loss for rec in records]
-    initial = oracle.eval_metric(ParamSet.zeros(shapes))
     summary = {
         "final_loss": losses[-1] if losses else initial,
         "best_loss": min(losses) if losses else initial,
@@ -285,7 +317,7 @@ def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> d
     if config.output_path:
         stem = Path(config.output_path)
         _atomic_write(stem.with_suffix(".csv"), csv_text)
-        _atomic_write(stem.with_suffix(".json"), json.dumps(summary, sort_keys=True) + "\n")
+        _atomic_write(stem.with_suffix(".json"), json.dumps(summary, sort_keys=True, allow_nan=False) + "\n")
     return summary
 
 
@@ -370,7 +402,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (StepError, EvaluationError, OSError) as e:
+    except (StepError, EvaluationError, DivergenceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 2

@@ -6,17 +6,21 @@ central difference (two loss evaluations per step), restore, and apply the
 update with the same add_low_rank / add_dense helpers. The lazy optimizer and
 its momentum variant share one step body, _lge_step; the momentum variant
 only adds an m x r factor per layer, projected onto the new subspace at each
-resample boundary. A step commits its new V seeds, momentum factors and
-counter only after the central difference succeeds, so a StepError leaves the
+resample boundary. V changes only at a boundary, so each period's V matrices
+are drawn once and kept in LozoState next to their seeds; U is drawn every
+step. A step commits its new V seeds, V matrices, momentum factors and counter
+only after the central difference succeeds, so a StepError leaves the
 optimizer state as it was. Persistent optimizer state is seeds plus the
-momentum factors. Trajectories are pure functions of
+momentum factors: the V cache (sum over layers of n_l r_l elements) is derived
+state, rebuilt from v_seeds when absent, and is not counted by
+state_footprint. Trajectories are pure functions of
 (X0, config, base_seed, loss).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,10 +83,17 @@ class OptimizerConfig:
 
 @dataclass
 class LozoState:
-    """Step counter and the replayable V seeds of the current period."""
+    """Step counter, the replayable V seeds of the current period, and its V.
+
+    v_cache is derived state: the seeds it was built from and the period's
+    V matrices (n_l x r_l). Seeds alone are enough to checkpoint a state; a
+    state whose cache is missing or was built from other seeds has its V
+    rebuilt from v_seeds by the next step.
+    """
 
     t: int = 0
     v_seeds: Optional[tuple[Seed, ...]] = None
+    v_cache: Optional[tuple[tuple[Seed, ...], list[np.ndarray]]] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -153,14 +164,9 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
     return c, abs(c) * float(np.sqrt(sq))
 
 
-def _materialize(config: OptimizerConfig, shapes: Sequence[LayerShape], t: int, v_seeds: Sequence[Seed]):
-    return [
-        (
-            sample_gaussian(derive_seed(config.base_seed, STREAM_U, i, t), s.m, s.r),
-            sample_v(v_seeds[i], s.n, s.r, config.v_kind),
-        )
-        for i, s in enumerate(shapes)
-    ]
+def _build_v(config: OptimizerConfig, x: ParamSet, v_seeds: Sequence[Seed]) -> list[np.ndarray]:
+    """One period's V matrices, one per layer."""
+    return [sample_v(seed, s.n, s.r, config.v_kind) for seed, s in zip(v_seeds, config.effective_shapes(x))]
 
 
 def _lge_step(
@@ -168,27 +174,26 @@ def _lge_step(
     loss,
     config: OptimizerConfig,
     t: int,
-    v_seeds: Sequence[Seed],
+    vs: Sequence[np.ndarray],
     mom: Optional[MomentumState] = None,
-    old_v_seeds: Optional[Sequence[Seed]] = None,
+    old_vs: Optional[Sequence[np.ndarray]] = None,
 ) -> tuple[float, float]:
     """Shared body of the lazy, momentum and vanilla low-rank steps.
 
     Layer l moves by -(alpha c / r_l) U_l V_l^T, or with momentum by
-    -(alpha / r_l) N_l V_l^T where N_l = beta N_l + (1 - beta) c U_l. When
-    old_v_seeds is given (a resample boundary), the momentum factors are first
-    projected from the old subspace onto the new one. They are committed to
-    mom only after the central difference succeeds.
+    -(alpha / r_l) N_l V_l^T where N_l = beta N_l + (1 - beta) c U_l; U_l is
+    drawn here, V_l is given. When old_vs is given (a resample boundary), the
+    momentum factors are first projected from the old subspace onto the new
+    one. They are committed to mom only after the central difference succeeds.
     """
     shapes = config.effective_shapes(x)
     n_factors = mom.n_factors if mom is not None else None
-    if n_factors is not None and old_v_seeds is not None:
-        kind = config.v_kind
-        n_factors = [
-            project_momentum(nf, sample_v(old, s.n, s.r, kind), sample_v(new, s.n, s.r, kind), s.n)
-            for nf, s, old, new in zip(n_factors, shapes, old_v_seeds, v_seeds)
-        ]
-    factors = _materialize(config, shapes, t, v_seeds)
+    if n_factors is not None and old_vs is not None:
+        n_factors = [project_momentum(nf, old, new, s.n) for nf, s, old, new in zip(n_factors, shapes, old_vs, vs)]
+    factors = [
+        (sample_gaussian(derive_seed(config.base_seed, STREAM_U, i, t), s.m, s.r), v)
+        for i, (s, v) in enumerate(zip(shapes, vs))
+    ]
     c = _probe(x, loss, config, t, add_low_rank, factors, "low-rank" if mom is None else "lozo-m")
     if mom is None:
         gain, steps = c, factors
@@ -210,19 +215,26 @@ def lozo_step(
     With mom, this is the momentum variant: at a resample boundary the old
     momentum factors are projected onto the new subspace before being
     updated; at t = 0 there is no old subspace and nothing is projected.
+    The period's V is drawn once, at its boundary, and kept in state.v_cache.
     """
     t = state.t
-    v_seeds, old_v_seeds = state.v_seeds, None
+    vs = None
+    if state.v_seeds is not None:
+        if state.v_cache is None or state.v_cache[0] != state.v_seeds:
+            state.v_cache = (state.v_seeds, _build_v(config, x, state.v_seeds))
+        vs = state.v_cache[1]
+    v_seeds, old_vs = state.v_seeds, None
     if t % config.nu == 0:
-        v_seeds, old_v_seeds = _v_seeds(config, len(x), t // config.nu), state.v_seeds
-    c, est_norm = _lge_step(x, loss, config, t, v_seeds, mom, old_v_seeds)
-    state.v_seeds, state.t = v_seeds, t + 1
+        v_seeds, old_vs = _v_seeds(config, len(x), t // config.nu), vs
+        vs = _build_v(config, x, v_seeds)
+    c, est_norm = _lge_step(x, loss, config, t, vs, mom, old_vs)
+    state.v_seeds, state.v_cache, state.t = v_seeds, (v_seeds, vs), t + 1
     return c, est_norm
 
 
 def vanilla_lge_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, float]:
     """Plain low-rank recursion: both factors freshly sampled every step."""
-    return _lge_step(x, loss, config, t, _v_seeds(config, len(x), t))
+    return _lge_step(x, loss, config, t, _build_v(config, x, _v_seeds(config, len(x), t)))
 
 
 def project_momentum(n_factor: np.ndarray, v_old: np.ndarray, v_new: np.ndarray, n: int) -> np.ndarray:

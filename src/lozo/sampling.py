@@ -1,16 +1,25 @@
 """Deterministic seeded sampling of perturbation factors.
 
 Seed replay: instead of storing the tall-skinny factors U and V, only 64-bit
-seeds are kept and the matrices are regenerated on demand. Every stream is a
-pure function of (base seed, stream tag, layer index, step or period index):
-the key is produced by a splitmix64-style hash and fed to numpy's Philox
+seeds need to be kept and the matrices are regenerated on demand (the
+optimizer also keeps the current period's V, sum over layers of n_l r_l
+elements, as a cache derived from its seeds). Every stream is a pure
+function of (base seed, stream tag, layer index, step or period index): the
+key is produced by a splitmix64-style hash and fed to numpy's Philox
 counter-based bit generator; normals come from Generator.standard_normal
 (ziggurat). Identical keys give bit-identical matrices within a build.
+
+Draws reuse one Philox bit generator per thread instead of constructing one
+per draw: before each draw its state is reset to counter 0, key [seed, 0] and
+an empty buffer, which is exactly the state of a fresh Philox(key=seed), so
+the stream is the same while the per-draw constructor cost (it seeds an
+unused SeedSequence from OS entropy) is paid once per thread.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,8 +55,27 @@ def derive_seed(base: Seed, *words: int) -> Seed:
     return h
 
 
+_thread = threading.local()
+
+
 def _generator(seed: Seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    """This thread's generator, reset to the stream of a fresh Philox(key=seed)."""
+    gen = getattr(_thread, "generator", None)
+    if gen is None:
+        gen = _thread.generator = np.random.Generator(np.random.Philox(key=0))
+        # the state of a fresh Philox: counter 0, key [seed, 0], empty buffer
+        _thread.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.zeros(2, dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    state = _thread.state
+    state["state"]["key"][0] = seed & _MASK64
+    gen.bit_generator.state = state
+    return gen
 
 
 class SamplerKind(enum.Enum):

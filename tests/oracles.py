@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from lozo.sampling import STREAM_U, STREAM_V, SamplerKind, derive_seed
+
 
 def jacobi_singular_values(a: np.ndarray, sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
     """Singular values by one-sided Jacobi rotations on the columns."""
@@ -89,3 +91,64 @@ def ema_momentum(cs, us, beta: float) -> np.ndarray:
     for s, (c, u) in enumerate(zip(cs, us)):
         acc += (1.0 - beta) * beta ** (t - s) * c * u
     return acc
+
+
+def fresh_generator(seed: int) -> np.random.Generator:
+    """A newly constructed Philox generator, the reference stream for a seed."""
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def fresh_sample_v(seed: int, n: int, r: int, kind: SamplerKind) -> np.ndarray:
+    """The n x r factor V of each sampler kind, drawn from a fresh generator."""
+    gen = fresh_generator(seed)
+    if kind is SamplerKind.STANDARD_NORMAL:
+        return gen.standard_normal((n, r))
+    if kind is SamplerKind.HAAR_SCALED:
+        q, rr = np.linalg.qr(gen.standard_normal((n, r)))
+        signs = np.where(np.diag(rr) >= 0.0, 1.0, -1.0)
+        return np.sqrt(n) * (q * signs)
+    idx = gen.choice(n, size=r, replace=False)
+    v = np.zeros((n, r))
+    v[idx, np.arange(r)] = np.sqrt(n)
+    return v
+
+
+def naive_lozo_step(loss, x, config, t: int, n_factors=None):
+    """One lazy low-rank step that caches nothing; momentum when n_factors is given.
+
+    Every draw builds a fresh generator, V is redrawn from its period's seeds
+    at every step, and at a resample boundary both the old and the new V are
+    redrawn for the momentum projection N (V_old^T V_new) / n. The arithmetic
+    follows the optimizer's +eps / -2eps / +eps phases, so a correct cached
+    implementation matches it bit for bit. x is updated in place; returns the
+    new momentum factors (None without momentum).
+    """
+    period = t // config.nu
+
+    def v_of(i, s, p):
+        return fresh_sample_v(derive_seed(config.base_seed, STREAM_V, i, p), s.n, s.r, config.v_kind)
+
+    shapes = config.effective_shapes(x)
+    us = [fresh_generator(derive_seed(config.base_seed, STREAM_U, i, t)).standard_normal((s.m, s.r)) for i, s in enumerate(shapes)]
+    vs = [v_of(i, s, period) for i, s in enumerate(shapes)]
+    if n_factors is not None and t % config.nu == 0 and t > 0:
+        n_factors = [nf @ (v_of(i, s, period - 1).T @ v_of(i, s, period)) / s.n for i, (nf, s) in enumerate(zip(n_factors, shapes))]
+    def perturb(scale):
+        for a, u, v in zip(x.layers, us, vs):
+            a += scale * (u @ v.T)
+
+    xi, eps = t % loss.num_samples, config.epsilon
+    perturb(eps)
+    f_plus = float(loss.evaluate(x, xi))
+    perturb(-2.0 * eps)
+    f_minus = float(loss.evaluate(x, xi))
+    perturb(eps)
+    c = (f_plus - f_minus) / (2.0 * eps)
+    if n_factors is None:
+        for a, u, v, s in zip(x.layers, us, vs, shapes):
+            a += -(config.alpha * c / s.r) * (u @ v.T)
+        return None
+    n_factors = [config.beta * nf + (1.0 - config.beta) * c * u for nf, u in zip(n_factors, us)]
+    for a, nf, v, s in zip(x.layers, n_factors, vs, shapes):
+        a += -(config.alpha / s.r) * (nf @ v.T)
+    return n_factors

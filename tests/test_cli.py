@@ -8,6 +8,7 @@ import pytest
 from lozo import checks
 from lozo.cli import (
     ConfigError,
+    DivergenceError,
     ExperimentConfig,
     compare_algorithms,
     main,
@@ -103,6 +104,14 @@ class TestRunExperiment:
         assert csv == "step,loss,fd_scalar_abs,est_norm,wall_ms\n"
         assert summary["total_evals"] == 0
 
+    def test_diverged_run_raises_named_error(self, tmp_path):
+        cfg = parse_config(["--problem", "quadratic", "--shape", "8x8", "--lr", "1e6", "--steps", "6",
+                            "--out", str(tmp_path / "stall")])
+        with pytest.raises(DivergenceError) as err:
+            run_experiment(cfg)
+        assert err.value.step == 4
+        assert list(tmp_path.iterdir()) == []
+
     def test_total_evals_contract(self, tmp_path):
         cfg = small_config(tmp_path, steps=1000)
         summary = run_experiment(cfg)
@@ -177,6 +186,23 @@ class TestMainExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert json.loads(out.strip())["total_evals"] == 10
+
+    def test_stalled_run_is_a_failure(self, tmp_path, capsys):
+        # the loss reaches 4e41 by step 3; from step 4 on F+ - F- cancels to exactly 0.0
+        code = main(["run", "--problem", "quadratic", "--shape", "8x8", "--lr", "1e6", "--steps", "6",
+                     "--out", str(tmp_path / "stall")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: run diverged at step 4: ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_loss_is_a_failure(self, tmp_path, capsys):
+        code = main(["run", "--problem", "quadratic", "--shape", "8x8", "--lr", "1e160", "--steps", "1",
+                     "--out", str(tmp_path / "inf")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: run diverged at step 1: non-finite loss inf")
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_error(self, capsys):
         code = main(["run", "--lr", "1e-3"])  # missing --steps

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lozo import optimizers
 from lozo.estimators import lge_scalar
 from lozo.linalg import LayerShape, ParamSet, frobenius_norm
 from lozo.optimizers import (
@@ -31,7 +32,7 @@ from lozo.sampling import (
     sample_v,
 )
 
-from oracles import ema_momentum, lstsq_projection
+from oracles import ema_momentum, lstsq_projection, naive_lozo_step
 
 
 def half_sqnorm():
@@ -325,6 +326,8 @@ class TestRetryAfterStepError:
         failures = 0
         while state.t < config.total_steps:
             before = (state.t, state.v_seeds, [f.copy() for f in mom.n_factors] if mom else [])
+            cache = state.v_cache
+            cached_v = [v.copy() for v in cache[1]] if cache else []
             try:
                 if mom is None:
                     lozo_step(x, state, oracle, config)
@@ -336,6 +339,10 @@ class TestRetryAfterStepError:
                 assert (state.t, state.v_seeds) == before[:2]
                 for f, g in zip(mom.n_factors if mom else [], before[2]):
                     np.testing.assert_array_equal(f, g)
+                # the previous period's V stays cached, unchanged
+                assert state.v_cache is cache and cache[0] == state.v_seeds
+                for v, w in zip(cache[1], cached_v):
+                    np.testing.assert_array_equal(v, w)
         return x, failures
 
     @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
@@ -345,3 +352,79 @@ class TestRetryAfterStepError:
         assert (clean_failures, failures) == (0, 1)
         # the failed probe's +eps / -2eps / +eps round trip leaves a few ulps of drift
         assert np.max(np.abs(clean.layers[0] - retried.layers[0])) <= 1e-10
+
+
+class TestPeriodV:
+    """V is drawn once per period and cached, without changing a single bit."""
+
+    shapes = [LayerShape(6, 5, 2)]
+
+    def _setup(self, algo, kind, nu=5):
+        oracle = make_quadratic(self.shapes, data_seed=50, noise_scale=0.2, num_samples=3)
+        config = OptimizerConfig(alpha=2e-2, total_steps=20, base_seed=51, nu=nu, v_kind=kind)
+        x = ParamSet([sample_gaussian(52, 6, 5)], self.shapes)
+        mom = MomentumState.zeros(self.shapes, config.beta) if algo == "lozo-m" else None
+        return oracle, config, x, mom
+
+    @pytest.mark.parametrize("kind", [SamplerKind.HAAR_SCALED, SamplerKind.STANDARD_NORMAL])
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_matches_naive_reference_bitwise(self, algo, kind):
+        oracle, config, x, mom = self._setup(algo, kind)
+        ref = x.copy()
+        ref_n = [f.copy() for f in mom.n_factors] if mom else None
+        state = LozoState()
+        for t in range(17):  # boundaries at 0, 5, 10 and 15
+            lozo_step(x, state, oracle, config, mom)
+            ref_n = naive_lozo_step(oracle, ref, config, t, ref_n)
+            assert np.array_equal(x.layers[0], ref.layers[0]), f"x differs after step {t}"
+            for f, g in zip(mom.n_factors if mom else [], ref_n or []):
+                assert np.array_equal(f, g), f"momentum differs after step {t}"
+
+    @pytest.mark.parametrize("resume_at", [5, 7])  # a boundary, and inside a period
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_state_from_seeds_alone_resumes_bitwise(self, algo, resume_at):
+        oracle, config, x, mom = self._setup(algo, SamplerKind.HAAR_SCALED)
+        state = LozoState()
+        for _ in range(resume_at):
+            lozo_step(x, state, oracle, config, mom)
+        resumed_x = x.copy()
+        resumed_mom = MomentumState([f.copy() for f in mom.n_factors], mom.beta) if mom else None
+        resumed = LozoState(t=state.t, v_seeds=state.v_seeds)
+        assert resumed.v_cache is None and resumed == state
+        for _ in range(8):
+            lozo_step(x, state, oracle, config, mom)
+            lozo_step(resumed_x, resumed, oracle, config, resumed_mom)
+        assert np.array_equal(x.layers[0], resumed_x.layers[0])
+
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_one_v_draw_per_layer_per_period(self, algo, monkeypatch):
+        calls = {"n": 0}
+
+        def counting(*args):
+            calls["n"] += 1
+            return sample_v(*args)
+
+        monkeypatch.setattr(optimizers, "sample_v", counting)
+        shapes = [LayerShape(6, 5, 2), LayerShape(4, 6, 3)]
+        oracle = make_quadratic(shapes, data_seed=53, noise_scale=0.2, num_samples=3)
+        config = OptimizerConfig(alpha=1e-2, total_steps=12, base_seed=54, nu=4, v_kind=SamplerKind.HAAR_SCALED)
+        x = ParamSet.zeros(shapes)
+        mom = MomentumState.zeros(shapes, config.beta) if algo == "lozo-m" else None
+        state = LozoState()
+        periods = 3
+        for _ in range(periods * config.nu):
+            lozo_step(x, state, oracle, config, mom)
+        assert calls["n"] == len(shapes) * periods
+
+    def test_vanilla_draws_v_every_step(self, monkeypatch):
+        calls = {"n": 0}
+
+        def counting(*args):
+            calls["n"] += 1
+            return sample_v(*args)
+
+        monkeypatch.setattr(optimizers, "sample_v", counting)
+        oracle, config, x, _ = self._setup("lozo", SamplerKind.HAAR_SCALED)
+        for t in range(6):
+            vanilla_lge_step(x, oracle, config, t)
+        assert calls["n"] == len(self.shapes) * 6

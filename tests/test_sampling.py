@@ -1,5 +1,7 @@
 """Determinism and distributional contracts of the seeded samplers."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from lozo.sampling import (
     sample_v,
 )
 from lozo.linalg import LayerShape
+
+from oracles import fresh_generator, fresh_sample_v
 
 
 class TestGaussian:
@@ -110,3 +114,51 @@ class TestSketch:
     def test_derivation_is_stationary(self):
         assert derive_seed(5, 1, 2, 3) == derive_seed(5, 1, 2, 3)
         assert derive_seed(5, 1, 2, 3) != derive_seed(5, 1, 2, 4)
+
+
+class TestReusedGenerator:
+    """Draws reuse one bit generator per thread; each must equal a fresh Philox(key=seed)."""
+
+    seeds = (0, 1, 2**64 - 1, derive_seed(3, 4), derive_seed(5, 6, 7))
+
+    def test_gaussian_matches_fresh_philox(self):
+        for seed in self.seeds:
+            expected = fresh_generator(seed).standard_normal((7, 3))
+            assert sample_gaussian(seed, 7, 3).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", list(SamplerKind))
+    def test_sample_v_matches_fresh_philox(self, kind):
+        for seed in self.seeds:
+            assert sample_v(seed, 9, 4, kind).tobytes() == fresh_sample_v(seed, 9, 4, kind).tobytes()
+
+    def test_interleaved_draws_match_fresh_philox(self):
+        kinds = list(SamplerKind)
+        for i in range(30):
+            seed = derive_seed(8, i % 4)  # seeds repeat, kinds rotate, shapes change
+            if i % 4 == 3:
+                expected = fresh_generator(seed).standard_normal((5, 2 + i % 3))
+                got = sample_gaussian(seed, 5, 2 + i % 3)
+            else:
+                kind = kinds[i % 3]
+                expected = fresh_sample_v(seed, 8, 1 + i % 5, kind)
+                got = sample_v(seed, 8, 1 + i % 5, kind)
+            assert got.tobytes() == expected.tobytes(), f"draw {i} differs"
+
+    def test_draws_from_other_threads_match_fresh_philox(self):
+        mismatches = []
+
+        def draw(offset):
+            for i in range(40):
+                seed = derive_seed(offset, i)
+                if sample_v(seed, 10, 3, SamplerKind.HAAR_SCALED).tobytes() != fresh_sample_v(
+                    seed, 10, 3, SamplerKind.HAAR_SCALED
+                ).tobytes():
+                    mismatches.append((offset, i))
+
+        threads = [threading.Thread(target=draw, args=(k,)) for k in (1, 2)]
+        for th in threads:
+            th.start()
+        draw(0)
+        for th in threads:
+            th.join()
+        assert mismatches == []
