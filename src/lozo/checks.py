@@ -378,7 +378,6 @@ def lozo_vs_rge(
                     total_steps=total_steps,
                     base_seed=derive_seed(0xAC7, s),
                     nu=nu,
-                    ranks=(rank,),
                     v_kind=SamplerKind.HAAR_SCALED if algo == "lozo" else SamplerKind.STANDARD_NORMAL,
                 )
                 x = ParamSet.zeros([LayerShape(32, 32, rank)])

@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -61,7 +61,6 @@ class ExperimentConfig:
             "algo": self.algo,
             "optimizer": {
                 **{key: getattr(opt, key) for key in _OPTIMIZER_KEYS},
-                "ranks": list(opt.ranks) if opt.ranks is not None else None,
                 "v_kind": opt.v_kind.value,
             },
             "eval_every": self.eval_every,
@@ -70,12 +69,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _reject_unknown(d, set(_CONFIG_KEYS), "config")
-        _reject_unknown(
-            d.get("problem", {}),
-            {"kind", "shapes", "data_seed", "noise_scale", "num_samples", "true_rank"},
-            "problem",
-        )
+        _reject_unknown(d, _field_names(cls), "config")
+        _reject_unknown(d.get("problem", {}), _field_names(ProblemSpec), "problem")
         opt = d["optimizer"]
         _reject_unknown(opt, set(_OPTIMIZER_KEYS), "optimizer")
         for key in ("alpha", "total_steps", "base_seed"):
@@ -90,16 +85,12 @@ class ExperimentConfig:
             spec = ProblemSpec.from_dict(d["problem"])
         except KeyError as e:
             raise ConfigError(f"missing required problem key: {e.args[0]}") from e
-        return cls(
-            problem=spec,
-            algo=algo,
-            optimizer=optimizer,
-            eval_every=int(d.get("eval_every", 1)),
-            output_path=str(d.get("output_path", "")),
-        )
+        optional = {key: conv(d[key]) for key, conv in (("eval_every", int), ("output_path", str)) if key in d}
+        return cls(problem=spec, algo=algo, optimizer=optimizer, **optional)
 
 
-_CONFIG_KEYS = ("problem", "algo", "optimizer", "eval_every", "output_path")
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
 def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
@@ -118,7 +109,6 @@ _OPTIMIZER_KEYS = {
     "alpha": float,
     "epsilon": float,
     "nu": int,
-    "ranks": lambda ranks: tuple(int(r) for r in ranks) if ranks is not None else None,
     "beta": float,
     "total_steps": int,
     "base_seed": int,
@@ -146,6 +136,9 @@ _FLAG_KEYS = {
 }
 
 
+_DEFAULT_RANK = 2  # the r of flag-given and default shapes when --rank is absent
+
+
 def _parse_shape(text: str) -> tuple[int, int]:
     try:
         m, n = text.lower().split("x")
@@ -164,7 +157,7 @@ def _experiment_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-samples", type=int, default=None)
     p.add_argument("--true-rank", type=int, default=None, help="planted gradient rank")
     p.add_argument("--algo", choices=list(optimizers.ALGORITHMS), default=None)
-    p.add_argument("--rank", type=int, default=None, help="perturbation rank r")
+    p.add_argument("--rank", type=int, default=None, help="perturbation rank r of every layer")
     p.add_argument("--nu", type=int, default=None, help="subspace resample interval")
     p.add_argument("--eps", type=float, default=None, help="perturbation scale epsilon")
     p.add_argument("--lr", type=float, default=None, help="learning rate (see --lr-convention)")
@@ -209,10 +202,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {args.config}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"malformed JSON in {args.config} at line {e.lineno}: {e.msg}") from e
-        _reject_unknown(base, set(_CONFIG_KEYS), "config file")
+        if not isinstance(base, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object")
     d = {**base, "problem": dict(base.get("problem", {})), "optimizer": dict(base.get("optimizer", {}))}
 
-    rank = args.rank if args.rank is not None else 2
     for dest, (section, key) in _FLAG_KEYS.items():
         value = getattr(args, dest)
         if value is not None:
@@ -221,16 +214,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     prob.setdefault("kind", "quadratic")
     prob.setdefault("data_seed", 0)
     if args.shape is not None:
-        prob["shapes"] = [[m, n, min(rank, m, n)] for m, n in (_parse_shape(s) for s in args.shape)]
-    prob.setdefault("shapes", [[16, 16, rank]])
+        prob["shapes"] = [[m, n, min(_DEFAULT_RANK, m, n)] for m, n in (_parse_shape(s) for s in args.shape)]
+    prob.setdefault("shapes", [[16, 16, _DEFAULT_RANK]])
 
     opt = d["optimizer"]
-    if args.rank is not None:
-        opt["ranks"] = [args.rank]
     if args.lr is not None:
-        rank_for_lr = (opt.get("ranks") or [rank])[0]
-        convention = args.lr_convention or "direct"
-        opt["alpha"] = args.lr * (rank_for_lr if convention == "subspace" else 1)
+        opt["alpha"] = args.lr
     opt.setdefault("base_seed", 0)
     if "alpha" not in opt:
         raise ConfigError("missing required key: --lr (or optimizer.alpha in the config file)")
@@ -238,11 +227,16 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("missing required key: --steps (or optimizer.total_steps in the config file)")
 
     try:
-        return ExperimentConfig.from_dict(d)
+        if args.rank is not None:  # every layer, from flags or the config file alike
+            prob["shapes"] = [[m, n, args.rank] for m, n, *_ in prob["shapes"]]
+        config = ExperimentConfig.from_dict(d)
     except (ValueError, TypeError) as e:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError(str(e)) from e
+    if args.lr is not None and args.lr_convention == "subspace":
+        config = replace(config, optimizer=replace(config.optimizer, alpha=args.lr * config.problem.shapes[0].r))
+    return config
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -258,12 +252,17 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _execute(config: ExperimentConfig) -> tuple:
-    """Build the problem, run the optimizer from zeros; (oracle, shapes, records)."""
+def _execute(config: ExperimentConfig) -> tuple[list[optimizers.RunRecord], float]:
+    """Build the problem and run the optimizer from zeros; (records, starting loss).
+
+    A diverged or stalled run raises DivergenceError.
+    """
     oracle = make_problem(config.problem)
-    shapes = config.optimizer.effective_shapes(ParamSet.zeros(config.problem.shapes))
-    x = ParamSet.zeros(shapes)
-    return oracle, shapes, optimizers.run(oracle, x, config.optimizer, config.algo, eval_every=config.eval_every)
+    x = ParamSet.zeros(config.problem.shapes)
+    records = optimizers.run(oracle, x, config.optimizer, config.algo, eval_every=config.eval_every)
+    initial = oracle.eval_metric(ParamSet.zeros(config.problem.shapes))
+    _check_divergence(records, initial)
+    return records, initial
 
 
 def _check_divergence(records: Sequence[optimizers.RunRecord], initial: float) -> None:
@@ -296,9 +295,7 @@ def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> d
     """
     if timing not in ("deterministic", "live"):
         raise ConfigError(f"unknown timing mode {timing!r}")
-    oracle, shapes, records = _execute(config)
-    initial = oracle.eval_metric(ParamSet.zeros(shapes))
-    _check_divergence(records, initial)
+    records, initial = _execute(config)
 
     lines = ["step,loss,fd_scalar_abs,est_norm,wall_ms"]
     for rec in records:
@@ -311,7 +308,7 @@ def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> d
         "final_loss": losses[-1] if losses else initial,
         "best_loss": min(losses) if losses else initial,
         "total_evals": 2 * config.optimizer.total_steps,
-        "footprint_elements": state_footprint(config.algo, shapes),
+        "footprint_elements": state_footprint(config.algo, config.problem.shapes),
         "seed": config.optimizer.base_seed,
     }
     if config.output_path:
@@ -327,19 +324,25 @@ def compare_algorithms(
     """Run each config on the shared problem; tabulate evaluations to target.
 
     Rows are (algo, evals_to_target or "not reached", final_loss). All configs
-    must describe the same problem so the race is meaningful.
+    must describe the same problem so the race is meaningful; the layers'
+    ranks may differ, since no problem family reads them. A diverged or
+    stalled run raises DivergenceError, as in run_experiment.
     """
     if not configs:
         raise ConfigError("compare needs at least one config")
-    first = configs[0].problem.to_dict()
+
+    def problem_of(cfg: ExperimentConfig) -> dict:
+        return {**cfg.problem.to_dict(), "shapes": [(s.m, s.n) for s in cfg.problem.shapes]}
+
+    first = problem_of(configs[0])
     for cfg in configs[1:]:
-        if cfg.problem.to_dict() != first:
+        if problem_of(cfg) != first:
             raise ConfigError("compare requires all configs to share the same problem")
     table: list[tuple[str, object, float]] = []
     for cfg in configs:
-        oracle, shapes, records = _execute(cfg)
+        records, initial = _execute(cfg)
         e2t = checks.evals_to_target(records, target_loss, trailing=trailing)
-        final = records[-1].loss if records else oracle.eval_metric(ParamSet.zeros(shapes))
+        final = records[-1].loss if records else initial
         table.append((cfg.algo, e2t if e2t is not None else "not reached", final))
     return table
 

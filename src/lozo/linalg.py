@@ -8,7 +8,7 @@ ranks; it is the optimization variable everything else operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,15 +64,6 @@ class ParamSet:
     @classmethod
     def zeros(cls, shapes: Sequence[LayerShape]) -> "ParamSet":
         return cls([np.zeros((s.m, s.n)) for s in shapes], shapes)
-
-    @classmethod
-    def from_arrays(cls, arrays: Iterable, ranks) -> "ParamSet":
-        """Build from raw arrays; ranks is an int or one int per layer."""
-        arrays = [as_matrix(a) for a in arrays]
-        if isinstance(ranks, int):
-            ranks = [ranks] * len(arrays)
-        shapes = [LayerShape(a.shape[0], a.shape[1], r) for a, r in zip(arrays, ranks)]
-        return cls(arrays, shapes)
 
     def copy(self) -> "ParamSet":
         return ParamSet([a.copy() for a in self.layers], self.shapes)

@@ -6,14 +6,16 @@ central difference (two loss evaluations per step), restore, and apply the
 update with the same add_low_rank / add_dense helpers. The lazy optimizer and
 its momentum variant share one step body, _lge_step; the momentum variant
 only adds an m x r factor per layer, projected onto the new subspace at each
-resample boundary. V changes only at a boundary, so each period's V matrices
-are drawn once and kept in LozoState next to their seeds; U is drawn every
-step. A step commits its new V seeds, V matrices, momentum factors and counter
-only after the central difference succeeds, so a StepError leaves the
-optimizer state as it was. Persistent optimizer state is seeds plus the
-momentum factors: the V cache (sum over layers of n_l r_l elements) is derived
-state, rebuilt from v_seeds when absent, and is not counted by
-state_footprint. Trajectories are pure functions of
+resample boundary. Every seed is a function of the step counter t: U and Z are
+keyed by (layer, t), and V by (layer, t // nu), the outer index of the
+subspace method. V changes only at a boundary, so each period's V matrices
+are drawn once and cached in LozoState; U is drawn every step. The rank of
+layer l is x.shapes[l].r, nowhere else. A step commits its V cache, momentum
+factors and counter only after the central difference succeeds, so a
+StepError leaves the optimizer state as it was. Persistent optimizer state is
+the counter t plus the momentum factors: the V cache (sum over layers of
+n_l r_l elements) is derived state, rebuilt from t when absent, and is not
+counted by state_footprint. Trajectories are pure functions of
 (X0, config, base_seed, loss).
 """
 
@@ -56,7 +58,6 @@ class OptimizerConfig:
     base_seed: Seed
     epsilon: float = DEFAULT_EPSILON
     nu: int = 50
-    ranks: Optional[tuple[int, ...]] = None  # None: use the ParamSet's shape ranks
     beta: float = 0.9
     v_kind: SamplerKind = SamplerKind.STANDARD_NORMAL
 
@@ -73,27 +74,23 @@ class OptimizerConfig:
             raise ValueError("total_steps must be nonnegative")
 
     def effective_shapes(self, x: ParamSet) -> list[LayerShape]:
-        if self.ranks is None:
-            return list(x.shapes)
-        ranks = self.ranks if len(self.ranks) > 1 else self.ranks * len(x.shapes)
-        if len(ranks) != len(x.shapes):
-            raise ValueError(f"{len(ranks)} ranks for {len(x.shapes)} layers")
-        return [LayerShape(s.m, s.n, r) for s, r in zip(x.shapes, ranks)]
+        """The layer shapes a step uses; the ranks are the shapes' own."""
+        return list(x.shapes)
 
 
 @dataclass
 class LozoState:
-    """Step counter, the replayable V seeds of the current period, and its V.
+    """Step counter of the lazy optimizer, and the current period's V.
 
-    v_cache is derived state: the seeds it was built from and the period's
-    V matrices (n_l x r_l). Seeds alone are enough to checkpoint a state; a
-    state whose cache is missing or was built from other seeds has its V
-    rebuilt from v_seeds by the next step.
+    t is the whole persistent state: the V seeds of layer l are
+    derive_seed(base_seed, STREAM_V, l, t // nu), so LozoState(t=k) resumes a
+    run at step k bit for bit. v_cache is derived state, (period, V matrices
+    n_l x r_l); a step whose period it does not hold rebuilds V from t. Like
+    a MomentumState, a LozoState belongs to one config and one ParamSet.
     """
 
     t: int = 0
-    v_seeds: Optional[tuple[Seed, ...]] = None
-    v_cache: Optional[tuple[tuple[Seed, ...], list[np.ndarray]]] = field(default=None, repr=False, compare=False)
+    v_cache: Optional[tuple[int, list[np.ndarray]]] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -132,10 +129,6 @@ def _outer_norm(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sqrt(max(np.vdot(u.T @ u, v.T @ v).real, 0.0)))
 
 
-def _v_seeds(config: OptimizerConfig, num_layers: int, period: int) -> tuple[Seed, ...]:
-    return tuple(derive_seed(config.base_seed, STREAM_V, i, period) for i in range(num_layers))
-
-
 def _probe(x: ParamSet, loss, config: OptimizerConfig, t: int, add, directions, label: str) -> float:
     """The step's central difference; a non-finite loss becomes a StepError."""
     xi = sample_index(t, loss.num_samples)
@@ -164,9 +157,12 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
     return c, abs(c) * float(np.sqrt(sq))
 
 
-def _build_v(config: OptimizerConfig, x: ParamSet, v_seeds: Sequence[Seed]) -> list[np.ndarray]:
-    """One period's V matrices, one per layer."""
-    return [sample_v(seed, s.n, s.r, config.v_kind) for seed, s in zip(v_seeds, config.effective_shapes(x))]
+def _build_v(config: OptimizerConfig, x: ParamSet, period: int) -> list[np.ndarray]:
+    """One period's V matrices, one per layer, keyed by (layer, period)."""
+    return [
+        sample_v(derive_seed(config.base_seed, STREAM_V, i, period), s.n, s.r, config.v_kind)
+        for i, s in enumerate(x.shapes)
+    ]
 
 
 def _lge_step(
@@ -186,7 +182,7 @@ def _lge_step(
     momentum factors are first projected from the old subspace onto the new
     one. They are committed to mom only after the central difference succeeds.
     """
-    shapes = config.effective_shapes(x)
+    shapes = x.shapes
     n_factors = mom.n_factors if mom is not None else None
     if n_factors is not None and old_vs is not None:
         n_factors = [project_momentum(nf, old, new, s.n) for nf, s, old, new in zip(n_factors, shapes, old_vs, vs)]
@@ -215,26 +211,23 @@ def lozo_step(
     With mom, this is the momentum variant: at a resample boundary the old
     momentum factors are projected onto the new subspace before being
     updated; at t = 0 there is no old subspace and nothing is projected.
-    The period's V is drawn once, at its boundary, and kept in state.v_cache.
+    The period's V is drawn once, at its boundary, and kept in state.v_cache;
+    a state resumed from t alone rebuilds it, and the old V it projects from.
     """
-    t = state.t
-    vs = None
-    if state.v_seeds is not None:
-        if state.v_cache is None or state.v_cache[0] != state.v_seeds:
-            state.v_cache = (state.v_seeds, _build_v(config, x, state.v_seeds))
-        vs = state.v_cache[1]
-    v_seeds, old_vs = state.v_seeds, None
-    if t % config.nu == 0:
-        v_seeds, old_vs = _v_seeds(config, len(x), t // config.nu), vs
-        vs = _build_v(config, x, v_seeds)
+    t, period = state.t, state.t // config.nu
+    cache = state.v_cache or (None, None)
+    vs = cache[1] if cache[0] == period else _build_v(config, x, period)
+    old_vs = None
+    if mom is not None and t > 0 and t % config.nu == 0:
+        old_vs = cache[1] if cache[0] == period - 1 else _build_v(config, x, period - 1)
     c, est_norm = _lge_step(x, loss, config, t, vs, mom, old_vs)
-    state.v_seeds, state.v_cache, state.t = v_seeds, (v_seeds, vs), t + 1
+    state.v_cache, state.t = (period, vs), t + 1
     return c, est_norm
 
 
 def vanilla_lge_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, float]:
     """Plain low-rank recursion: both factors freshly sampled every step."""
-    return _lge_step(x, loss, config, t, _build_v(config, x, _v_seeds(config, len(x), t)))
+    return _lge_step(x, loss, config, t, _build_v(config, x, t))
 
 
 def project_momentum(n_factor: np.ndarray, v_old: np.ndarray, v_new: np.ndarray, n: int) -> np.ndarray:
@@ -264,7 +257,7 @@ def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int =
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
     state = LozoState()
-    mom = MomentumState.zeros(config.effective_shapes(x), config.beta) if algo == "lozo-m" else None
+    mom = MomentumState.zeros(x.shapes, config.beta) if algo == "lozo-m" else None
     records: list[RunRecord] = []
     for t in range(config.total_steps):
         t0 = time.perf_counter()

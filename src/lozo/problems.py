@@ -8,7 +8,7 @@ convergence checks compare against ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -84,26 +84,36 @@ class ProblemSpec:
     num_samples: int = 0  # 0 means the problem family default
     true_rank: int = 2
 
+    def __post_init__(self):
+        if not self.shapes:
+            raise ValueError("a problem needs at least one layer shape")
+
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "shapes": [[s.m, s.n, s.r] for s in self.shapes],
-            "data_seed": self.data_seed,
-            "noise_scale": self.noise_scale,
-            "num_samples": self.num_samples,
-            "true_rank": self.true_rank,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["shapes"] = [[s.m, s.n, s.r] for s in self.shapes]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
-        return cls(
-            kind=d["kind"],
-            shapes=tuple(LayerShape(*row) for row in d["shapes"]),
-            data_seed=int(d["data_seed"]),
-            noise_scale=float(d.get("noise_scale", 0.0)),
-            num_samples=int(d.get("num_samples", 0)),
-            true_rank=int(d.get("true_rank", 2)),
-        )
+        """Inverse of to_dict; keys left out take the field defaults.
+
+        A missing required key raises KeyError naming it; unknown keys are
+        ignored here and rejected by the CLI.
+        """
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise KeyError(f.name)
+        return cls(**{key: conv(d[key]) for key, conv in _SPEC_KEYS.items() if key in d})
+
+
+_SPEC_KEYS = {
+    "kind": str,
+    "shapes": lambda rows: tuple(LayerShape(*row) for row in rows),
+    "data_seed": int,
+    "noise_scale": float,
+    "num_samples": int,
+    "true_rank": int,
+}
 
 
 def _normalize_shapes(shape) -> list[LayerShape]:

@@ -1,13 +1,14 @@
 """Deterministic seeded sampling of perturbation factors.
 
-Seed replay: instead of storing the tall-skinny factors U and V, only 64-bit
-seeds need to be kept and the matrices are regenerated on demand (the
-optimizer also keeps the current period's V, sum over layers of n_l r_l
-elements, as a cache derived from its seeds). Every stream is a pure
-function of (base seed, stream tag, layer index, step or period index): the
-key is produced by a splitmix64-style hash and fed to numpy's Philox
-counter-based bit generator; normals come from Generator.standard_normal
-(ziggurat). Identical keys give bit-identical matrices within a build.
+Seed replay: instead of storing the tall-skinny factors U and V, the
+matrices are regenerated on demand from 64-bit seeds. Every stream is a pure
+function of (base seed, stream tag, layer index, step or period index), so an
+optimizer needs to keep no seeds at all, only its step counter (it also keeps
+the current period's V, sum over layers of n_l r_l elements, as a cache
+derived from that counter). The key is produced by a splitmix64-style hash
+and fed to numpy's Philox counter-based bit generator; normals come from
+Generator.standard_normal (ziggurat). Identical keys give bit-identical
+matrices within a build.
 
 Draws reuse one Philox bit generator per thread instead of constructing one
 per draw: before each draw its state is reset to counter 0, key [seed, 0] and

@@ -93,7 +93,7 @@ def run_subspace_method(loss, x0: ParamSet, config: OptimizerConfig, num_periods
     V is keyed by (layer, period), U by (layer, global step). Returns the
     outer iterates [X^(0), X^(1), ..., X^(num_periods)].
     """
-    shapes = config.effective_shapes(x0)
+    shapes = x0.shapes
     state = SubspaceState.fresh(ParamSet([a.copy() for a in x0.layers], shapes), config.alpha)
     snapshots = [state.x_tilde.copy()]
     for k in range(num_periods):

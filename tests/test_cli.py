@@ -32,6 +32,12 @@ def small_config(tmp_path, algo="lozo", steps=30, out="exp"):
     )
 
 
+def write_config(tmp_path, blob):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
 class TestParseConfig:
     def test_flag_echo(self):
         cfg = parse_config(
@@ -39,7 +45,7 @@ class TestParseConfig:
              "--lr", "1e-3", "--steps", "1000", "--seed", "42"]
         )
         assert cfg.algo == "lozo"
-        assert cfg.optimizer.ranks == (2,)
+        assert [s.r for s in cfg.problem.shapes] == [2]
         assert cfg.optimizer.nu == 50
         assert cfg.optimizer.epsilon == 1e-3
         assert cfg.optimizer.alpha == 1e-3
@@ -68,7 +74,7 @@ class TestParseConfig:
             problem=ProblemSpec(kind="planted", shapes=(LayerShape(8, 8, 2),), data_seed=7,
                                 noise_scale=1.4, num_samples=16, true_rank=2),
             algo="lozo-m",
-            optimizer=OptimizerConfig(alpha=2e-3, epsilon=1e-4, nu=25, ranks=(2,), beta=0.7,
+            optimizer=OptimizerConfig(alpha=2e-3, epsilon=1e-4, nu=25, beta=0.7,
                                       total_steps=55, base_seed=99, v_kind=SamplerKind.HAAR_SCALED),
             eval_every=5,
             output_path="somewhere/out",
@@ -86,6 +92,63 @@ class TestParseConfig:
         path.write_text(json.dumps(blob))
         with pytest.raises(ConfigError, match="learning_rate_decay"):
             parse_config(["--config", str(path)])
+
+    def test_optimizer_ranks_key_rejected(self, tmp_path):
+        blob = small_config(tmp_path).to_dict()
+        blob["optimizer"]["ranks"] = [2]
+        path = write_config(tmp_path, blob)
+        with pytest.raises(ConfigError, match="unknown key 'ranks' in optimizer section"):
+            parse_config(["--config", path])
+
+    def test_rank_flag_sets_every_file_layer(self, tmp_path):
+        blob = small_config(tmp_path).to_dict()
+        blob["problem"]["shapes"] = [[5, 4, 2], [6, 7, 1]]
+        path = write_config(tmp_path, blob)
+        parsed = parse_config(["--config", path, "--rank", "3"])
+        assert [(s.m, s.n, s.r) for s in parsed.problem.shapes] == [(5, 4, 3), (6, 7, 3)]
+
+    def test_subspace_lr_reads_first_layer_rank(self, tmp_path):
+        blob = small_config(tmp_path).to_dict()
+        blob["problem"]["shapes"] = [[5, 4, 3], [6, 7, 1]]
+        path = write_config(tmp_path, blob)
+        parsed = parse_config(["--config", path, "--lr", "1e-3", "--lr-convention", "subspace"])
+        assert parsed.optimizer.alpha == 1e-3 * 3
+
+    def test_absent_keys_take_dataclass_defaults(self, tmp_path):
+        path = write_config(tmp_path, {
+            "problem": {"kind": "quadratic", "shapes": [[5, 4, 2]], "data_seed": 1},
+            "optimizer": {"alpha": 1e-2, "total_steps": 3, "base_seed": 0},
+        })
+        parsed = parse_config(["--config", path])
+        assert parsed.problem == ProblemSpec(kind="quadratic", shapes=(LayerShape(5, 4, 2),), data_seed=1)
+        assert (parsed.eval_every, parsed.output_path) == (1, "")
+        assert parsed.optimizer == OptimizerConfig(alpha=1e-2, total_steps=3, base_seed=0)
+
+    def test_unknown_top_level_and_problem_keys_named(self, tmp_path):
+        for section, key in ((None, "seed_of_seeds"), ("problem", "width")):
+            blob = small_config(tmp_path).to_dict()
+            (blob if section is None else blob[section])[key] = 1
+            path = write_config(tmp_path, blob)
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(["--config", path])
+
+    def test_empty_shapes_rejected(self, tmp_path):
+        blob = small_config(tmp_path).to_dict()
+        blob["problem"]["shapes"] = []
+        path = write_config(tmp_path, blob)
+        with pytest.raises(ConfigError, match="at least one layer"):
+            parse_config(["--config", path, "--lr", "1e-3", "--lr-convention", "subspace"])
+
+    def test_non_object_config_file_rejected(self, tmp_path):
+        path = write_config(tmp_path, [])
+        with pytest.raises(ConfigError, match="JSON object"):
+            parse_config(["--config", path])
+
+    def test_missing_problem_key_named(self):
+        blob = {"problem": {"kind": "quadratic", "data_seed": 0},
+                "optimizer": {"alpha": 1e-2, "total_steps": 3, "base_seed": 0}}
+        with pytest.raises(ConfigError, match="missing required problem key: shapes"):
+            ExperimentConfig.from_dict(blob)
 
     def test_flags_override_file(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -164,6 +227,20 @@ class TestCompareAlgorithms:
         assert table[0] == table[1]
         assert table[0][1] != "not reached"  # huge target reached immediately
 
+    def test_configs_differing_only_in_rank_accepted(self, tmp_path):
+        a = small_config(tmp_path)
+        b = ExperimentConfig(
+            problem=ProblemSpec(kind="quadratic", shapes=(LayerShape(5, 4, 1),), data_seed=3,
+                                noise_scale=0.2, num_samples=4),
+            algo="lozo-m",
+            optimizer=a.optimizer,
+            eval_every=3,
+            output_path="",
+        )
+        table = compare_algorithms([a, b], target_loss=1e9)
+        assert [row[0] for row in table] == ["lozo", "lozo-m"]
+        assert table[0][2] != table[1][2]  # rank 2 and rank 1 take different paths
+
     def test_mismatched_problems_rejected(self, tmp_path):
         a = small_config(tmp_path)
         b = ExperimentConfig(
@@ -203,6 +280,22 @@ class TestMainExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: run diverged at step 1: non-finite loss inf")
         assert list(tmp_path.iterdir()) == []
+
+    def test_rank_above_shape_is_a_usage_error(self, capsys):
+        code = main(["run", "--shape", "4x4", "--rank", "8", "--lr", "1e-3", "--steps", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: rank must satisfy")
+
+    def test_diverged_compare_is_a_failure(self, tmp_path, capsys):
+        stall = {"problem": {"kind": "quadratic", "shapes": [[8, 8, 2]], "data_seed": 0},
+                 "optimizer": {"alpha": 1e6, "total_steps": 6, "base_seed": 0}}
+        path = write_config(tmp_path, {"target_loss": 0.1, "configs": [stall]})
+        code = main(["compare", "--config", path, "--out", str(tmp_path / "table.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: run diverged at step 4: ")
+        assert captured.out == ""
+        assert not (tmp_path / "table.csv").exists()
 
     def test_usage_error(self, capsys):
         code = main(["run", "--lr", "1e-3"])  # missing --steps

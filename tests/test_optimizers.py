@@ -23,6 +23,7 @@ from lozo.optimizers import (
 from lozo.problems import LossOracle, make_quadratic
 from lozo.sampling import (
     STREAM_U,
+    STREAM_V,
     STREAM_Z,
     SamplerKind,
     derive_seed,
@@ -99,6 +100,7 @@ class TestLozoStep:
         np.testing.assert_array_equal(x_lazy.layers[0], x_vanilla.layers[0])
 
     def test_v_seeds_rotate_only_at_boundaries(self):
+        # V's seeds are keyed by the period t // nu; the cached V changes exactly when it does
         shapes = [LayerShape(4, 4, 2)]
         oracle = make_quadratic(shapes, data_seed=12, num_samples=2)
         x = ParamSet.zeros(shapes)
@@ -107,12 +109,14 @@ class TestLozoStep:
         seen = []
         for _ in range(12):
             lozo_step(x, state, oracle, config)
-            seen.append(state.v_seeds)
+            seen.append(state.v_cache)
         for t in range(12):
+            assert seen[t][0] == t // 5
             if t % 5 == 0 and t > 0:
-                assert seen[t] != seen[t - 1]
+                assert seen[t][1] is not seen[t - 1][1]
+                assert not np.array_equal(seen[t][1][0], seen[t - 1][1][0])
             elif t > 0:
-                assert seen[t] == seen[t - 1]
+                assert seen[t][1] is seen[t - 1][1]
 
     def test_seed_replay_matches_eager_storage(self):
         # regenerating factors from seeds must reproduce the trajectory of a
@@ -204,7 +208,7 @@ class TestLozoMStep:
         state = LozoState()
         c, _ = lozo_m_step(x, state, mom, oracle, config)
         u = sample_gaussian(derive_seed(config.base_seed, STREAM_U, 0, 0), 6, 2)
-        v = sample_v(state.v_seeds[0], 5, 2, config.v_kind)
+        v = sample_v(derive_seed(config.base_seed, STREAM_V, 0, 0), 5, 2, config.v_kind)
         expected = before.layers[0] - (config.alpha / 2) * ((0.1 * c * u) @ v.T)
         np.testing.assert_allclose(x.layers[0], expected, rtol=1e-12)
 
@@ -325,7 +329,7 @@ class TestRetryAfterStepError:
         mom = MomentumState.zeros(self.shapes, config.beta) if algo == "lozo-m" else None
         failures = 0
         while state.t < config.total_steps:
-            before = (state.t, state.v_seeds, [f.copy() for f in mom.n_factors] if mom else [])
+            before = (state.t, [f.copy() for f in mom.n_factors] if mom else [])
             cache = state.v_cache
             cached_v = [v.copy() for v in cache[1]] if cache else []
             try:
@@ -336,11 +340,11 @@ class TestRetryAfterStepError:
             except StepError as e:
                 failures += 1
                 assert e.step == 10
-                assert (state.t, state.v_seeds) == before[:2]
-                for f, g in zip(mom.n_factors if mom else [], before[2]):
+                assert state.t == before[0]
+                for f, g in zip(mom.n_factors if mom else [], before[1]):
                     np.testing.assert_array_equal(f, g)
                 # the previous period's V stays cached, unchanged
-                assert state.v_cache is cache and cache[0] == state.v_seeds
+                assert state.v_cache is cache and cache[0] == state.t // config.nu - 1
                 for v, w in zip(cache[1], cached_v):
                     np.testing.assert_array_equal(v, w)
         return x, failures
@@ -383,18 +387,21 @@ class TestPeriodV:
     @pytest.mark.parametrize("resume_at", [5, 7])  # a boundary, and inside a period
     @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
     def test_state_from_seeds_alone_resumes_bitwise(self, algo, resume_at):
+        # every seed derives from t, so LozoState(t=k) is a complete checkpoint of the lazy state
         oracle, config, x, mom = self._setup(algo, SamplerKind.HAAR_SCALED)
         state = LozoState()
         for _ in range(resume_at):
             lozo_step(x, state, oracle, config, mom)
         resumed_x = x.copy()
         resumed_mom = MomentumState([f.copy() for f in mom.n_factors], mom.beta) if mom else None
-        resumed = LozoState(t=state.t, v_seeds=state.v_seeds)
+        resumed = LozoState(t=resume_at)
         assert resumed.v_cache is None and resumed == state
         for _ in range(8):
             lozo_step(x, state, oracle, config, mom)
             lozo_step(resumed_x, resumed, oracle, config, resumed_mom)
         assert np.array_equal(x.layers[0], resumed_x.layers[0])
+        for f, g in zip(mom.n_factors if mom else [], resumed_mom.n_factors if mom else []):
+            assert np.array_equal(f, g)
 
     @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
     def test_one_v_draw_per_layer_per_period(self, algo, monkeypatch):
