@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -69,8 +70,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError("an experiment config must be a JSON object")
+        for section in ("problem", "optimizer"):
+            if not isinstance(d.get(section), dict):
+                raise ConfigError(f"config section {section!r} is missing or not a JSON object")
         _reject_unknown(d, _field_names(cls), "config")
-        _reject_unknown(d.get("problem", {}), _field_names(ProblemSpec), "problem")
+        _reject_unknown(d["problem"], _field_names(ProblemSpec), "problem")
         opt = d["optimizer"]
         _reject_unknown(opt, set(_OPTIMIZER_KEYS), "optimizer")
         for key in ("alpha", "total_steps", "base_seed"):
@@ -87,6 +93,28 @@ class ExperimentConfig:
             raise ConfigError(f"missing required problem key: {e.args[0]}") from e
         optional = {key: conv(d[key]) for key, conv in (("eval_every", int), ("output_path", str)) if key in d}
         return cls(problem=spec, algo=algo, optimizer=optimizer, **optional)
+
+
+@contextmanager
+def _usage_errors():
+    """Report a ValueError or TypeError raised while validating user input as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as e:
+        raise ConfigError(str(e)) from e
+
+
+def _json_object(text: str, source: str) -> dict:
+    """Parse text that must hold one JSON object; anything else is a ConfigError naming source."""
+    try:
+        blob = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"malformed JSON in {source} at line {e.lineno}: {e.msg}") from e
+    if not isinstance(blob, dict):
+        raise ConfigError(f"{source} must hold a JSON object")
+    return blob
 
 
 def _field_names(cls) -> set[str]:
@@ -197,13 +225,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     base: dict = {}
     if args.config is not None:
         try:
-            base = json.loads(Path(args.config).read_text())
+            text = Path(args.config).read_text()
         except FileNotFoundError as e:
             raise ConfigError(f"config file not found: {args.config}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"malformed JSON in {args.config} at line {e.lineno}: {e.msg}") from e
-        if not isinstance(base, dict):
-            raise ConfigError(f"{args.config} must hold a JSON object")
+        base = _json_object(text, args.config)
     d = {**base, "problem": dict(base.get("problem", {})), "optimizer": dict(base.get("optimizer", {}))}
 
     for dest, (section, key) in _FLAG_KEYS.items():
@@ -226,14 +251,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if "total_steps" not in opt:
         raise ConfigError("missing required key: --steps (or optimizer.total_steps in the config file)")
 
-    try:
+    with _usage_errors():
         if args.rank is not None:  # every layer, from flags or the config file alike
             prob["shapes"] = [[m, n, args.rank] for m, n, *_ in prob["shapes"]]
         config = ExperimentConfig.from_dict(d)
-    except (ValueError, TypeError) as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(str(e)) from e
     if args.lr is not None and args.lr_convention == "subspace":
         config = replace(config, optimizer=replace(config.optimizer, alpha=args.lr * config.problem.shapes[0].r))
     return config
@@ -318,6 +339,23 @@ def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> d
     return summary
 
 
+def _load_compare_file(path: str) -> tuple[list[ExperimentConfig], float]:
+    """The configs and target loss of a compare file.
+
+    A file that cannot be read raises OSError; malformed JSON, a missing key
+    or an invalid config raises ConfigError.
+    """
+    blob = _json_object(Path(path).read_text(), path)
+    _reject_unknown(blob, {"target_loss", "configs"}, "compare file")
+    for key in ("target_loss", "configs"):
+        if key not in blob:
+            raise ConfigError(f"missing required key {key!r} in compare file")
+    if not isinstance(blob["configs"], list):
+        raise ConfigError("configs in compare file must be a list of experiment configs")
+    with _usage_errors():
+        return [ExperimentConfig.from_dict(c) for c in blob["configs"]], float(blob["target_loss"])
+
+
 def compare_algorithms(
     configs: Sequence[ExperimentConfig], target_loss: float, trailing: int = 10
 ) -> list[tuple[str, object, float]]:
@@ -391,10 +429,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _, ok = verify_suite(args.level)
             return 0 if ok else 1
         if args.command == "compare":
-            blob = json.loads(Path(args.config).read_text())
-            _reject_unknown(blob, {"target_loss", "configs"}, "compare file")
-            configs = [ExperimentConfig.from_dict(c) for c in blob["configs"]]
-            table = compare_algorithms(configs, float(blob["target_loss"]))
+            configs, target_loss = _load_compare_file(args.config)
+            table = compare_algorithms(configs, target_loss)
             lines = ["algo,evals_to_target,final_loss"]
             for algo, e2t, final in table:
                 print(f"{algo:10s} evals_to_target={e2t} final_loss={final:.6g}")

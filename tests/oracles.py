@@ -119,9 +119,13 @@ def naive_lozo_step(loss, x, config, t: int, n_factors=None):
     Every draw builds a fresh generator, V is redrawn from its period's seeds
     at every step, and at a resample boundary both the old and the new V are
     redrawn for the momentum projection N (V_old^T V_new) / n. The arithmetic
-    follows the optimizer's +eps / -2eps / +eps phases, so a correct cached
-    implementation matches it bit for bit. x is updated in place; returns the
-    new momentum factors (None without momentum).
+    follows the optimizer's +eps / -2eps / +eps phases with the numpy
+    expression X += s * (U @ V.T), so on the small shapes the tests use
+    (such as 6 x 5 at rank 2) a correct cached implementation matches it bit
+    for bit; there the optimizer's in-place BLAS update rounds like that
+    expression, while on layers of 512 x 512 and more the two differ by ulps.
+    x is updated in place; returns the new momentum factors (None without
+    momentum).
     """
     period = t // config.nu
 

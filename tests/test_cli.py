@@ -316,6 +316,31 @@ class TestMainExitCodes:
         code = main(["compare", "--config", str(tmp_path / "nope.json")])
         assert code == 1
 
+    _OPTIMIZER = {"alpha": 1e-2, "total_steps": 3, "base_seed": 0}
+    _PROBLEM = {"kind": "quadratic", "shapes": [[5, 4, 2]], "data_seed": 0}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (json.dumps({"target_loss": 1.0}), "missing required key 'configs' in compare file"),
+            (json.dumps({"configs": [{"problem": _PROBLEM, "optimizer": _OPTIMIZER}]}),
+             "missing required key 'target_loss' in compare file"),
+            (json.dumps({"target_loss": 1.0, "configs": [{"problem": _PROBLEM}]}),
+             "config section 'optimizer' is missing or not a JSON object"),
+            ('{"target_loss": 1.0, "configs": [', "malformed JSON in "),
+            (json.dumps([1.0]), "must hold a JSON object"),
+        ],
+        ids=["no-configs", "no-target-loss", "no-optimizer-section", "malformed-json", "not-an-object"],
+    )
+    def test_malformed_compare_file_is_a_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cmp.json"
+        path.write_text(text)
+        code = main(["compare", "--config", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
 
 class TestVerifySuite:
     def test_fast_level_passes_within_budget(self):

@@ -1,9 +1,20 @@
 """CGE/RGE/low-rank estimator contracts: exactness, counts, restoration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lozo.estimators import EvaluationError, cge, lge, lge_scalar, perturb_in_place, rge
+from lozo.estimators import (
+    EvaluationError,
+    _central_difference,
+    add_low_rank,
+    cge,
+    lge,
+    lge_scalar,
+    perturb_in_place,
+    rge,
+)
 from lozo.linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
 from lozo.problems import LossOracle, make_quadratic
 from lozo.sampling import SamplerKind, derive_seed, make_sketch, regenerate, sample_gaussian
@@ -25,6 +36,12 @@ def linear_oracle(c_mats):
         lambda x, xi: sum(float(np.vdot(c, a)) for c, a in zip(c_mats, x.layers)),
         grad_fn=lambda x, xi: ParamSet([c.copy() for c in c_mats], x.shapes),
     )
+
+
+def _read_only(a):
+    b = a.copy()
+    b.flags.writeable = False
+    return b
 
 
 class CountingOracle:
@@ -241,3 +258,62 @@ class TestPerturbInPlace:
         perturb_in_place(x, -1e-3, sk)
         drift = np.max(np.abs(x.layers[0] - before.layers[0]))
         assert drift <= 1e-12 * before.norm()
+
+
+class TestAddLowRank:
+    """X_l += s_l U_l V_l^T in place, through BLAS, on layers past OpenBLAS's small-matrix kernel."""
+
+    LARGE = [LayerShape(512, 512, 4), LayerShape(448, 576, 4)]
+
+    def _layers(self, shapes, seed):
+        x = ParamSet([sample_gaussian(derive_seed(seed, i), s.m, s.n) for i, s in enumerate(shapes)], shapes)
+        factors = [
+            (sample_gaussian(derive_seed(seed, i, 1), s.m, s.r), sample_gaussian(derive_seed(seed, i, 2), s.n, s.r))
+            for i, s in enumerate(shapes)
+        ]
+        return x, factors
+
+    @pytest.mark.parametrize(
+        "shapes, scale", [(LARGE[:1], 1e-3), (LARGE, [-2.5e-2, 7e-4])], ids=["512x512", "two-layers-per-layer-scale"]
+    )
+    def test_updates_in_place_without_a_full_size_temporary(self, shapes, scale):
+        x, factors = self._layers(shapes, seed=60)
+        scales = scale if isinstance(scale, list) else [scale] * len(shapes)
+        expected = [a + s * (u @ v.T) for a, (u, v), s in zip(x.layers, factors, scales)]
+        layers = list(x.layers)
+        pointers = [a.ctypes.data for a in layers]
+        tracemalloc.start()
+        try:
+            add_low_rank(x, factors, scale)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(a is b for a, b in zip(x.layers, layers))
+        assert [a.ctypes.data for a in x.layers] == pointers
+        assert peak < min(a.nbytes for a in layers) / 8
+        for a, e in zip(x.layers, expected):
+            assert np.max(np.abs(a - e)) <= 4.0 * np.spacing(np.max(np.abs(e)))
+
+    @pytest.mark.parametrize("shapes", [LARGE[:1], LARGE], ids=["512x512", "two-layers"])
+    def test_probe_restores_large_layers(self, shapes):
+        x, factors = self._layers(shapes, seed=61)
+        before = x.copy()
+        _central_difference(half_sqnorm_oracle(), x, 0, 1e-3, add_low_rank, factors)
+        drift = np.sqrt(sum(frobenius_norm(a - b) ** 2 for a, b in zip(x.layers, before.layers)))
+        assert drift <= 1e-12 * (1.0 + before.norm())
+
+    @pytest.mark.parametrize(
+        "index, spoil",
+        [(0, lambda a: a.T), (1, np.asfortranarray), (1, lambda a: a.astype(np.float32)), (1, _read_only)],
+        ids=["transposed-view", "fortran-order", "float32", "read-only"],
+    )
+    def test_layer_that_cannot_be_updated_in_place_is_rejected(self, index, spoil):
+        # BLAS would update a copy of such a layer and drop the update; no layer is touched
+        shapes = [LayerShape(6, 6, 2), LayerShape(6, 6, 2)]
+        x, factors = self._layers(shapes, seed=62)
+        x.layers[index] = spoil(x.layers[index])
+        before = [a.copy() for a in x.layers]
+        with pytest.raises(ValueError, match=f"layer {index} must be a writeable C-contiguous float64 array"):
+            add_low_rank(x, factors, 1e-3)
+        for a, b in zip(x.layers, before):
+            np.testing.assert_array_equal(a, b)

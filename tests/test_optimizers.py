@@ -87,17 +87,21 @@ class TestLozoStep:
         drift = frobenius_norm(x.layers[0] - before.layers[0])
         assert drift <= 1e-12 * (1.0 + before.norm())
 
-    def test_nu1_equals_vanilla_bitwise(self):
-        shapes = [LayerShape(6, 5, 2)]
+    def test_nu1_equals_vanilla_bitwise(self, shape=LayerShape(6, 5, 2), steps=50):
+        shapes = [shape]
         oracle = make_quadratic(shapes, data_seed=9, noise_scale=0.3, num_samples=4)
-        x_lazy = ParamSet([sample_gaussian(10, 6, 5)], shapes)
+        x_lazy = ParamSet([sample_gaussian(10, shape.m, shape.n)], shapes)
         x_vanilla = x_lazy.copy()
-        config = OptimizerConfig(alpha=1e-2, total_steps=50, base_seed=11, nu=1)
+        config = OptimizerConfig(alpha=1e-2, total_steps=steps, base_seed=11, nu=1)
         state = LozoState()
-        for t in range(50):
+        for t in range(steps):
             lozo_step(x_lazy, state, oracle, config)
             vanilla_lge_step(x_vanilla, oracle, config, t)
         np.testing.assert_array_equal(x_lazy.layers[0], x_vanilla.layers[0])
+
+    def test_nu1_equals_vanilla_bitwise_on_large_layer(self):
+        # 512 x 512 takes add_low_rank past OpenBLAS's small-matrix kernel
+        self.test_nu1_equals_vanilla_bitwise(LayerShape(512, 512, 4), steps=3)
 
     def test_v_seeds_rotate_only_at_boundaries(self):
         # V's seeds are keyed by the period t // nu; the cached V changes exactly when it does
@@ -225,6 +229,21 @@ class TestLozoMStep:
             us.append(sample_gaussian(derive_seed(config.base_seed, STREAM_U, 0, t), 6, 2))
         expected = ema_momentum(cs, us, beta=0.8)
         np.testing.assert_allclose(mom.n_factors[0], expected, rtol=1e-12)
+
+    def test_rerun_on_large_layer_is_byte_identical(self):
+        # 512 x 512 takes add_low_rank past OpenBLAS's small-matrix kernel; nu = 2 crosses two boundaries
+        shapes = [LayerShape(512, 512, 4)]
+        oracle = make_quadratic(shapes, data_seed=70, noise_scale=0.2, num_samples=2)
+        config = OptimizerConfig(alpha=1e-2, total_steps=5, base_seed=71, nu=2)
+
+        def trajectory():
+            x = ParamSet([sample_gaussian(72, 512, 512)], shapes)
+            state, mom = LozoState(), MomentumState.zeros(shapes, config.beta)
+            for _ in range(config.total_steps):
+                lozo_m_step(x, state, mom, oracle, config)
+            return x.layers[0].tobytes() + mom.n_factors[0].tobytes()
+
+        assert trajectory() == trajectory()
 
     def test_momentum_storage_is_low_rank(self):
         mom = MomentumState.zeros([LayerShape(100, 80, 3)], beta=0.9)
