@@ -133,15 +133,11 @@ def lazy_accumulation_rank(
             oracle = problems.make_quadratic(shapes, data_seed=100 + s, noise_scale=0.2, num_samples=6)
             x = _random_params_like(0, s, 55, shapes)
             config = OptimizerConfig(alpha=5e-3, total_steps=nu * periods, base_seed=derive_seed(9000, nu, s), nu=nu)
-            state = LozoState()
-            prev = x.copy()
-            for t in range(config.total_steps):
-                optimizers.lozo_step(x, state, oracle, config)
-                if (t + 1) % nu == 0:
-                    for a, b, sh in zip(x.layers, prev.layers, shapes):
-                        if numeric_rank(a - b, rel_tol) > sh.r:
-                            violations += 1
-                    prev = x.copy()
+            snaps = lozo_snapshots(oracle, x, config, periods)
+            for prev, cur in zip(snaps, snaps[1:]):
+                for a, b, sh in zip(cur.layers, prev.layers, shapes):
+                    if numeric_rank(a - b, rel_tol) > sh.r:
+                        violations += 1
     return CheckResult(
         "lazy_accumulation_rank",
         violations,
@@ -213,7 +209,11 @@ def momentum_projection_agreement(trials: int = 100, seed: int = 404) -> CheckRe
 
 
 def perturb_restore_drift(num_calls: int = 10_000, seed: int = 515) -> CheckResult:
-    """After each low-rank scalar call, X must return to within 1e-12 * (1 + ||X||)."""
+    """After each probe of a lozo step, X must return to within 1e-12 * (1 + ||X||).
+
+    Each call is one optimizer step with alpha = 0, so the update adds nothing
+    and X holds what the probe's restore left.
+    """
     pool = _check_problems(seed)
     worst = 0.0
     for i in range(num_calls):
@@ -222,14 +222,14 @@ def perturb_restore_drift(num_calls: int = 10_000, seed: int = 515) -> CheckResu
         x = _random_params_like(oi, i, seed, shapes)
         before = x.copy()
         norm_before = before.norm()
-        sketch = make_sketch(derive_seed(seed, 0xD, i), shapes, SamplerKind.STANDARD_NORMAL, step=i, period=i)
-        estimators.lge_scalar(oracle, x, sketch, 1e-3, i % oracle.num_samples)
+        config = OptimizerConfig(alpha=0.0, total_steps=1, base_seed=derive_seed(seed, 0xD, i), epsilon=1e-3, nu=1)
+        optimizers.lozo_step(x, LozoState(t=i), oracle, config)
         drift = float(
             np.sqrt(sum(float(np.vdot(a - b, a - b)) for a, b in zip(x.layers, before.layers)))
         )
         worst = max(worst, drift / (1.0 + norm_before))
     return CheckResult(
-        "perturb_restore_drift", worst, 1e-12, worst <= 1e-12, f"{num_calls} scalar estimates"
+        "perturb_restore_drift", worst, 1e-12, worst <= 1e-12, f"{num_calls} lozo steps at alpha 0"
     )
 
 

@@ -21,13 +21,13 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 from . import checks, optimizers
 from .estimators import EvaluationError
-from .linalg import ParamSet
+from .linalg import LayerShape, ParamSet
 from .optimizers import OptimizerConfig, StepError, state_footprint
 from .problems import ProblemSpec, make_problem
 from .sampling import SamplerKind
@@ -49,50 +49,70 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. Its fields, with those of ProblemSpec and OptimizerConfig,
+    are the config file format: to_dict and from_dict read and write them all."""
+
     problem: ProblemSpec
-    algo: str
     optimizer: OptimizerConfig
+    algo: str = "lozo"
     eval_every: int = 1
     output_path: str = ""
 
+    def __post_init__(self):
+        if self.algo not in optimizers.ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {self.algo!r}; expected one of {optimizers.ALGORITHMS}")
+
     def to_dict(self) -> dict:
-        opt = self.optimizer
-        return {
-            "problem": self.problem.to_dict(),
-            "algo": self.algo,
-            "optimizer": {
-                **{key: getattr(opt, key) for key in _OPTIMIZER_KEYS},
-                "v_kind": opt.v_kind.value,
-            },
-            "eval_every": self.eval_every,
-            "output_path": self.output_path,
-        }
+        return _to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Inverse of to_dict; keys left out take the field defaults, unknown keys are rejected."""
         if not isinstance(d, dict):
             raise ConfigError("an experiment config must be a JSON object")
-        for section in ("problem", "optimizer"):
-            if not isinstance(d.get(section), dict):
-                raise ConfigError(f"config section {section!r} is missing or not a JSON object")
-        _reject_unknown(d, _field_names(cls), "config")
-        _reject_unknown(d["problem"], _field_names(ProblemSpec), "problem")
-        opt = d["optimizer"]
-        _reject_unknown(opt, set(_OPTIMIZER_KEYS), "optimizer")
-        for key in ("alpha", "total_steps", "base_seed"):
-            if key not in opt:
-                raise ConfigError(f"missing required optimizer key: {key}")
-        # keys left out take OptimizerConfig's own defaults
-        optimizer = OptimizerConfig(**{k: conv(opt[k]) for k, conv in _OPTIMIZER_KEYS.items() if k in opt})
-        algo = d.get("algo", "lozo")
-        if algo not in optimizers.ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algo!r}; expected one of {optimizers.ALGORITHMS}")
-        try:
-            spec = ProblemSpec.from_dict(d["problem"])
-        except KeyError as e:
-            raise ConfigError(f"missing required problem key: {e.args[0]}") from e
-        optional = {key: conv(d[key]) for key, conv in (("eval_every", int), ("output_path", str)) if key in d}
-        return cls(problem=spec, algo=algo, optimizer=optimizer, **optional)
+        return _read(cls, d, "config")
+
+
+def _read(cls, d: dict, where: str):
+    """Build dataclass cls from JSON object d, one field at a time.
+
+    A field whose type is a dataclass reads a nested section; a field with no
+    default is required; every other value is converted by its field type.
+    """
+    _reject_unknown(d, {f.name for f in fields(cls)}, where)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            kwargs[f.name] = _read(hint, _section(d, f.name), f.name)
+        elif f.name in d:
+            kwargs[f.name] = _from_json(hint, d[f.name])
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required {where} key: {f.name}")
+    return cls(**kwargs)
+
+
+def _from_json(hint, value):
+    """Convert one JSON value to field type hint; the sampler and the shapes are the special cases."""
+    if hint is SamplerKind:
+        if value not in _SAMPLER_NAMES:
+            raise ConfigError(f"unknown sampler {value!r}; expected one of {sorted(_SAMPLER_NAMES)}")
+        return _SAMPLER_NAMES[value]
+    if hint == tuple[LayerShape, ...]:
+        return tuple(LayerShape(*row) for row in value)
+    return hint(value)
+
+
+def _to_json(value):
+    """The JSON form of a config dataclass or field value; _read is its inverse."""
+    if isinstance(value, SamplerKind):
+        return value.value
+    if isinstance(value, (tuple, list)):  # the layer shapes
+        return [[s.m, s.n, s.r] for s in value]
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 @contextmanager
@@ -117,31 +137,35 @@ def _json_object(text: str, source: str) -> dict:
     return blob
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
-
-
 def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
     for key in d:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where} section")
 
 
-def _sampler(name: str) -> SamplerKind:
-    if name not in _SAMPLER_NAMES:
-        raise ConfigError(f"unknown sampler {name!r}; expected one of {sorted(_SAMPLER_NAMES)}")
-    return _SAMPLER_NAMES[name]
+def _section(d: dict, name: str) -> dict:
+    if not isinstance(d.get(name), dict):
+        raise ConfigError(f"config section {name!r} is missing or not a JSON object")
+    return d[name]
 
 
-_OPTIMIZER_KEYS = {
-    "alpha": float,
-    "epsilon": float,
-    "nu": int,
-    "beta": float,
-    "total_steps": int,
-    "base_seed": int,
-    "v_kind": _sampler,
-}
+def _with_file_defaults(d):
+    """Experiment config d with the values a config file may leave out filled in.
+
+    Every problem key has a default here, so a file may leave out its problem
+    section; the optimizer section must be there, since alpha and total_steps
+    have none. `run --config` and `compare` both read their configs through this.
+    """
+    if not isinstance(d, dict):
+        return d
+    d = {"problem": {}, **d}
+    for name, defaults in (
+        ("problem", {"kind": "quadratic", "data_seed": 0, "shapes": [[16, 16, _DEFAULT_RANK]]}),
+        ("optimizer", {"base_seed": 0}),
+    ):
+        if isinstance(d.get(name), dict):
+            d[name] = {**defaults, **d[name]}
+    return d
 
 
 # Flags that override one config value as given: argparse dest -> (section, key).
@@ -209,7 +233,8 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Build an ExperimentConfig from flags, optionally layered over a JSON file.
 
     Flags override file values. Unknown JSON keys and invariant violations
-    (nu < 1, nonpositive epsilon, ...) are rejected with a named error.
+    (nu < 1, a nonpositive or non-finite epsilon, ...) are rejected with a
+    named error.
     """
     parser = _experiment_parser()
     try:
@@ -229,23 +254,17 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         except FileNotFoundError as e:
             raise ConfigError(f"config file not found: {args.config}") from e
         base = _json_object(text, args.config)
-    d = {**base, "problem": dict(base.get("problem", {})), "optimizer": dict(base.get("optimizer", {}))}
-
+    # flags can supply every optimizer key, so here the file may leave out that section too
+    d = _with_file_defaults({"optimizer": {}, **base})
+    prob, opt = _section(d, "problem"), _section(d, "optimizer")
     for dest, (section, key) in _FLAG_KEYS.items():
         value = getattr(args, dest)
         if value is not None:
             (d if section is None else d[section])[key] = value
-    prob = d["problem"]
-    prob.setdefault("kind", "quadratic")
-    prob.setdefault("data_seed", 0)
     if args.shape is not None:
         prob["shapes"] = [[m, n, min(_DEFAULT_RANK, m, n)] for m, n in (_parse_shape(s) for s in args.shape)]
-    prob.setdefault("shapes", [[16, 16, _DEFAULT_RANK]])
-
-    opt = d["optimizer"]
     if args.lr is not None:
         opt["alpha"] = args.lr
-    opt.setdefault("base_seed", 0)
     if "alpha" not in opt:
         raise ConfigError("missing required key: --lr (or optimizer.alpha in the config file)")
     if "total_steps" not in opt:
@@ -255,8 +274,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if args.rank is not None:  # every layer, from flags or the config file alike
             prob["shapes"] = [[m, n, args.rank] for m, n, *_ in prob["shapes"]]
         config = ExperimentConfig.from_dict(d)
-    if args.lr is not None and args.lr_convention == "subspace":
-        config = replace(config, optimizer=replace(config.optimizer, alpha=args.lr * config.problem.shapes[0].r))
+        if args.lr is not None and args.lr_convention == "subspace":
+            config = replace(config, optimizer=replace(config.optimizer, alpha=args.lr * config.problem.shapes[0].r))
     return config
 
 
@@ -353,7 +372,8 @@ def _load_compare_file(path: str) -> tuple[list[ExperimentConfig], float]:
     if not isinstance(blob["configs"], list):
         raise ConfigError("configs in compare file must be a list of experiment configs")
     with _usage_errors():
-        return [ExperimentConfig.from_dict(c) for c in blob["configs"]], float(blob["target_loss"])
+        configs = [ExperimentConfig.from_dict(_with_file_defaults(c)) for c in blob["configs"]]
+        return configs, float(blob["target_loss"])
 
 
 def compare_algorithms(
@@ -370,7 +390,7 @@ def compare_algorithms(
         raise ConfigError("compare needs at least one config")
 
     def problem_of(cfg: ExperimentConfig) -> dict:
-        return {**cfg.problem.to_dict(), "shapes": [(s.m, s.n) for s in cfg.problem.shapes]}
+        return {**_to_json(cfg.problem), "shapes": [(s.m, s.n) for s in cfg.problem.shapes]}
 
     first = problem_of(configs[0])
     for cfg in configs[1:]:

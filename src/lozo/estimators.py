@@ -81,8 +81,11 @@ def _central_difference(
 
     `add(x, directions, scale)` adds scale * P to x: add_low_rank for
     per-layer (U, V) factors, add_dense for per-layer matrices. The parameter
-    set is restored on every exit path, including oracle exceptions.
+    set is restored on every exit path, including oracle exceptions. An
+    epsilon that is not positive raises ValueError before x is touched.
     """
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     add(x, directions, epsilon)
     offset = 1.0
     try:
@@ -104,15 +107,11 @@ def lge_scalar(loss, x: ParamSet, sketch: PerturbationSketch, epsilon: float, xi
     phases add bit-identical increments and the round-trip drift stays within a
     few ulps per entry.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
     return _central_difference(loss, x, xi, epsilon, add_low_rank, _factors(sketch))
 
 
 def lge(loss, x: ParamSet, sketch: PerturbationSketch, epsilon: float, xi: int) -> ParamSet:
     """Low-rank gradient estimate: layer l gets c * U_l V_l^T / r_l."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
     factors = _factors(sketch)
     c = _central_difference(loss, x, xi, epsilon, add_low_rank, factors)
     grads = [(c / s.r) * (u @ v.T) for s, (u, v) in zip(x.shapes, factors)]

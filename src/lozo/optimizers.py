@@ -21,6 +21,7 @@ counted by state_footprint. Trajectories are pure functions of
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -62,6 +63,9 @@ class OptimizerConfig:
     v_kind: SamplerKind = SamplerKind.STANDARD_NORMAL
 
     def __post_init__(self):
+        for name in ("alpha", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
         if self.epsilon <= 0.0:

@@ -8,7 +8,7 @@ convergence checks compare against ground truth.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,7 +75,7 @@ class LossOracle:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Serializable description of a test problem for the CLI."""
+    """Description of a test problem; the CLI reads and writes its fields as JSON."""
 
     kind: str
     shapes: tuple[LayerShape, ...]
@@ -87,33 +87,6 @@ class ProblemSpec:
     def __post_init__(self):
         if not self.shapes:
             raise ValueError("a problem needs at least one layer shape")
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["shapes"] = [[s.m, s.n, s.r] for s in self.shapes]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProblemSpec":
-        """Inverse of to_dict; keys left out take the field defaults.
-
-        A missing required key raises KeyError naming it; unknown keys are
-        ignored here and rejected by the CLI.
-        """
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in d:
-                raise KeyError(f.name)
-        return cls(**{key: conv(d[key]) for key, conv in _SPEC_KEYS.items() if key in d})
-
-
-_SPEC_KEYS = {
-    "kind": str,
-    "shapes": lambda rows: tuple(LayerShape(*row) for row in rows),
-    "data_seed": int,
-    "noise_scale": float,
-    "num_samples": int,
-    "true_rank": int,
-}
 
 
 def _normalize_shapes(shape) -> list[LayerShape]:

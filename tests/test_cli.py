@@ -10,6 +10,7 @@ from lozo.cli import (
     ConfigError,
     DivergenceError,
     ExperimentConfig,
+    _load_compare_file,
     compare_algorithms,
     main,
     parse_config,
@@ -159,6 +160,78 @@ class TestParseConfig:
         assert parsed.optimizer.alpha == cfg.optimizer.alpha
 
 
+# the config file a user may write first: every other key takes its default
+ABSENT_KEYS_CONFIG = {"optimizer": {"alpha": 1e-3, "total_steps": 20}}
+
+
+def write_compare_file(tmp_path, configs, target_loss=1.0):
+    path = tmp_path / "cmp.json"
+    path.write_text(json.dumps({"target_loss": target_loss, "configs": configs}))
+    return str(path)
+
+
+class TestOneConfigReader:
+    """run --config and compare read an experiment config the same way."""
+
+    def test_absent_keys_read_alike_by_run_and_compare(self, tmp_path):
+        run_cfg = parse_config(["--config", write_config(tmp_path, ABSENT_KEYS_CONFIG)])
+        configs, _ = _load_compare_file(write_compare_file(tmp_path, [ABSENT_KEYS_CONFIG]))
+        assert configs == [run_cfg]
+        assert run_cfg.problem == ProblemSpec(kind="quadratic", shapes=(LayerShape(16, 16, 2),), data_seed=0)
+        assert run_cfg.optimizer == OptimizerConfig(alpha=1e-3, total_steps=20, base_seed=0)
+
+    def test_compare_runs_a_config_with_absent_keys(self, tmp_path, capsys):
+        code = main(["compare", "--config", write_compare_file(tmp_path, [ABSENT_KEYS_CONFIG], target_loss=1e9)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("lozo ")
+
+    @pytest.mark.parametrize("sampler", list(SamplerKind))
+    @pytest.mark.parametrize("kind, shapes", [
+        ("quadratic", (LayerShape(5, 4, 2), LayerShape(3, 6, 3))),
+        ("planted", (LayerShape(8, 8, 2),)),
+        ("logistic", (LayerShape(6, 8, 1),)),
+        ("mlp", (LayerShape(6, 5, 2), LayerShape(4, 6, 2))),
+    ])
+    def test_to_dict_from_dict_round_trip(self, kind, shapes, sampler):
+        cfg = ExperimentConfig(
+            problem=ProblemSpec(kind=kind, shapes=shapes, data_seed=5, noise_scale=0.3, num_samples=6, true_rank=1),
+            algo="zo-sgd",
+            optimizer=OptimizerConfig(alpha=1e-3, total_steps=7, base_seed=2**63 + 5, epsilon=1e-4, nu=3,
+                                      beta=0.5, v_kind=sampler),
+            eval_every=2,
+            output_path="o",
+        )
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("optimizer", "learning_rate_decay", 0.5, "unknown key 'learning_rate_decay' in optimizer section"),
+            ("optimizer", "alpha", None, "alpha"),
+            ("optimizer", "nu", 0, "nu must be at least 1"),
+            ("optimizer", "alpha", float("nan"), "alpha must be finite"),
+            ("optimizer", "epsilon", float("inf"), "epsilon must be finite"),
+            ("optimizer", "v_kind", "bogus", "unknown sampler 'bogus'"),
+            (None, "algo", "sgd", "unknown algorithm 'sgd'"),
+            ("problem", "shapes", [], "at least one layer"),
+            ("problem", "shapes", [[4, 4, 9]], "rank must satisfy"),
+            (None, "problem", 5, "config section 'problem' is missing or not a JSON object"),
+            (None, "optimizer", [1], "config section 'optimizer' is missing or not a JSON object"),
+        ],
+    )
+    def test_run_and_compare_reject_alike(self, tmp_path, section, key, value, message):
+        blob = small_config(tmp_path).to_dict()
+        target = blob if section is None else blob[section]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(ConfigError, match=message):
+            parse_config(["--config", write_config(tmp_path, blob)])
+        with pytest.raises(ConfigError, match=message):
+            _load_compare_file(write_compare_file(tmp_path, [blob]))
+
+
 class TestRunExperiment:
     def test_zero_steps(self, tmp_path):
         cfg = small_config(tmp_path, steps=0)
@@ -285,6 +358,21 @@ class TestMainExitCodes:
         code = main(["run", "--shape", "4x4", "--rank", "8", "--lr", "1e-3", "--steps", "2"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: rank must satisfy")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--eps", "nan"], ["--eps", "inf"], ["--lr", "nan"], ["--lr", "inf"],
+         ["--lr", "1e308", "--lr-convention", "subspace"]],
+        ids=["eps-nan", "eps-inf", "lr-nan", "lr-inf", "subspace-lr-overflows"],
+    )
+    def test_non_finite_setting_is_a_usage_error(self, tmp_path, capsys, flags):
+        code = main(["run", "--shape", "4x4", "--lr", "1e-3", "--steps", "3", *flags,
+                     "--out", str(tmp_path / "never")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "must be finite" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_diverged_compare_is_a_failure(self, tmp_path, capsys):
         stall = {"problem": {"kind": "quadratic", "shapes": [[8, 8, 2]], "data_seed": 0},

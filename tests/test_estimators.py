@@ -128,6 +128,16 @@ class TestRGE:
         rge(oracle, x, [np.ones((3, 3))], 1e-3, 0)
         assert oracle.calls == 2
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan")])
+    def test_bad_epsilon_rejected_before_x_is_touched(self, eps):
+        oracle = CountingOracle(half_sqnorm_oracle())
+        x = ParamSet([sample_gaussian(4, 3, 3)], [LayerShape(3, 3, 1)])
+        before = x.copy()
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            rge(oracle, x, [np.ones((3, 3))], eps, 0)
+        assert x.layers[0].tobytes() == before.layers[0].tobytes()
+        assert oracle.calls == 0
+
     def test_monte_carlo_unbiased_on_quadratic(self):
         shapes = [LayerShape(4, 3, 1)]
         oracle = make_quadratic(shapes, data_seed=5, noise_scale=0.0, num_samples=2)

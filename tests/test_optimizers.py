@@ -325,6 +325,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(alpha=1e-3, total_steps=1, base_seed=0, epsilon=0.0)
 
+    @pytest.mark.parametrize("key", ["alpha", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_alpha_and_epsilon_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            OptimizerConfig(**{"alpha": 1e-3, "total_steps": 1, "base_seed": 0, key: value})
+
 
 class TestRetryAfterStepError:
     """A step that fails leaves every piece of optimizer state as it was."""
