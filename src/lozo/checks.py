@@ -1,9 +1,11 @@
-"""Verification battery behind the CLI verify and compare commands.
+"""Verification battery behind the CLI verify command.
 
 Each check returns a CheckResult with the measured value and its threshold so
-reports can show numbers, not just pass/fail. BATTERY lists every check with
-its fast and full sizes; the CLI verify command and the acceptance test suite
-both run from it.
+reports can show numbers, not just pass/fail. A check's defaults are its
+acceptance sizes: `verify --level full` and the acceptance test suite call it
+with no arguments. BATTERY lists every check once with its smaller fast-level
+sizes, or None where the check is left out of the fast level. The AC7 race
+runs through cli.compare_algorithms, the code path of `lozo-bench compare`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import estimators, optimizers, problems, subspace
 from .linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
-from .optimizers import LozoState, OptimizerConfig, RunRecord
+from .optimizers import LozoState, MomentumState, OptimizerConfig, RunRecord
 from .sampling import SamplerKind, derive_seed, make_sketch, sample_gaussian, sample_v
 
 
@@ -52,13 +54,8 @@ def lge_unbiasedness(
     rank: int = 2,
     epsilon: float = 1e-6,
     seed: int = 2024,
-    scale_mutation: float = 1.0,
 ) -> CheckResult:
-    """Monte Carlo mean of the low-rank estimate vs the analytic gradient.
-
-    scale_mutation multiplies the per-sketch estimate and exists only so the
-    mutation test can corrupt the 1/r scaling and watch this check fail.
-    """
+    """Monte Carlo mean of the low-rank estimate vs the analytic gradient."""
     m, n = shape
     ls = LayerShape(m, n, rank)
     oracle = problems.make_quadratic(ls, data_seed=seed, noise_scale=0.0, num_samples=2)
@@ -69,7 +66,7 @@ def lge_unbiasedness(
         sketch = make_sketch(derive_seed(seed, 0xB), [ls], SamplerKind.STANDARD_NORMAL, step=i, period=i)
         est = estimators.lge(oracle, x, sketch, epsilon, 0)
         acc += est.layers[0]
-    mean = (scale_mutation / num_sketches) * acc
+    mean = (1.0 / num_sketches) * acc
     rel_err = frobenius_norm(mean - truth) / frobenius_norm(truth)
     threshold = max(0.05, 4.0 / math.sqrt(num_sketches))
     return CheckResult(
@@ -234,13 +231,13 @@ def perturb_restore_drift(num_calls: int = 10_000, seed: int = 515) -> CheckResu
 
 
 def footprint_ratio() -> CheckResult:
-    """Momentum state must cost exactly sum(m r) / sum(m n) of full momentum."""
+    """The momentum run allocates, as state_footprint counts it, must be sum(m r) / sum(m n) of a full one."""
     shapes = [LayerShape(2048, 2048, 2)]
-    low = optimizers.state_footprint("lozo-m", shapes)
-    full = optimizers.state_footprint("full-momentum", shapes)
-    exact = low * sum(s.m * s.n for s in shapes) == full * sum(s.m * s.r for s in shapes)
+    low = MomentumState.zeros(shapes, beta=0.9).num_elements()
+    full = sum(s.m * s.n for s in shapes)
     ratio = low / full
-    ok = exact and low == 4096 and full == 2048 * 2048 and abs(ratio - 2 / 2048) < 1e-18
+    ok = low == sum(s.m * s.r for s in shapes) == optimizers.state_footprint("lozo-m", shapes)
+    ok = ok and abs(ratio - 2 / 2048) < 1e-18
     return CheckResult("state_footprint_ratio", ratio, 2 / 2048, ok, "2048x2048, r=2")
 
 
@@ -338,64 +335,41 @@ def run_determinism(steps: int = 120, seed: int = 818) -> CheckResult:
     return CheckResult("run_determinism", 0.0 if same else 1.0, 0.0, same, f"{steps} steps, CSV and JSON bytes")
 
 
-AC7_GRID = (2.8e-4, 8.4e-4, 2.5e-3)
-
-
-def ac7_problem(seed: int) -> problems.LossOracle:
-    return problems.make_planted_low_rank(
-        LayerShape(32, 32, 2), 2, data_seed=seed, noise_scale=1.4, num_batches=128
-    )
-
-
-def lozo_vs_rge(
-    num_seeds: int = 10,
-    total_steps: int = 10_000,
-    grid: Sequence[float] = AC7_GRID,
-    eval_every: int = 10,
-    trailing: int = 10,
-) -> CheckResult:
+def lozo_vs_rge(num_seeds: int = 10, total_steps: int = 10_000) -> CheckResult:
     """Desk-scale convergence race on the planted low-rank problem.
 
-    Both algorithms share a 3-point learning-rate grid, each value read in its
-    own native convention (for the low-rank optimizer the nominal rate is
-    alpha/r, matching the convention of the published tuning grids). A win
-    means the lazy low-rank optimizer reached a trailing-10 mean loss of
-    1.2x the optimum using strictly fewer loss evaluations.
+    Per seed, both algorithms run a 3-point learning-rate grid through
+    cli.compare_algorithms, each value read in its own native convention (for
+    the low-rank optimizer the nominal rate is alpha/r, matching the
+    convention of the published tuning grids). A win means the lazy low-rank
+    optimizer reached a trailing-10 mean loss of 1.2x the optimum using
+    strictly fewer loss evaluations.
     """
-    rank, nu = 2, 50
-    wins = 0
-    rows = []
+    from . import cli
+
+    grid, rank = (2.8e-4, 8.4e-4, 2.5e-3), 2
+    races = (("lozo", rank, SamplerKind.HAAR_SCALED), ("zo-sgd", 1, SamplerKind.STANDARD_NORMAL))
+    wins, rows = 0, []
     for s in range(num_seeds):
-        oracle = ac7_problem(s)
-        target = 1.2 * oracle.optimal_loss
-        best: dict[str, float] = {}
-        for algo in ("lozo", "zo-sgd"):
-            per_algo = math.inf
-            for lr in grid:
-                alpha = rank * lr if algo == "lozo" else lr
-                config = OptimizerConfig(
-                    alpha=alpha,
-                    total_steps=total_steps,
-                    base_seed=derive_seed(0xAC7, s),
-                    nu=nu,
-                    v_kind=SamplerKind.HAAR_SCALED if algo == "lozo" else SamplerKind.STANDARD_NORMAL,
-                )
-                x = ParamSet.zeros([LayerShape(32, 32, rank)])
-                records = optimizers.run(oracle, x, config, algo, eval_every=eval_every)
-                e2t = evals_to_target(records, target, trailing=trailing)
-                if e2t is not None:
-                    per_algo = min(per_algo, e2t)
-            best[algo] = per_algo
-        won = best["lozo"] < best["zo-sgd"]
-        wins += won
+        spec = problems.ProblemSpec(
+            "planted", (LayerShape(32, 32, rank),), data_seed=s, noise_scale=1.4, num_samples=128, true_rank=2
+        )
+        configs = [
+            cli.ExperimentConfig(
+                spec,
+                OptimizerConfig(alpha=scale * lr, total_steps=total_steps, base_seed=derive_seed(0xAC7, s), nu=50,
+                                v_kind=v_kind),
+                algo,
+                eval_every=10,
+            )
+            for algo, scale, v_kind in races
+            for lr in grid
+        ]
+        table = cli.compare_algorithms(configs, 1.2 * problems.make_problem(spec).optimal_loss)
+        best = {a: min([e for b, e, _ in table if b == a and e != "not reached"], default=math.inf) for a, *_ in races}
+        wins += best["lozo"] < best["zo-sgd"]
         rows.append(f"seed {s}: lozo={best['lozo']:.0f} zo-sgd={best['zo-sgd']:.0f}")
-    return CheckResult(
-        "lozo_beats_rge",
-        wins,
-        7,
-        wins >= 7,
-        f"{num_seeds} seeds; " + "; ".join(rows),
-    )
+    return CheckResult("lozo_beats_rge", wins, 7, wins >= 7, f"{num_seeds} seeds; " + "; ".join(rows))
 
 
 def smoke_public_surface(seed: int = 909) -> CheckResult:
@@ -472,28 +446,20 @@ def smoke_public_surface(seed: int = 909) -> CheckResult:
     return CheckResult("smoke_public_surface", 0.0, 0.0, bool(ok), "all public operations touched")
 
 
-# The verify battery: (check, fast-level kwargs, full-level kwargs). None skips
-# the check at that level. The acceptance suite runs every check at its full
-# kwargs.
+# The verify battery: (check, fast-level kwargs). None leaves the check out of
+# the fast level; the full level and the acceptance suite call every check with
+# its defaults.
 BATTERY = (
-    (smoke_public_surface, {}, {}),
-    (
-        lge_unbiasedness,
-        dict(num_sketches=50_000, shape=(6, 4), rank=2),
-        dict(num_sketches=100_000, shape=(8, 6), rank=2, epsilon=1e-6),
-    ),
-    (lge_rank_bound, dict(num_evals=200), dict(num_evals=1000, rel_tol=1e-10)),
-    (
-        lazy_accumulation_rank,
-        dict(nus=(5, 10), num_seeds=2, periods=3),
-        dict(nus=(10, 50), num_seeds=5, periods=4, rel_tol=1e-8),
-    ),
-    (subspace_equivalence, dict(nu=10, periods=5), dict(nu=10, periods=5, size=16)),
-    (momentum_projection_agreement, dict(trials=30), dict(trials=100)),
-    (perturb_restore_drift, dict(num_calls=2000), dict(num_calls=10_000)),
-    (footprint_ratio, {}, {}),
-    (nu1_matches_vanilla, dict(steps=100), dict(steps=200)),
-    (cge_rge_exactness, {}, {}),
-    (run_determinism, dict(steps=60), dict(steps=120)),
-    (lozo_vs_rge, None, dict(num_seeds=10)),
+    (smoke_public_surface, {}),
+    (lge_unbiasedness, dict(num_sketches=50_000, shape=(6, 4))),
+    (lge_rank_bound, dict(num_evals=200)),
+    (lazy_accumulation_rank, dict(nus=(5, 10), num_seeds=2, periods=3)),
+    (subspace_equivalence, {}),
+    (momentum_projection_agreement, dict(trials=30)),
+    (perturb_restore_drift, dict(num_calls=2000)),
+    (footprint_ratio, {}),
+    (nu1_matches_vanilla, dict(steps=100)),
+    (cge_rge_exactness, {}),
+    (run_determinism, dict(steps=60)),
+    (lozo_vs_rge, None),
 )

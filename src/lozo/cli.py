@@ -61,6 +61,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in optimizers.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}; expected one of {optimizers.ALGORITHMS}")
+        if self.eval_every < 1:
+            raise ConfigError("eval_every must be at least 1")
 
     def to_dict(self) -> dict:
         return _to_json(self)
@@ -295,9 +297,11 @@ def _atomic_write(path: Path, text: str) -> None:
 def _execute(config: ExperimentConfig) -> tuple[list[optimizers.RunRecord], float]:
     """Build the problem and run the optimizer from zeros; (records, starting loss).
 
-    A diverged or stalled run raises DivergenceError.
+    A setting the problem family rejects raises ConfigError before any step
+    runs; a diverged or stalled run raises DivergenceError.
     """
-    oracle = make_problem(config.problem)
+    with _usage_errors():
+        oracle = make_problem(config.problem)
     x = ParamSet.zeros(config.problem.shapes)
     records = optimizers.run(oracle, x, config.optimizer, config.algo, eval_every=config.eval_every)
     initial = oracle.eval_metric(ParamSet.zeros(config.problem.shapes))
@@ -411,8 +415,8 @@ def verify_suite(level: str = "fast") -> tuple[list[checks.CheckResult], bool]:
         raise ConfigError(f"unknown verify level {level!r}; expected fast or full")
     started = time.perf_counter()
     results = []
-    for check, fast, full in checks.BATTERY:
-        kwargs = fast if level == "fast" else full
+    for check, fast in checks.BATTERY:
+        kwargs = fast if level == "fast" else {}
         if kwargs is None:
             continue
         res = check(**kwargs)

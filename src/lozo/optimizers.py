@@ -283,6 +283,4 @@ def state_footprint(algo: str, shapes: Sequence[LayerShape]) -> int:
         return 0
     if algo == "lozo-m":
         return sum(s.m * s.r for s in shapes)
-    if algo in ("zo-sgd-m", "full-momentum"):
-        return sum(s.m * s.n for s in shapes)
     raise ValueError(f"unknown algorithm {algo!r}")

@@ -75,7 +75,16 @@ class LossOracle:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Description of a test problem; the CLI reads and writes its fields as JSON."""
+    """Description of a test problem; the CLI reads and writes its fields as JSON.
+
+    make_problem reads the fields by kind. Every kind reads data_seed and
+    num_samples, where 0 means the family default: 8 for "quadratic", 128 for
+    "planted", 16 for "logistic" and 8 for "mlp". "quadratic" takes any
+    number of layers; "planted" and "logistic" take one, "mlp" two. Only
+    "planted" reads true_rank. "logistic" ignores noise_scale, and "planted"
+    turns a noise_scale <= 0 into 1.0. The "mlp" noise default here is 0.0,
+    while make_tiny_mlp's own default is 0.05. No kind reads the layer ranks.
+    """
 
     kind: str
     shapes: tuple[LayerShape, ...]
@@ -93,6 +102,13 @@ def _normalize_shapes(shape) -> list[LayerShape]:
     if isinstance(shape, LayerShape):
         return [shape]
     return list(shape)
+
+
+def _fixed_layers(shape, family: str, count: int) -> list[LayerShape]:
+    shapes = _normalize_shapes(shape)
+    if len(shapes) != count:
+        raise ValueError(f"the {family} problem takes {count} layer shape{'s' * (count > 1)}, got {len(shapes)}")
+    return shapes
 
 
 def make_quadratic(shape, data_seed: int, noise_scale: float = 0.0, num_samples: int = 8) -> LossOracle:
@@ -150,7 +166,7 @@ def make_planted_low_rank(
     is known in closed form while every per-batch gradient stays rank
     <= true_rank.
     """
-    (s,) = _normalize_shapes(shape)
+    (s,) = _fixed_layers(shape, "planted", 1)
     m, n, p = s.m, s.n, true_rank
     if not (1 <= p <= min(m, n)):
         raise ValueError(f"true_rank must be in [1, min(m, n)], got {p}")
@@ -193,7 +209,6 @@ def make_planted_low_rank(
 
     oracle = LossOracle("planted_low_rank", num_batches, eval_fn, grad_fn, expected_fn, optimal_loss=f_star)
     oracle.planted = x_star
-    oracle.true_rank = p
     oracle.pair_data = (a_vecs, b_vecs, y_base, offsets)
     return oracle
 
@@ -211,7 +226,7 @@ def make_logistic(
     a weight matrix X on a feature is the Frobenius inner product <X, Phi>.
     Each batch is exactly class-balanced.
     """
-    (s,) = _normalize_shapes(shape)
+    (s,) = _fixed_layers(shape, "logistic", 1)
     if batch_size % 2 != 0:
         raise ValueError("batch_size must be even so batches are class-balanced")
     root = derive_seed(data_seed, STREAM_DATA, 0xC1)
@@ -256,7 +271,7 @@ def make_tiny_mlp(
     analytic gradient is provided, so gradient checks on this problem use
     central differences.
     """
-    s1, s2 = _normalize_shapes(shapes)
+    s1, s2 = _fixed_layers(shapes, "mlp", 2)
     if s2.n != s1.m:
         raise ValueError(f"layer shapes do not compose: {s1.m}x{s1.n} then {s2.m}x{s2.n}")
     hidden, d_in, d_out = s1.m, s1.n, s2.m

@@ -1,9 +1,10 @@
 """Acceptance suite: every verification criterion at its stated tolerance.
 
-Each test runs one criterion through the same check functions the CLI verify
-command uses, at the full-level sizes of checks.BATTERY, prints its PASS/FAIL
-line with the measured value, and asserts the documented threshold and
-runtime budget.
+Each test calls one check function of the CLI verify command with its
+defaults, which are the acceptance sizes that `verify --level full` runs too,
+prints its PASS/FAIL line with the measured value, and asserts the documented
+threshold and runtime budget. AC7 races through cli.compare_algorithms, the
+code path of `lozo-bench compare`.
 """
 
 import time
@@ -11,12 +12,6 @@ import time
 import pytest
 
 from lozo import checks
-
-FULL = {check: full for check, _, full in checks.BATTERY}
-
-
-def _full(check):
-    return check(**FULL[check])
 
 
 def _report(result, budget_s=None, elapsed=None):
@@ -26,7 +21,7 @@ def _report(result, budget_s=None, elapsed=None):
 
 def test_ac1_estimator_unbiasedness():
     t0 = time.perf_counter()
-    res = _full(checks.lge_unbiasedness)
+    res = checks.lge_unbiasedness()
     elapsed = time.perf_counter() - t0
     _report(res, 30.0, elapsed)
     assert res.value <= 0.05
@@ -34,20 +29,20 @@ def test_ac1_estimator_unbiasedness():
 
 
 def test_ac2_rank_bound_everywhere():
-    res = _full(checks.lge_rank_bound)
+    res = checks.lge_rank_bound()
     _report(res)
     assert res.value == 0  # zero violations allowed
 
 
 def test_ac3_lazy_accumulation_rank():
-    res = _full(checks.lazy_accumulation_rank)
+    res = checks.lazy_accumulation_rank()
     _report(res)
     assert res.value == 0
 
 
 def test_ac4_subspace_equivalence():
     t0 = time.perf_counter()
-    res = _full(checks.subspace_equivalence)
+    res = checks.subspace_equivalence()
     elapsed = time.perf_counter() - t0
     _report(res, 5.0, elapsed)
     assert res.value <= 1e-8
@@ -55,20 +50,20 @@ def test_ac4_subspace_equivalence():
 
 
 def test_ac5_restoration_drift():
-    res = _full(checks.perturb_restore_drift)
+    res = checks.perturb_restore_drift()
     _report(res)
     assert res.value <= 1e-12
 
 
 def test_ac6_momentum_projection():
-    res = _full(checks.momentum_projection_agreement)
+    res = checks.momentum_projection_agreement()
     _report(res)
     assert res.value <= 1e-10
 
 
 def test_ac7_lozo_beats_rge():
     t0 = time.perf_counter()
-    res = _full(checks.lozo_vs_rge)
+    res = checks.lozo_vs_rge()
     elapsed = time.perf_counter() - t0
     _report(res, 180.0, elapsed)
     assert res.value >= 7  # wins in at least 7 of 10 seeds
@@ -76,25 +71,25 @@ def test_ac7_lozo_beats_rge():
 
 
 def test_ac8_state_footprint_ratio():
-    res = _full(checks.footprint_ratio)
+    res = checks.footprint_ratio()
     _report(res)
     assert res.passed
     assert res.value == pytest.approx(2 / 2048, rel=1e-15)
 
 
 def test_ac9_nu1_degeneration_bit_exact():
-    res = _full(checks.nu1_matches_vanilla)
+    res = checks.nu1_matches_vanilla()
     _report(res)
     assert res.value == 0.0
 
 
 def test_ac10_cge_rge_exactness():
-    res = _full(checks.cge_rge_exactness)
+    res = checks.cge_rge_exactness()
     _report(res)
     assert res.passed
 
 
 def test_ac11_run_determinism():
-    res = _full(checks.run_determinism)
+    res = checks.run_determinism()
     _report(res)
     assert res.passed

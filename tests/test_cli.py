@@ -1,11 +1,12 @@
 """CLI contracts: config parsing, artifact files, exit codes, comparison."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from lozo import checks
+from lozo import checks, estimators
 from lozo.cli import (
     ConfigError,
     DivergenceError,
@@ -16,7 +17,7 @@ from lozo.cli import (
     parse_config,
     run_experiment,
 )
-from lozo.linalg import LayerShape
+from lozo.linalg import LayerShape, ParamSet
 from lozo.optimizers import OptimizerConfig
 from lozo.problems import ProblemSpec
 from lozo.sampling import SamplerKind
@@ -374,6 +375,37 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--eval-every", "0"], {"eval_every": 0}, "eval_every must be at least 1"),
+            (["--problem", "mlp", "--shape", "4x4"], {"problem": {"kind": "mlp", "shapes": [[4, 4, 2]]}},
+             "the mlp problem takes 2 layer shapes, got 1"),
+            (["--problem", "planted", "--shape", "4x4", "--true-rank", "9"],
+             {"problem": {"kind": "planted", "shapes": [[4, 4, 2]], "true_rank": 9}}, "true_rank must be in"),
+            (["--problem", "logistic", "--shape", "4x4", "--shape", "3x3"],
+             {"problem": {"kind": "logistic", "shapes": [[4, 4, 2], [3, 3, 2]]}},
+             "the logistic problem takes 1 layer shape, got 2"),
+            (["--num-samples", "-1"], {"problem": {"num_samples": -1}}, "num_samples must be positive"),
+            (None, {"problem": {"kind": "nope"}}, "unknown problem kind 'nope'"),
+        ],
+        ids=["eval-every-0", "mlp-one-layer", "true-rank-above-shape", "logistic-two-layers",
+             "negative-num-samples", "unknown-kind"],
+    )
+    def test_setting_the_problem_rejects_is_a_usage_error(self, tmp_path, capsys, flags, config, message):
+        # flags=None: --problem's choices stop an unknown kind, so run reads it from a config file
+        out = tmp_path / "out"
+        source = flags if flags is not None else ["--config", write_config(tmp_path, config)]
+        run_code = main(["run", "--lr", "1e-3", "--steps", "2", *source, "--out", str(out / "run")])
+        cmp = write_compare_file(tmp_path, [{**config, "optimizer": {"alpha": 1e-3, "total_steps": 2}}])
+        compare_code = main(["compare", "--config", cmp, "--out", str(out / "table.csv")])
+        assert (run_code, compare_code) == (2, 2)
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 2 and all(line.startswith("error: ") and message in line for line in errors)
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_diverged_compare_is_a_failure(self, tmp_path, capsys):
         stall = {"problem": {"kind": "quadratic", "shapes": [[8, 8, 2]], "data_seed": 0},
                  "optimizer": {"alpha": 1e6, "total_steps": 6, "base_seed": 0}}
@@ -399,6 +431,19 @@ class TestMainExitCodes:
         code = main(["compare", "--config", str(path), "--out", str(out_csv)])
         assert code == 0
         assert out_csv.read_text().splitlines()[0] == "algo,evals_to_target,final_loss"
+
+    def test_readme_ac7_compare_file_finds_seed0_counts(self, tmp_path, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        path = tmp_path / "ac7_seed0.json"
+        path.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        assert main(["compare", "--config", str(path)]) == 0
+        best: dict = {}
+        for line in capsys.readouterr().out.splitlines():
+            algo, e2t, *_ = line.split()
+            count = e2t.removeprefix("evals_to_target=")
+            if count.isdigit():
+                best[algo] = min(best.get(algo, math.inf), int(count))
+        assert best == {"lozo": 2502, "zo-sgd": 3722}  # AC7's seed-0 counts
 
     def test_compare_missing_file_is_failure(self, tmp_path):
         code = main(["compare", "--config", str(tmp_path / "nope.json")])
@@ -451,9 +496,16 @@ class TestVerifySuite:
 
 
 class TestMutationSensitivity:
-    def test_corrupted_rank_scaling_fails_unbiasedness(self):
+    def test_corrupted_rank_scaling_fails_unbiasedness(self, monkeypatch):
         # corrupting the 1/r factor must be caught by the unbiasedness check
-        res = checks.lge_unbiasedness(num_sketches=4000, shape=(6, 4), rank=2, scale_mutation=2.0)
+        lge = estimators.lge
+
+        def lge_without_one_over_r(*args):
+            est = lge(*args)
+            return ParamSet([2.0 * g for g in est.layers], est.shapes)
+
+        monkeypatch.setattr(estimators, "lge", lge_without_one_over_r)
+        res = checks.lge_unbiasedness(num_sketches=4000, shape=(6, 4), rank=2)
         assert not res.passed
 
     def test_clean_scaling_passes(self):

@@ -295,17 +295,17 @@ class TestStateFootprint:
     def test_large_layer_example(self):
         shapes = [LayerShape(2048, 2048, 2)]
         assert state_footprint("lozo-m", shapes) == 4096
-        assert state_footprint("full-momentum", shapes) == 4_194_304
         assert state_footprint("lozo", shapes) == 0
         assert state_footprint("zo-sgd", shapes) == 0
+        with pytest.raises(ValueError):
+            state_footprint("full-momentum", shapes)
 
     def test_ratio_identity_per_layer(self):
-        # transformer-ish shape list: the per-layer ratio is r / n
+        # transformer-ish shape list: the per-layer ratio to a full m x n momentum is r / n
         shapes = [LayerShape(1024, 1024, 4), LayerShape(4096, 1024, 4), LayerShape(1024, 4096, 4)]
         for s in shapes:
             low = state_footprint("lozo-m", [s])
-            full = state_footprint("full-momentum", [s])
-            assert low * s.n == full * s.r
+            assert low * s.n == s.m * s.n * s.r
 
     def test_positive_counts(self):
         shapes = [LayerShape(8, 4, 1)]
