@@ -208,8 +208,10 @@ def momentum_projection_agreement(trials: int = 100, seed: int = 404) -> CheckRe
 def perturb_restore_drift(num_calls: int = 10_000, seed: int = 515) -> CheckResult:
     """After each probe of a lozo step, X must return to within 1e-12 * (1 + ||X||).
 
-    Each call is one optimizer step with alpha = 0, so the update adds nothing
-    and X holds what the probe's restore left.
+    Each call is one optimizer step with alpha = 0. The step's last pass adds
+    back the eps U V^T its probe left out, folded with an update of
+    -(alpha c / r) U V^T; at alpha = 0 that pass is the restore alone, so X
+    holds what the +eps / -2eps / +eps round trip left.
     """
     pool = _check_problems(seed)
     worst = 0.0

@@ -294,14 +294,11 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _execute(config: ExperimentConfig) -> tuple[list[optimizers.RunRecord], float]:
-    """Build the problem and run the optimizer from zeros; (records, starting loss).
+def _execute(config: ExperimentConfig, oracle) -> tuple[list[optimizers.RunRecord], float]:
+    """Run the optimizer on oracle from zeros; (records, starting loss).
 
-    A setting the problem family rejects raises ConfigError before any step
-    runs; a diverged or stalled run raises DivergenceError.
+    A diverged or stalled run raises DivergenceError.
     """
-    with _usage_errors():
-        oracle = make_problem(config.problem)
     x = ParamSet.zeros(config.problem.shapes)
     records = optimizers.run(oracle, x, config.optimizer, config.algo, eval_every=config.eval_every)
     initial = oracle.eval_metric(ParamSet.zeros(config.problem.shapes))
@@ -334,12 +331,15 @@ def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> d
 
     With timing="deterministic" (the default) the wall_ms column is written as
     0.0 so byte-identical reruns stay byte-identical; timing="live" writes the
-    measured per-step times and sacrifices that guarantee. A diverged or
-    stalled run raises DivergenceError and writes nothing.
+    measured per-step times and sacrifices that guarantee. A setting the
+    problem family rejects raises ConfigError before any step runs; a
+    diverged or stalled run raises DivergenceError. Either writes nothing.
     """
     if timing not in ("deterministic", "live"):
         raise ConfigError(f"unknown timing mode {timing!r}")
-    records, initial = _execute(config)
+    with _usage_errors():
+        oracle = make_problem(config.problem)
+    records, initial = _execute(config, oracle)
 
     lines = ["step,loss,fd_scalar_abs,est_norm,wall_ms"]
     for rec in records:
@@ -387,8 +387,9 @@ def compare_algorithms(
 
     Rows are (algo, evals_to_target or "not reached", final_loss). All configs
     must describe the same problem so the race is meaningful; the layers'
-    ranks may differ, since no problem family reads them. A diverged or
-    stalled run raises DivergenceError, as in run_experiment.
+    ranks may differ, since no problem family reads them. The problem is
+    therefore built once and shared by every run. A diverged or stalled run
+    raises DivergenceError, as in run_experiment.
     """
     if not configs:
         raise ConfigError("compare needs at least one config")
@@ -400,9 +401,11 @@ def compare_algorithms(
     for cfg in configs[1:]:
         if problem_of(cfg) != first:
             raise ConfigError("compare requires all configs to share the same problem")
+    with _usage_errors():
+        oracle = make_problem(configs[0].problem)
     table: list[tuple[str, object, float]] = []
     for cfg in configs:
-        records, initial = _execute(cfg)
+        records, initial = _execute(cfg, oracle)
         e2t = checks.evals_to_target(records, target_loss, trailing=trailing)
         final = records[-1].loss if records else initial
         table.append((cfg.algo, e2t if e2t is not None else "not reached", final))

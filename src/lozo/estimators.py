@@ -3,21 +3,30 @@
 One perturbation core serves every estimator and every optimizer step:
 add_low_rank adds scale_l * U_l V_l^T to each layer, add_dense adds
 scale * Z_l, and _central_difference drives either one through the
-+eps / -2eps / +eps phase pattern. add_low_rank is one in-place BLAS dgemm
-per layer (beta = 1, written through the layer's transpose), so no perturb,
-restore or update pass builds an m x n temporary. Its result equals the
-numpy expression X += s * (U @ V.T) bit for bit on the shapes the
-acceptance checks and the benchmark's small workloads use (32 x 32,
-256 x 256, 16 x 256 and the tests' small shapes); on larger layers, such
-as 512 x 512 or 1024 x 1024, OpenBLAS takes another kernel and the two
-differ by a few ulps. Reruns stay byte-identical either way. The parameter set is restored before
-returning, accepting a few ulps of floating-point drift rather than
++eps / -2eps phases. add_low_rank is one in-place BLAS dgemm per layer
+(beta = 1, written through the layer's transpose), so no perturb, restore or
+update pass builds an m x n temporary. Its result equals the numpy expression
+X += s * (U @ V.T) bit for bit on the shapes the acceptance checks and the
+benchmark's small workloads use (32 x 32, 256 x 256, 16 x 256 and the tests'
+small shapes); on larger layers, such as 512 x 512 or 1024 x 1024, OpenBLAS
+takes another kernel and the two differ by a few ulps. Reruns stay
+byte-identical either way. add_dense walks large layers in fixed row blocks
+through one reused buffer, with the same multiply-then-add per entry.
+
+The success/failure contract of _central_difference: when both losses are
+finite it returns c and leaves X at X - eps P, so that the caller's next pass
+over X adds eps P back together with its own update (an optimizer step folds
+the restore into its update; lge, lge_scalar and rge add eps P back alone).
+When an evaluation raises or a loss is not finite, X is restored before the
+error propagates, accepting a few ulps of floating-point drift rather than
 checkpointing it. The low-rank estimators work from a PerturbationSketch, so
 the only persistent state between calls is seeds.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +37,7 @@ from .sampling import PerturbationSketch, regenerate
 
 DEFAULT_EPSILON = 1e-3
 CGE_DIMENSION_CAP = 100_000
+DENSE_BLOCK = 65536  # entries per add_dense block: the 512 KiB buffer stays in cache between its write and read
 
 
 class EvaluationError(RuntimeError):
@@ -49,17 +59,35 @@ def add_low_rank(x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], scale: f
     before any layer is touched.
     """
     for i, a in enumerate(x.layers):
-        if a.dtype != np.float64 or not a.flags.c_contiguous or not a.flags.writeable:
+        flags = a.flags
+        if not (flags.c_contiguous and flags.writeable) or a.dtype != np.float64:
             raise ValueError(f"layer {i} must be a writeable C-contiguous float64 array to be updated in place")
-    scales = scale if isinstance(scale, (list, tuple)) else (scale,) * len(x)
+    scales = scale if isinstance(scale, (list, tuple)) else repeat(scale)
     for a, (u, v), s in zip(x.layers, factors, scales):
         dgemm(s, v, u, beta=1.0, c=a.T, trans_b=True, overwrite_c=True)
 
 
 def add_dense(x: ParamSet, directions: Sequence[Matrix], scale: float) -> None:
-    """X_l += scale * Z_l in place."""
+    """X_l += scale * Z_l in place.
+
+    A layer of more than DENSE_BLOCK entries is walked in row blocks through
+    one buffer reused across its blocks, instead of one full-size
+    scale * Z_l temporary. Each entry is still rounded as scale * z, then as
+    a + (scale * z), so the bytes equal those of X_l += scale * Z_l. Smaller
+    layers take that expression directly, where a block loop would cost more
+    than it saves.
+    """
     for a, z in zip(x.layers, directions):
-        a += scale * z
+        if a.size <= DENSE_BLOCK:
+            a += scale * z
+            continue
+        m, n = a.shape
+        rows = max(1, DENSE_BLOCK // n)
+        buf = np.empty((rows, n))
+        for lo in range(0, m, rows):
+            b = buf[: min(rows, m - lo)]
+            np.multiply(z[lo : lo + rows], scale, out=b)
+            a[lo : lo + rows] += b
 
 
 def _factors(sketch: PerturbationSketch) -> list[tuple[Matrix, Matrix]]:
@@ -77,25 +105,30 @@ def perturb_in_place(x: ParamSet, scale: float, sketch: PerturbationSketch) -> N
 def _central_difference(
     loss, x: ParamSet, xi: int, epsilon: float, add: Callable[[ParamSet, Sequence, float], None], directions: Sequence
 ) -> float:
-    """Evaluate (F(X + eps P) - F(X - eps P)) / 2 eps via in-place phases.
+    """Evaluate c = (F(X + eps P) - F(X - eps P)) / 2 eps via in-place phases.
 
     `add(x, directions, scale)` adds scale * P to x: add_low_rank for
-    per-layer (U, V) factors, add_dense for per-layer matrices. The parameter
-    set is restored on every exit path, including oracle exceptions. An
-    epsilon that is not positive raises ValueError before x is touched.
+    per-layer (U, V) factors, add_dense for per-layer matrices. On success x
+    is left at X - eps P and c is returned: the caller adds eps P back, alone
+    or folded into its update, in its next pass. When an evaluation raises,
+    or a loss is not finite (EvaluationError), x is restored before the error
+    propagates. An epsilon that is not positive raises ValueError before x is
+    touched.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     add(x, directions, epsilon)
-    offset = 1.0
+    offset, finite = 1.0, False
     try:
         f_plus = float(loss.evaluate(x, xi))
         add(x, directions, -2.0 * epsilon)
         offset = -1.0
         f_minus = float(loss.evaluate(x, xi))
+        finite = math.isfinite(f_plus) and math.isfinite(f_minus)
     finally:
-        add(x, directions, -offset * epsilon)
-    if not np.isfinite(f_plus) or not np.isfinite(f_minus):
+        if not finite:
+            add(x, directions, -offset * epsilon)
+    if not finite:
         raise EvaluationError(f"non-finite loss in central difference: F+={f_plus}, F-={f_minus}")
     return (f_plus - f_minus) / (2.0 * epsilon)
 
@@ -107,13 +140,17 @@ def lge_scalar(loss, x: ParamSet, sketch: PerturbationSketch, epsilon: float, xi
     phases add bit-identical increments and the round-trip drift stays within a
     few ulps per entry.
     """
-    return _central_difference(loss, x, xi, epsilon, add_low_rank, _factors(sketch))
+    factors = _factors(sketch)
+    c = _central_difference(loss, x, xi, epsilon, add_low_rank, factors)
+    add_low_rank(x, factors, epsilon)
+    return c
 
 
 def lge(loss, x: ParamSet, sketch: PerturbationSketch, epsilon: float, xi: int) -> ParamSet:
     """Low-rank gradient estimate: layer l gets c * U_l V_l^T / r_l."""
     factors = _factors(sketch)
     c = _central_difference(loss, x, xi, epsilon, add_low_rank, factors)
+    add_low_rank(x, factors, epsilon)
     grads = [(c / s.r) * (u @ v.T) for s, (u, v) in zip(x.shapes, factors)]
     return ParamSet(grads, x.shapes)
 
@@ -127,6 +164,7 @@ def rge(loss, x: ParamSet, z: ParamSet | Sequence[Matrix], epsilon: float, xi: i
         if a.shape != zm.shape:
             raise ValueError(f"Z layer shape {zm.shape} does not match parameters {a.shape}")
     c = _central_difference(loss, x, xi, epsilon, add_dense, zs)
+    add_dense(x, zs, epsilon)
     return ParamSet([c * zm for zm in zs], x.shapes)
 
 

@@ -1,22 +1,27 @@
 """ZO-SGD, the low-rank lazy-subspace optimizer, and its momentum variant.
 
-All three optimizers run on the perturbation core of the estimators module:
-perturb the parameters with directions regenerated from seeds, take one
-central difference (two loss evaluations per step), restore, and apply the
-update with the same add_low_rank / add_dense helpers. The lazy optimizer and
-its momentum variant share one step body, _lge_step; the momentum variant
-only adds an m x r factor per layer, projected onto the new subspace at each
-resample boundary. Every seed is a function of the step counter t: U and Z are
-keyed by (layer, t), and V by (layer, t // nu), the outer index of the
-subspace method. V changes only at a boundary, so each period's V matrices
-are drawn once and cached in LozoState; U is drawn every step. The rank of
-layer l is x.shapes[l].r, nowhere else. A step commits its V cache, momentum
-factors and counter only after the central difference succeeds, so a
-StepError leaves the optimizer state as it was. Persistent optimizer state is
-the counter t plus the momentum factors: the V cache (sum over layers of
-n_l r_l elements) is derived state, rebuilt from t when absent, and is not
-counted by state_footprint. Trajectories are pure functions of
-(X0, config, base_seed, loss).
+All three optimizers run on the perturbation core of the estimators module.
+A step regenerates its directions P from seeds and takes one central
+difference (two loss evaluations), which on success leaves X at X - eps P.
+One more pass with the same add_low_rank / add_dense helpers then adds
+eps P back and applies the update at once, so a step makes three passes over
+X: +eps, -2eps, and the folded restore and update. If an evaluation raises or
+returns a non-finite loss, the central difference restores X, the step
+raises StepError and commits nothing: its V cache, momentum factors and
+counter stay as they were.
+
+The lazy optimizer and its momentum variant share one step body, _lge_step;
+the momentum variant only adds an m x r factor per layer, projected onto the
+new subspace at each resample boundary. Every seed is a function of the step
+counter t: U and Z are keyed by (layer, t), and V by (layer, t // nu), the
+outer index of the subspace method. V changes only at a boundary, so each
+period's V matrices, their Gram matrices V^T V and the per-layer prefix of
+U's seed are computed once and cached in LozoState; U is drawn every step.
+The rank of layer l is x.shapes[l].r, nowhere else. Persistent optimizer
+state is the counter t plus the momentum factors: the period cache is
+derived state, rebuilt from t when absent, and is not counted by
+state_footprint. Trajectories are pure functions of (X0, config, base_seed,
+loss).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,19 +87,28 @@ class OptimizerConfig:
         return list(x.shapes)
 
 
+class Period(NamedTuple):
+    """What the steps of one period derive from the config and the period index, computed once."""
+
+    period: int
+    vs: list[np.ndarray]  # V_l, n_l x r_l
+    grams: list[np.ndarray]  # V_l^T V_l, r_l x r_l, for the estimator norm
+    u_keys: list[Seed]  # derive_seed(base_seed, STREAM_U, l); U_l's seed at step t is derive_seed(u_keys[l], t)
+
+
 @dataclass
 class LozoState:
-    """Step counter of the lazy optimizer, and the current period's V.
+    """Step counter of the lazy optimizer, and the current period's cache.
 
     t is the whole persistent state: the V seeds of layer l are
     derive_seed(base_seed, STREAM_V, l, t // nu), so LozoState(t=k) resumes a
-    run at step k bit for bit. v_cache is derived state, (period, V matrices
-    n_l x r_l); a step whose period it does not hold rebuilds V from t. Like
-    a MomentumState, a LozoState belongs to one config and one ParamSet.
+    run at step k bit for bit. v_cache is derived state, a Period; a step
+    whose period it does not hold rebuilds it from t. Like a MomentumState, a
+    LozoState belongs to one config and one ParamSet.
     """
 
     t: int = 0
-    v_cache: Optional[tuple[int, list[np.ndarray]]] = field(default=None, repr=False, compare=False)
+    v_cache: Optional[Period] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -128,9 +142,9 @@ def sample_index(t: int, num_samples: int) -> int:
     return t % num_samples
 
 
-def _outer_norm(u: np.ndarray, v: np.ndarray) -> float:
-    """Frobenius norm of U V^T via the r x r Gram matrices."""
-    return float(np.sqrt(max(np.vdot(u.T @ u, v.T @ v).real, 0.0)))
+def _outer_norm(u: np.ndarray, gram: np.ndarray) -> float:
+    """Frobenius norm of U V^T from U and V's Gram matrix V^T V."""
+    return math.sqrt(max(float(np.vdot(u.T @ u, gram)), 0.0))
 
 
 def _probe(x: ParamSet, loss, config: OptimizerConfig, t: int, add, directions, label: str) -> float:
@@ -146,7 +160,8 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
     """MeZO-style step: RGE along a seeded full-size Gaussian Z, seed replay.
 
     Z is regenerated from (base_seed, layer, t) for the duration of the step
-    and discarded afterwards; only seeds persist. Returns
+    and discarded afterwards; only seeds persist. After the probe, one pass
+    with scale eps - alpha c restores X and moves it by -alpha c Z. Returns
     (finite-difference scalar, estimator norm).
     """
     zs = [
@@ -154,19 +169,21 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
         for i, a in enumerate(x.layers)
     ]
     c = _probe(x, loss, config, t, add_dense, zs, "zo-sgd")
-    add_dense(x, zs, -(config.alpha * c))
+    add_dense(x, zs, config.epsilon - config.alpha * c)
     sq = 0.0
     for z in zs:
         sq += float(np.vdot(z, z))
-    return c, abs(c) * float(np.sqrt(sq))
+    return c, abs(c) * math.sqrt(sq)
 
 
-def _build_v(config: OptimizerConfig, x: ParamSet, period: int) -> list[np.ndarray]:
-    """One period's V matrices, one per layer, keyed by (layer, period)."""
-    return [
+def _build_period(config: OptimizerConfig, x: ParamSet, period: int) -> Period:
+    """One period's cache: V_l keyed by (layer, period), each V_l^T V_l, and U's seed prefixes."""
+    vs = [
         sample_v(derive_seed(config.base_seed, STREAM_V, i, period), s.n, s.r, config.v_kind)
         for i, s in enumerate(x.shapes)
     ]
+    u_keys = [derive_seed(config.base_seed, STREAM_U, i) for i in range(len(x))]
+    return Period(period, vs, [v.T @ v for v in vs], u_keys)
 
 
 def _lge_step(
@@ -174,7 +191,7 @@ def _lge_step(
     loss,
     config: OptimizerConfig,
     t: int,
-    vs: Sequence[np.ndarray],
+    cur: Period,
     mom: Optional[MomentumState] = None,
     old_vs: Optional[Sequence[np.ndarray]] = None,
 ) -> tuple[float, float]:
@@ -182,29 +199,36 @@ def _lge_step(
 
     Layer l moves by -(alpha c / r_l) U_l V_l^T, or with momentum by
     -(alpha / r_l) N_l V_l^T where N_l = beta N_l + (1 - beta) c U_l; U_l is
-    drawn here, V_l is given. When old_vs is given (a resample boundary), the
-    momentum factors are first projected from the old subspace onto the new
-    one. They are committed to mom only after the central difference succeeds.
+    drawn here, V_l comes from cur. The same pass adds back the eps U_l V_l^T
+    the probe left out: lozo scales U_l V_l^T by eps - alpha c / r_l, lozo-m
+    adds W_l V_l^T with W_l = eps U_l - (alpha / r_l) N_l built in U_l's
+    buffer. When old_vs is given (a resample boundary), the momentum factors
+    are first projected from the old subspace onto the new one. They are
+    committed to mom only after the central difference succeeds.
     """
     shapes = x.shapes
     n_factors = mom.n_factors if mom is not None else None
     if n_factors is not None and old_vs is not None:
-        n_factors = [project_momentum(nf, old, new, s.n) for nf, s, old, new in zip(n_factors, shapes, old_vs, vs)]
+        n_factors = [project_momentum(nf, old, new, s.n) for nf, s, old, new in zip(n_factors, shapes, old_vs, cur.vs)]
     factors = [
-        (sample_gaussian(derive_seed(config.base_seed, STREAM_U, i, t), s.m, s.r), v)
-        for i, (s, v) in enumerate(zip(shapes, vs))
+        (sample_gaussian(derive_seed(key, t), s.m, s.r), v) for key, s, v in zip(cur.u_keys, shapes, cur.vs)
     ]
     c = _probe(x, loss, config, t, add_low_rank, factors, "low-rank" if mom is None else "lozo-m")
+    eps, alpha = config.epsilon, config.alpha
     if mom is None:
-        gain, steps = c, factors
+        add_low_rank(x, factors, [eps - alpha * c / s.r for s in shapes])
+        gain, lefts = c, [u for u, _ in factors]
     else:
         mom.n_factors = [mom.beta * nf + (1.0 - mom.beta) * c * u for nf, (u, _) in zip(n_factors, factors)]
-        gain, steps = 1.0, [(nf, v) for nf, (_, v) in zip(mom.n_factors, factors)]
-    add_low_rank(x, steps, [-(config.alpha * gain / s.r) for s in shapes])
+        for (u, _), nf, s in zip(factors, mom.n_factors, shapes):
+            u *= eps
+            u -= (alpha / s.r) * nf
+        add_low_rank(x, factors, 1.0)
+        gain, lefts = 1.0, mom.n_factors
     sq = 0.0
-    for s, (u, v) in zip(shapes, steps):
-        sq += (_outer_norm(u, v) / s.r) ** 2
-    return c, abs(gain) * float(np.sqrt(sq))
+    for s, u, gram in zip(shapes, lefts, cur.grams):
+        sq += (_outer_norm(u, gram) / s.r) ** 2
+    return c, abs(gain) * math.sqrt(sq)
 
 
 def lozo_step(
@@ -215,23 +239,25 @@ def lozo_step(
     With mom, this is the momentum variant: at a resample boundary the old
     momentum factors are projected onto the new subspace before being
     updated; at t = 0 there is no old subspace and nothing is projected.
-    The period's V is drawn once, at its boundary, and kept in state.v_cache;
-    a state resumed from t alone rebuilds it, and the old V it projects from.
+    The period's V, with its Gram matrix and U's seed prefix, is built once,
+    at its boundary, and kept in state.v_cache; a state resumed from t alone
+    rebuilds it, and the old V it projects from.
     """
     t, period = state.t, state.t // config.nu
-    cache = state.v_cache or (None, None)
-    vs = cache[1] if cache[0] == period else _build_v(config, x, period)
+    cache = state.v_cache
+    cur = cache if cache is not None and cache.period == period else _build_period(config, x, period)
     old_vs = None
     if mom is not None and t > 0 and t % config.nu == 0:
-        old_vs = cache[1] if cache[0] == period - 1 else _build_v(config, x, period - 1)
-    c, est_norm = _lge_step(x, loss, config, t, vs, mom, old_vs)
-    state.v_cache, state.t = (period, vs), t + 1
+        old = cache if cache is not None and cache.period == period - 1 else _build_period(config, x, period - 1)
+        old_vs = old.vs
+    c, est_norm = _lge_step(x, loss, config, t, cur, mom, old_vs)
+    state.v_cache, state.t = cur, t + 1
     return c, est_norm
 
 
 def vanilla_lge_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, float]:
     """Plain low-rank recursion: both factors freshly sampled every step."""
-    return _lge_step(x, loss, config, t, _build_v(config, x, t))
+    return _lge_step(x, loss, config, t, _build_period(config, x, t))
 
 
 def project_momentum(n_factor: np.ndarray, v_old: np.ndarray, v_new: np.ndarray, n: int) -> np.ndarray:

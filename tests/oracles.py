@@ -119,7 +119,9 @@ def naive_lozo_step(loss, x, config, t: int, n_factors=None):
     Every draw builds a fresh generator, V is redrawn from its period's seeds
     at every step, and at a resample boundary both the old and the new V are
     redrawn for the momentum projection N (V_old^T V_new) / n. The arithmetic
-    follows the optimizer's +eps / -2eps / +eps phases with the numpy
+    follows the optimizer's +eps / -2eps phases and its one pass that restores
+    and updates at once, X += (eps - alpha c / r) * (U @ V.T), or with momentum
+    X += 1.0 * ((eps U - (alpha / r) N) @ V.T), each with the numpy
     expression X += s * (U @ V.T), so on the small shapes the tests use
     (such as 6 x 5 at rank 2) a correct cached implementation matches it bit
     for bit; there the optimizer's in-place BLAS update rounds like that
@@ -146,13 +148,12 @@ def naive_lozo_step(loss, x, config, t: int, n_factors=None):
     f_plus = float(loss.evaluate(x, xi))
     perturb(-2.0 * eps)
     f_minus = float(loss.evaluate(x, xi))
-    perturb(eps)
     c = (f_plus - f_minus) / (2.0 * eps)
     if n_factors is None:
         for a, u, v, s in zip(x.layers, us, vs, shapes):
-            a += -(config.alpha * c / s.r) * (u @ v.T)
+            a += (eps - config.alpha * c / s.r) * (u @ v.T)
         return None
     n_factors = [config.beta * nf + (1.0 - config.beta) * c * u for nf, u in zip(n_factors, us)]
-    for a, nf, v, s in zip(x.layers, n_factors, vs, shapes):
-        a += -(config.alpha / s.r) * (nf @ v.T)
+    for a, u, nf, v, s in zip(x.layers, us, n_factors, vs, shapes):
+        a += 1.0 * ((eps * u - (config.alpha / s.r) * nf) @ v.T)
     return n_factors

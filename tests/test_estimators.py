@@ -7,7 +7,9 @@ import pytest
 
 from lozo.estimators import (
     EvaluationError,
+    DENSE_BLOCK,
     _central_difference,
+    add_dense,
     add_low_rank,
     cge,
     lge,
@@ -309,6 +311,7 @@ class TestAddLowRank:
         x, factors = self._layers(shapes, seed=61)
         before = x.copy()
         _central_difference(half_sqnorm_oracle(), x, 0, 1e-3, add_low_rank, factors)
+        add_low_rank(x, factors, 1e-3)  # the probe leaves X - eps P; the caller adds eps P back
         drift = np.sqrt(sum(frobenius_norm(a - b) ** 2 for a, b in zip(x.layers, before.layers)))
         assert drift <= 1e-12 * (1.0 + before.norm())
 
@@ -327,3 +330,32 @@ class TestAddLowRank:
             add_low_rank(x, factors, 1e-3)
         for a, b in zip(x.layers, before):
             np.testing.assert_array_equal(a, b)
+
+
+class TestAddDense:
+    """Layers above DENSE_BLOCK entries go through one block buffer with the same bytes as X += s Z."""
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[(300, 257)], [(2, DENSE_BLOCK + 3)], [(16, 8), (512, 512)]],
+        ids=["ragged-last-block", "row-wider-than-block", "small-and-large"],
+    )
+    def test_blocked_pass_matches_the_numpy_expression_bitwise(self, dims):
+        shapes = [LayerShape(m, n, 1) for m, n in dims]
+        x = ParamSet([sample_gaussian(derive_seed(63, i), m, n) for i, (m, n) in enumerate(dims)], shapes)
+        zs = [sample_gaussian(derive_seed(64, i), m, n) for i, (m, n) in enumerate(dims)]
+        scale = -3.7e-3
+        expected = [a + scale * z for a, z in zip(x.layers, zs)]
+        layers = list(x.layers)
+        tracemalloc.start()
+        try:
+            add_dense(x, zs, scale)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(a is b for a, b in zip(x.layers, layers))
+        for a, e in zip(x.layers, expected):
+            assert np.array_equal(a, e)
+        # one block buffer (a row, where a row is wider than a block) and no full-size temporary
+        assert peak <= 8 * max(DENSE_BLOCK, *(n for _, n in dims)) + 4096 < max(a.nbytes for a in layers)
+

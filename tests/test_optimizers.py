@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lozo import optimizers
-from lozo.estimators import lge_scalar
+from lozo.estimators import _central_difference, add_low_rank
 from lozo.linalg import LayerShape, ParamSet, frobenius_norm
 from lozo.optimizers import (
     LozoState,
@@ -137,8 +137,9 @@ class TestLozoStep:
             sk = make_sketch(16, shapes, config.v_kind, step=t, period=t // 4)
             u, v = regenerate(sk, 0)
             eps = config.epsilon
-            c = lge_scalar(oracle, x_eager, sk, eps, sample_index(t, 3))
-            x_eager.layers[0] -= (config.alpha * c / 2) * (u @ v.T)
+            c = _central_difference(oracle, x_eager, sample_index(t, 3), eps, add_low_rank, [(u, v)])
+            # the probe left x at X - eps U V^T; one pass restores and updates
+            x_eager.layers[0] += (eps - config.alpha * c / 2) * (u @ v.T)
             np.testing.assert_array_equal(x_replay.layers[0], x_eager.layers[0])
 
     def test_step_error_restores_and_reports(self):
@@ -460,3 +461,57 @@ class TestPeriodV:
         for t in range(6):
             vanilla_lge_step(x, oracle, config, t)
         assert calls["n"] == len(self.shapes) * 6
+
+
+class TestFoldedStep:
+    """A step is +eps, -2eps and one pass that restores and updates at once."""
+
+    shapes = [LayerShape(6, 5, 2), LayerShape(4, 6, 3)]
+
+    def _setup(self, algo, kind=SamplerKind.STANDARD_NORMAL):
+        oracle = make_quadratic(self.shapes, data_seed=80, noise_scale=0.2, num_samples=3)
+        config = OptimizerConfig(alpha=2e-2, total_steps=17, base_seed=81, nu=5, v_kind=kind)
+        x = ParamSet([sample_gaussian(derive_seed(82, i), s.m, s.n) for i, s in enumerate(self.shapes)], self.shapes)
+        mom = MomentumState.zeros(self.shapes, config.beta) if algo == "lozo-m" else None
+        return oracle, config, x, mom
+
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_est_norm_uses_this_periods_v(self, algo):
+        # est_norm does not feed x, so only this catches a stale cached V^T V; normal V differ per period
+        oracle, config, x, mom = self._setup(algo)
+        state = LozoState()
+        for t in range(config.total_steps):  # boundaries at 0, 5, 10 and 15
+            c, est_norm = lozo_step(x, state, oracle, config, mom)
+            sq = 0.0
+            for i, s in enumerate(self.shapes):
+                u = sample_gaussian(derive_seed(config.base_seed, STREAM_U, i, t), s.m, s.r)
+                v = sample_v(derive_seed(config.base_seed, STREAM_V, i, t // config.nu), s.n, s.r, config.v_kind)
+                left = mom.n_factors[i] if mom else u
+                sq += (frobenius_norm(left @ v.T) / s.r) ** 2
+            gain = 1.0 if mom else c
+            assert est_norm == pytest.approx(abs(gain) * np.sqrt(sq), rel=1e-12, abs=0.0), f"step {t}"
+
+    @pytest.mark.parametrize("algo", ["zo-sgd", "lozo", "lozo-m"])
+    def test_successful_step_makes_three_parameter_passes(self, algo, monkeypatch):
+        passes = []
+
+        def counted(name):
+            real = getattr(optimizers, name)
+
+            def add(*args):
+                passes.append(name)
+                return real(*args)
+
+            return add
+
+        for name in ("add_low_rank", "add_dense"):
+            monkeypatch.setattr(optimizers, name, counted(name))
+        oracle, config, x, mom = self._setup(algo)
+        state = LozoState()
+        steps = 7  # crosses the boundary at t = 5
+        for t in range(steps):
+            if algo == "zo-sgd":
+                zo_sgd_step(x, oracle, config, t)
+            else:
+                lozo_step(x, state, oracle, config, mom)
+        assert passes == ["add_dense" if algo == "zo-sgd" else "add_low_rank"] * (3 * steps)
