@@ -128,14 +128,22 @@ def _usage_errors():
         raise ConfigError(str(e)) from e
 
 
-def _json_object(text: str, source: str) -> dict:
-    """Parse text that must hold one JSON object; anything else is a ConfigError naming source."""
+def _json_object(path: str) -> dict:
+    """Read a file that must hold one JSON object.
+
+    A missing file or anything but one JSON object is a ConfigError naming
+    path; any other failure to read it raises OSError.
+    """
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError as e:
+        raise ConfigError(f"config file not found: {path}") from e
     try:
         blob = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"malformed JSON in {source} at line {e.lineno}: {e.msg}") from e
+        raise ConfigError(f"malformed JSON in {path} at line {e.lineno}: {e.msg}") from e
     if not isinstance(blob, dict):
-        raise ConfigError(f"{source} must hold a JSON object")
+        raise ConfigError(f"{path} must hold a JSON object")
     return blob
 
 
@@ -249,13 +257,7 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    base: dict = {}
-    if args.config is not None:
-        try:
-            text = Path(args.config).read_text()
-        except FileNotFoundError as e:
-            raise ConfigError(f"config file not found: {args.config}") from e
-        base = _json_object(text, args.config)
+    base = _json_object(args.config) if args.config is not None else {}
     # flags can supply every optimizer key, so here the file may leave out that section too
     d = _with_file_defaults({"optimizer": {}, **base})
     prob, opt = _section(d, "problem"), _section(d, "optimizer")
@@ -365,10 +367,10 @@ def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> d
 def _load_compare_file(path: str) -> tuple[list[ExperimentConfig], float]:
     """The configs and target loss of a compare file.
 
-    A file that cannot be read raises OSError; malformed JSON, a missing key
-    or an invalid config raises ConfigError.
+    A missing file, malformed JSON, a missing key or an invalid config
+    raises ConfigError; a file that exists but cannot be read raises OSError.
     """
-    blob = _json_object(Path(path).read_text(), path)
+    blob = _json_object(path)
     _reject_unknown(blob, {"target_loss", "configs"}, "compare file")
     for key in ("target_loss", "configs"):
         if key not in blob:

@@ -10,9 +10,10 @@ returns a non-finite loss, the central difference restores X, the step
 raises StepError and commits nothing: its V cache, momentum factors and
 counter stay as they were.
 
-The lazy optimizer and its momentum variant share one step body, _lge_step;
-the momentum variant only adds an m x r factor per layer, projected onto the
-new subspace at each resample boundary. Every seed is a function of the step
+lozo_step is the one low-rank step body. The momentum variant only adds an
+m x r factor per layer, projected onto the new subspace at each resample
+boundary after a successful probe, and the plain low-rank recursion is a
+lozo step at nu = 1 started from t. Every seed is a function of the step
 counter t: U and Z are keyed by (layer, t), and V by (layer, t // nu), the
 outer index of the subspace method. V changes only at a boundary, so each
 period's V matrices, their Gram matrices V^T V and the per-layer prefix of
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -186,78 +187,62 @@ def _build_period(config: OptimizerConfig, x: ParamSet, period: int) -> Period:
     return Period(period, vs, [v.T @ v for v in vs], u_keys)
 
 
-def _lge_step(
-    x: ParamSet,
-    loss,
-    config: OptimizerConfig,
-    t: int,
-    cur: Period,
-    mom: Optional[MomentumState] = None,
-    old_vs: Optional[Sequence[np.ndarray]] = None,
-) -> tuple[float, float]:
-    """Shared body of the lazy, momentum and vanilla low-rank steps.
-
-    Layer l moves by -(alpha c / r_l) U_l V_l^T, or with momentum by
-    -(alpha / r_l) N_l V_l^T where N_l = beta N_l + (1 - beta) c U_l; U_l is
-    drawn here, V_l comes from cur. The same pass adds back the eps U_l V_l^T
-    the probe left out: lozo scales U_l V_l^T by eps - alpha c / r_l, lozo-m
-    adds W_l V_l^T with W_l = eps U_l - (alpha / r_l) N_l built in U_l's
-    buffer. When old_vs is given (a resample boundary), the momentum factors
-    are first projected from the old subspace onto the new one. They are
-    committed to mom only after the central difference succeeds.
-    """
-    shapes = x.shapes
-    n_factors = mom.n_factors if mom is not None else None
-    if n_factors is not None and old_vs is not None:
-        n_factors = [project_momentum(nf, old, new, s.n) for nf, s, old, new in zip(n_factors, shapes, old_vs, cur.vs)]
-    factors = [
-        (sample_gaussian(derive_seed(key, t), s.m, s.r), v) for key, s, v in zip(cur.u_keys, shapes, cur.vs)
-    ]
-    c = _probe(x, loss, config, t, add_low_rank, factors, "low-rank" if mom is None else "lozo-m")
-    eps, alpha = config.epsilon, config.alpha
-    if mom is None:
-        add_low_rank(x, factors, [eps - alpha * c / s.r for s in shapes])
-        gain, lefts = c, [u for u, _ in factors]
-    else:
-        mom.n_factors = [mom.beta * nf + (1.0 - mom.beta) * c * u for nf, (u, _) in zip(n_factors, factors)]
-        for (u, _), nf, s in zip(factors, mom.n_factors, shapes):
-            u *= eps
-            u -= (alpha / s.r) * nf
-        add_low_rank(x, factors, 1.0)
-        gain, lefts = 1.0, mom.n_factors
-    sq = 0.0
-    for s, u, gram in zip(shapes, lefts, cur.grams):
-        sq += (_outer_norm(u, gram) / s.r) ** 2
-    return c, abs(gain) * math.sqrt(sq)
-
-
 def lozo_step(
     x: ParamSet, state: LozoState, loss, config: OptimizerConfig, mom: Optional[MomentumState] = None
 ) -> tuple[float, float]:
-    """One lazy-subspace step: V rotates only when t mod nu == 0.
+    """One lazy-subspace step: V rotates only when t mod nu == 0, U is drawn every step.
 
-    With mom, this is the momentum variant: at a resample boundary the old
-    momentum factors are projected onto the new subspace before being
-    updated; at t = 0 there is no old subspace and nothing is projected.
-    The period's V, with its Gram matrix and U's seed prefix, is built once,
-    at its boundary, and kept in state.v_cache; a state resumed from t alone
+    Layer l moves by -(alpha c / r_l) U_l V_l^T, or with mom by
+    -(alpha / r_l) N_l V_l^T where N_l = beta N_l + (1 - beta) c U_l. The
+    update pass also adds back the eps U_l V_l^T the probe left out: lozo
+    scales U_l V_l^T by eps - alpha c / r_l, lozo-m adds W_l V_l^T with
+    W_l = eps U_l - (alpha / r_l) N_l built in U_l's buffer. At a resample
+    boundary after t = 0, lozo-m first projects its momentum factors from
+    the old subspace onto the new one; this happens only after the central
+    difference succeeds, so a failed step does no momentum work. The
+    period's V, with its Gram matrix and U's seed prefix, is built once, at
+    its boundary, and kept in state.v_cache; a state resumed from t alone
     rebuilds it, and the old V it projects from.
     """
-    t, period = state.t, state.t // config.nu
+    t, shapes = state.t, x.shapes
+    period = t // config.nu
     cache = state.v_cache
     cur = cache if cache is not None and cache.period == period else _build_period(config, x, period)
-    old_vs = None
-    if mom is not None and t > 0 and t % config.nu == 0:
-        old = cache if cache is not None and cache.period == period - 1 else _build_period(config, x, period - 1)
-        old_vs = old.vs
-    c, est_norm = _lge_step(x, loss, config, t, cur, mom, old_vs)
+    # plain loops, not comprehensions: a local a comprehension reads becomes a cell allocated on entry
+    factors = []
+    for key, s, v in zip(cur.u_keys, shapes, cur.vs):
+        factors.append((sample_gaussian(derive_seed(key, t), s.m, s.r), v))
+    c = _probe(x, loss, config, t, add_low_rank, factors, "low-rank" if mom is None else "lozo-m")
+    eps, alpha = config.epsilon, config.alpha
+    if mom is None:
+        scales = []
+        for s in shapes:
+            scales.append(eps - alpha * c / s.r)
+        add_low_rank(x, factors, scales)
+        gain, lefts = c, [u for u, _ in factors]
+    else:
+        n_factors = mom.n_factors
+        if t > 0 and t % config.nu == 0:
+            old = cache if cache is not None and cache.period == period - 1 else _build_period(config, x, period - 1)
+            n_factors = [project_momentum(nf, vo, vn, s.n) for nf, s, vo, vn in zip(n_factors, shapes, old.vs, cur.vs)]
+        lefts = []
+        for nf, (u, _) in zip(n_factors, factors):
+            lefts.append(mom.beta * nf + (1.0 - mom.beta) * c * u)
+        for (u, _), nf, s in zip(factors, lefts, shapes):
+            u *= eps
+            u -= (alpha / s.r) * nf
+        add_low_rank(x, factors, 1.0)
+        gain, mom.n_factors = 1.0, lefts
+    sq = 0.0
+    for s, u, gram in zip(shapes, lefts, cur.grams):
+        sq += (_outer_norm(u, gram) / s.r) ** 2
     state.v_cache, state.t = cur, t + 1
-    return c, est_norm
+    return c, abs(gain) * math.sqrt(sq)
 
 
 def vanilla_lge_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, float]:
-    """Plain low-rank recursion: both factors freshly sampled every step."""
-    return _lge_step(x, loss, config, t, _build_period(config, x, t))
+    """Plain low-rank recursion, both factors fresh every step: a lazy step at nu = 1 resumed from t."""
+    return lozo_step(x, LozoState(t=t), loss, replace(config, nu=1))
 
 
 def project_momentum(n_factor: np.ndarray, v_old: np.ndarray, v_new: np.ndarray, n: int) -> np.ndarray:

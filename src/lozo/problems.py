@@ -81,9 +81,10 @@ class ProblemSpec:
     num_samples, where 0 means the family default: 8 for "quadratic", 128 for
     "planted", 16 for "logistic" and 8 for "mlp". "quadratic" takes any
     number of layers; "planted" and "logistic" take one, "mlp" two. Only
-    "planted" reads true_rank. "logistic" ignores noise_scale, and "planted"
-    turns a noise_scale <= 0 into 1.0. The "mlp" noise default here is 0.0,
-    while make_tiny_mlp's own default is 0.05. No kind reads the layer ranks.
+    "planted" reads true_rank. noise_scale must be nonnegative for every
+    kind; "logistic" ignores it, and "planted" turns the default 0 into 1.0.
+    The "mlp" noise default here is 0.0, while make_tiny_mlp's own default is
+    0.05. No kind reads the layer ranks.
     """
 
     kind: str
@@ -96,6 +97,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not self.shapes:
             raise ValueError("a problem needs at least one layer shape")
+        if not self.noise_scale >= 0.0:
+            raise ValueError(f"noise_scale must be nonnegative, got {self.noise_scale!r}")
 
 
 def _normalize_shapes(shape) -> list[LayerShape]:
@@ -321,7 +324,7 @@ def make_problem(spec: ProblemSpec) -> LossOracle:
             spec.shapes,
             spec.true_rank,
             spec.data_seed,
-            noise_scale=spec.noise_scale if spec.noise_scale > 0 else 1.0,
+            noise_scale=spec.noise_scale or 1.0,
             num_batches=spec.num_samples or 128,
         )
     if spec.kind == "logistic":

@@ -121,23 +121,21 @@ def sample_v(seed: Seed, n: int, r: int, kind: SamplerKind) -> Matrix:
 
 
 @dataclass(frozen=True)
-class LayerSketch:
-    """Seeds and shape that implicitly define one layer's U V^T perturbation."""
-
-    seed_u: Seed
-    seed_v: Seed
-    shape: LayerShape
-    v_kind: SamplerKind
-
-
-@dataclass(frozen=True)
 class PerturbationSketch:
-    """Per-layer sketches; regenerating twice gives bit-identical factors."""
+    """The seeds and shapes that define one step's U V^T perturbation.
 
-    layers: tuple[LayerSketch, ...]
+    U of layer l is keyed by (STREAM_U, l, step) and V by (STREAM_V, l,
+    period); regenerating twice gives bit-identical factors.
+    """
+
+    base_seed: Seed
+    shapes: tuple[LayerShape, ...]
+    v_kind: SamplerKind
+    step: int
+    period: int
 
     def __len__(self) -> int:
-        return len(self.layers)
+        return len(self.shapes)
 
 
 def make_sketch(
@@ -148,23 +146,14 @@ def make_sketch(
     period: int,
 ) -> PerturbationSketch:
     """Sketch for one optimizer step: U keyed by (layer, step), V by (layer, period)."""
-    entries = tuple(
-        LayerSketch(
-            seed_u=derive_seed(base_seed, STREAM_U, i, step),
-            seed_v=derive_seed(base_seed, STREAM_V, i, period),
-            shape=s,
-            v_kind=v_kind,
-        )
-        for i, s in enumerate(shapes)
-    )
-    return PerturbationSketch(entries)
+    return PerturbationSketch(base_seed, tuple(shapes), v_kind, step, period)
 
 
 def regenerate(sketch: PerturbationSketch, layer: int) -> tuple[Matrix, Matrix]:
-    """Rebuild (U, V) for one layer from its seeds; nothing is cached."""
-    if not (0 <= layer < len(sketch.layers)):
-        raise IndexError(f"layer index {layer} out of range for {len(sketch.layers)} layers")
-    entry = sketch.layers[layer]
-    u = sample_gaussian(entry.seed_u, entry.shape.m, entry.shape.r)
-    v = sample_v(entry.seed_v, entry.shape.n, entry.shape.r, entry.v_kind)
+    """Rebuild (U, V) for one layer from the sketch's seeds; nothing is cached."""
+    if not (0 <= layer < len(sketch)):
+        raise IndexError(f"layer index {layer} out of range for {len(sketch)} layers")
+    s = sketch.shapes[layer]
+    u = sample_gaussian(derive_seed(sketch.base_seed, STREAM_U, layer, sketch.step), s.m, s.r)
+    v = sample_v(derive_seed(sketch.base_seed, STREAM_V, layer, sketch.period), s.n, s.r, sketch.v_kind)
     return u, v

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -387,10 +388,13 @@ class TestMainExitCodes:
              {"problem": {"kind": "logistic", "shapes": [[4, 4, 2], [3, 3, 2]]}},
              "the logistic problem takes 1 layer shape, got 2"),
             (["--num-samples", "-1"], {"problem": {"num_samples": -1}}, "num_samples must be positive"),
+            (["--problem", "planted", "--shape", "4x4", "--noise", "-1"],
+             {"problem": {"kind": "planted", "shapes": [[4, 4, 2]], "noise_scale": -1.0}},
+             "noise_scale must be nonnegative"),
             (None, {"problem": {"kind": "nope"}}, "unknown problem kind 'nope'"),
         ],
         ids=["eval-every-0", "mlp-one-layer", "true-rank-above-shape", "logistic-two-layers",
-             "negative-num-samples", "unknown-kind"],
+             "negative-num-samples", "negative-planted-noise", "unknown-kind"],
     )
     def test_setting_the_problem_rejects_is_a_usage_error(self, tmp_path, capsys, flags, config, message):
         # flags=None: --problem's choices stop an unknown kind, so run reads it from a config file
@@ -445,9 +449,19 @@ class TestMainExitCodes:
                 best[algo] = min(best.get(algo, math.inf), int(count))
         assert best == {"lozo": 2502, "zo-sgd": 3722}  # AC7's seed-0 counts
 
-    def test_compare_missing_file_is_failure(self, tmp_path):
+    def test_readme_run_example_writes_both_files(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        command = readme.split("```\nlozo-bench run ", 1)[1].split("\n\n", 1)[0]
+        argv = ["run", *shlex.split(command.replace("\\\n", " "))]
+        out = tmp_path / "planted_lozo"
+        argv[argv.index("--out") + 1] = str(out)
+        assert main(argv) == 0
+        assert out.with_suffix(".csv").is_file() and out.with_suffix(".json").is_file()
+
+    def test_compare_missing_file_is_failure(self, tmp_path, capsys):
         code = main(["compare", "--config", str(tmp_path / "nope.json")])
-        assert code == 1
+        assert code == 2  # a usage error, as for run --config
+        assert capsys.readouterr().err.startswith("error: config file not found: ")
 
     _OPTIMIZER = {"alpha": 1e-2, "total_steps": 3, "base_seed": 0}
     _PROBLEM = {"kind": "quadratic", "shapes": [[5, 4, 2]], "data_seed": 0}

@@ -339,9 +339,15 @@ class TestRetryAfterStepError:
     shapes = [LayerShape(6, 5, 2)]
     failing_call = 21  # the first evaluation of step t = 10, a resample boundary at nu = 5
 
-    def _trajectory(self, algo, fail):
+    def _trajectory(self, algo, fail, monkeypatch):
         base = make_quadratic(self.shapes, data_seed=40, noise_scale=0.2, num_samples=3)
-        calls = {"n": 0}
+        calls = {"n": 0, "projections": 0}
+
+        def counted_projection(*args):
+            calls["projections"] += 1
+            return project_momentum(*args)
+
+        monkeypatch.setattr(optimizers, "project_momentum", counted_projection)
 
         def flaky(x, xi):
             calls["n"] += 1
@@ -358,15 +364,20 @@ class TestRetryAfterStepError:
             before = (state.t, [f.copy() for f in mom.n_factors] if mom else [])
             cache = state.v_cache
             cached_v = [v.copy() for v in cache[1]] if cache else []
+            calls["projections"] = 0
             try:
                 if mom is None:
                     lozo_step(x, state, oracle, config)
                 else:
                     lozo_m_step(x, state, mom, oracle, config)
+                if failures and state.t == 11:
+                    # the retried boundary step projects lozo-m's momentum once per layer
+                    assert calls["projections"] == (len(self.shapes) if mom else 0)
             except StepError as e:
                 failures += 1
                 assert e.step == 10
                 assert state.t == before[0]
+                assert calls["projections"] == 0  # projection comes after the probe
                 for f, g in zip(mom.n_factors if mom else [], before[1]):
                     np.testing.assert_array_equal(f, g)
                 # the previous period's V stays cached, unchanged
@@ -376,9 +387,9 @@ class TestRetryAfterStepError:
         return x, failures
 
     @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
-    def test_retry_at_boundary_matches_uninterrupted_run(self, algo):
-        clean, clean_failures = self._trajectory(algo, fail=False)
-        retried, failures = self._trajectory(algo, fail=True)
+    def test_retry_at_boundary_matches_uninterrupted_run(self, algo, monkeypatch):
+        clean, clean_failures = self._trajectory(algo, fail=False, monkeypatch=monkeypatch)
+        retried, failures = self._trajectory(algo, fail=True, monkeypatch=monkeypatch)
         assert (clean_failures, failures) == (0, 1)
         # the failed probe's +eps / -2eps / +eps round trip leaves a few ulps of drift
         assert np.max(np.abs(clean.layers[0] - retried.layers[0])) <= 1e-10
