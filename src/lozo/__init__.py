@@ -12,7 +12,6 @@ from .estimators import (
     cge,
     lge,
     lge_scalar,
-    perturb_in_place,
     rge,
 )
 from .linalg import (
@@ -34,6 +33,7 @@ from .optimizers import (
     project_momentum,
     run,
     state_footprint,
+    step_factors,
     vanilla_lge_step,
     zo_sgd_step,
 )
@@ -48,11 +48,9 @@ from .problems import (
     make_tiny_mlp,
 )
 from .sampling import (
-    PerturbationSketch,
     SamplerKind,
     derive_seed,
     make_sketch,
-    regenerate,
     sample_gaussian,
     sample_v,
 )

@@ -19,7 +19,7 @@ import numpy as np
 from . import estimators, optimizers, problems, subspace
 from .linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
 from .optimizers import LozoState, MomentumState, OptimizerConfig, RunRecord
-from .sampling import SamplerKind, derive_seed, make_sketch, sample_gaussian, sample_v
+from .sampling import SamplerKind, derive_seed, sample_gaussian, sample_v
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,17 @@ def lge_unbiasedness(
     epsilon: float = 1e-6,
     seed: int = 2024,
 ) -> CheckResult:
-    """Monte Carlo mean of the low-rank estimate vs the analytic gradient."""
+    """Monte Carlo mean of the low-rank estimate vs the analytic gradient; draw i is step i of a nu = 1 run."""
     m, n = shape
     ls = LayerShape(m, n, rank)
     oracle = problems.make_quadratic(ls, data_seed=seed, noise_scale=0.0, num_samples=2)
     x = ParamSet([sample_gaussian(derive_seed(seed, 0xA), m, n)], [ls])
     truth = oracle.analytic_grad(x, 0).layers[0]
+    config = OptimizerConfig(alpha=0.0, total_steps=num_sketches, base_seed=derive_seed(seed, 0xB), nu=1)
     acc = np.zeros((m, n))
     for i in range(num_sketches):
-        sketch = make_sketch(derive_seed(seed, 0xB), [ls], SamplerKind.STANDARD_NORMAL, step=i, period=i)
-        est = estimators.lge(oracle, x, sketch, epsilon, 0)
+        _, factors = optimizers.step_factors(config, x, i)
+        est = estimators.lge(oracle, x, factors, epsilon, 0)
         acc += est.layers[0]
     mean = (1.0 / num_sketches) * acc
     rel_err = frobenius_norm(mean - truth) / frobenius_norm(truth)
@@ -98,7 +99,7 @@ def _random_params_like(oracle_index: int, trial: int, seed: int, shapes) -> Par
 
 
 def lge_rank_bound(num_evals: int = 1000, seed: int = 77, rel_tol: float = 1e-10) -> CheckResult:
-    """Every per-layer low-rank estimate must have numeric rank <= its r."""
+    """Every per-layer low-rank estimate, each step i of its own nu = 1 run, must have numeric rank <= its r."""
     pool = _check_problems(seed)
     kinds = list(SamplerKind)
     violations = 0
@@ -106,8 +107,9 @@ def lge_rank_bound(num_evals: int = 1000, seed: int = 77, rel_tol: float = 1e-10
         oi = i % len(pool)
         oracle, shapes = pool[oi]
         x = _random_params_like(oi, i, seed, shapes)
-        sketch = make_sketch(derive_seed(seed, 0xC, i), shapes, kinds[i % len(kinds)], step=i, period=i)
-        est = estimators.lge(oracle, x, sketch, 1e-5, i % oracle.num_samples)
+        config = OptimizerConfig(0.0, num_evals, derive_seed(seed, 0xC, i), nu=1, v_kind=kinds[i % len(kinds)])
+        _, factors = optimizers.step_factors(config, x, i)
+        est = estimators.lge(oracle, x, factors, 1e-5, i % oracle.num_samples)
         for g, s in zip(est.layers, shapes):
             if numeric_rank(g, rel_tol) > s.r:
                 violations += 1
@@ -391,24 +393,20 @@ def smoke_public_surface(seed: int = 909) -> CheckResult:
         ok &= linalg.numeric_rank(ident, 1e-10) == 2
         ok &= np.allclose(linalg.top_singular_values(np.diag([3.0, 2.0]), 2), [3.0, 2.0], atol=3e-10)
 
-        from .sampling import make_sketch, regenerate, sample_gaussian, sample_v
-
         g1 = sample_gaussian(7, 3, 2)
         ok &= np.array_equal(g1, sample_gaussian(7, 3, 2))
         for kind in SamplerKind:
             v = sample_v(11, 6, 2, kind)
             ok &= v.shape == (6, 2)
-        sk = make_sketch(13, [LayerShape(3, 4, 1)], SamplerKind.STANDARD_NORMAL, 0, 0)
-        u, v = regenerate(sk, 0)
-        ok &= u.shape == (3, 1) and v.shape == (4, 1)
 
         shapes = [LayerShape(4, 3, 2)]
         oracle = problems.make_quadratic(shapes, seed, noise_scale=0.0, num_samples=2)
         x = ParamSet.zeros(shapes)
-        sk = make_sketch(17, shapes, SamplerKind.STANDARD_NORMAL, 0, 0)
-        estimators.perturb_in_place(x, 0.0, sk)
-        estimators.lge_scalar(oracle, x, sk, 1e-3, 0)
-        estimators.lge(oracle, x, sk, 1e-3, 0)
+        config = OptimizerConfig(alpha=1e-3, total_steps=4, base_seed=21, nu=2)
+        _, factors = optimizers.step_factors(config, x, 0)
+        ok &= [(u.shape, v.shape) for u, v in factors] == [((4, 2), (3, 2))]
+        estimators.lge_scalar(oracle, x, factors, 1e-3, 0)
+        estimators.lge(oracle, x, factors, 1e-3, 0)
         estimators.rge(oracle, x, [np.ones((4, 3))], 1e-3, 0)
         estimators.cge(oracle, x, 1e-3, 0)
         problems.gradient_rank_profile(oracle, x, 0, 2)
@@ -416,7 +414,6 @@ def smoke_public_surface(seed: int = 909) -> CheckResult:
         problems.make_logistic(LayerShape(4, 4, 2), seed, num_batches=2, batch_size=4)
         problems.make_tiny_mlp([LayerShape(4, 3, 2), LayerShape(2, 4, 2)], seed, num_batches=2, batch_size=4)
 
-        config = OptimizerConfig(alpha=1e-3, total_steps=4, base_seed=21, nu=2)
         optimizers.run(oracle, x.copy(), config, "zo-sgd", eval_every=2)
         optimizers.run(oracle, x.copy(), config, "lozo", eval_every=2)
         optimizers.run(oracle, x.copy(), config, "lozo-m", eval_every=2)

@@ -89,21 +89,41 @@ def _read(cls, d: dict, where: str):
         if is_dataclass(hint):
             kwargs[f.name] = _read(hint, _section(d, f.name), f.name)
         elif f.name in d:
-            kwargs[f.name] = _from_json(hint, d[f.name])
+            kwargs[f.name] = _from_json(hint, d[f.name], f.name)
         elif f.default is MISSING:
             raise ConfigError(f"missing required {where} key: {f.name}")
     return cls(**kwargs)
 
 
-def _from_json(hint, value):
-    """Convert one JSON value to field type hint; the sampler and the shapes are the special cases."""
+_JSON_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"), str: ((str,), "string")}
+
+
+def _is_json(hint, value) -> bool:
+    """Whether value has the JSON type that field type hint takes; true and false are not numbers."""
+    return isinstance(value, _JSON_TYPES[hint][0]) and not isinstance(value, bool)
+
+
+def _from_json(hint, value, key: str):
+    """Convert the JSON value of key to field type hint, or raise a ConfigError naming key.
+
+    An int field takes a JSON integer and a float field any JSON number; the
+    shapes are a list of [m, n, r] integer rows, the sampler one of its names.
+    """
     if hint is SamplerKind:
-        if value not in _SAMPLER_NAMES:
+        if not isinstance(value, str) or value not in _SAMPLER_NAMES:
             raise ConfigError(f"unknown sampler {value!r}; expected one of {sorted(_SAMPLER_NAMES)}")
         return _SAMPLER_NAMES[value]
     if hint == tuple[LayerShape, ...]:
+        rows = value if isinstance(value, list) else [value]
+        if not all(isinstance(row, list) and len(row) == 3 and all(_is_json(int, v) for v in row) for row in rows):
+            raise ConfigError(f"{key} must be a list of [m, n, r] integer rows, got {json.dumps(value)}")
         return tuple(LayerShape(*row) for row in value)
-    return hint(value)
+    if not _is_json(hint, value):
+        raise ConfigError(f"{key} must be a JSON {_JSON_TYPES[hint][1]}, got {json.dumps(value)}")
+    try:
+        return hint(value)
+    except OverflowError as e:
+        raise ConfigError(f"{key} is out of floating-point range") from e
 
 
 def _to_json(value):
@@ -269,6 +289,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         prob["shapes"] = [[m, n, min(_DEFAULT_RANK, m, n)] for m, n in (_parse_shape(s) for s in args.shape)]
     if args.lr is not None:
         opt["alpha"] = args.lr
+    elif args.lr_convention is not None:
+        raise ConfigError("--lr-convention applies to --lr, which is missing")
     if "alpha" not in opt:
         raise ConfigError("missing required key: --lr (or optimizer.alpha in the config file)")
     if "total_steps" not in opt:

@@ -19,8 +19,8 @@ over X adds eps P back together with its own update (an optimizer step folds
 the restore into its update; lge, lge_scalar and rge add eps P back alone).
 When an evaluation raises or a loss is not finite, X is restored before the
 error propagates, accepting a few ulps of floating-point drift rather than
-checkpointing it. The low-rank estimators work from a PerturbationSketch, so
-the only persistent state between calls is seeds.
+checkpointing it. The low-rank estimators take one step's per-layer (U_l, V_l)
+factors, the list optimizers.step_factors draws and add_low_rank applies.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .linalg import Matrix, ParamSet
-from .sampling import PerturbationSketch, regenerate
 
 DEFAULT_EPSILON = 1e-3
 CGE_DIMENSION_CAP = 100_000
@@ -90,18 +89,6 @@ def add_dense(x: ParamSet, directions: Sequence[Matrix], scale: float) -> None:
             a[lo : lo + rows] += b
 
 
-def _factors(sketch: PerturbationSketch) -> list[tuple[Matrix, Matrix]]:
-    return [regenerate(sketch, i) for i in range(len(sketch))]
-
-
-def perturb_in_place(x: ParamSet, scale: float, sketch: PerturbationSketch) -> None:
-    """X_l += scale * U_l V_l^T, factors regenerated from seeds and discarded."""
-    if len(sketch) != len(x):
-        raise ValueError(f"sketch has {len(sketch)} layers, parameters have {len(x)}")
-    if scale != 0.0:
-        add_low_rank(x, _factors(sketch), scale)
-
-
 def _central_difference(
     loss, x: ParamSet, xi: int, epsilon: float, add: Callable[[ParamSet, Sequence, float], None], directions: Sequence
 ) -> float:
@@ -133,26 +120,28 @@ def _central_difference(
     return (f_plus - f_minus) / (2.0 * epsilon)
 
 
-def lge_scalar(loss, x: ParamSet, sketch: PerturbationSketch, epsilon: float, xi: int) -> float:
-    """Finite-difference scalar c for the low-rank perturbation {U_l V_l^T}.
+def lge_scalar(loss, x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], epsilon: float, xi: int) -> float:
+    """Finite-difference scalar c for the low-rank perturbation {U_l V_l^T}; X is restored.
 
-    Each layer's (U, V) pair is materialized once for the call, so the three
-    phases add bit-identical increments and the round-trip drift stays within a
-    few ulps per entry.
+    factors holds one (U_l, V_l) per layer, U_l m_l x r_l and V_l n_l x r_l;
+    any other count or shape raises ValueError before X is touched. The
+    three phases add the same factors, so the round-trip drift stays within
+    a few ulps per entry.
     """
-    factors = _factors(sketch)
+    if len(factors) != len(x):
+        raise ValueError(f"factors must hold one (U, V) pair per layer: got {len(factors)} for {len(x)} layers")
+    for i, (s, (u, v)) in enumerate(zip(x.shapes, factors)):
+        if np.shape(u) != (s.m, s.r) or np.shape(v) != (s.n, s.r):
+            raise ValueError(f"layer {i} factors are {np.shape(u)}, {np.shape(v)}; expected {(s.m, s.r)}, {(s.n, s.r)}")
     c = _central_difference(loss, x, xi, epsilon, add_low_rank, factors)
     add_low_rank(x, factors, epsilon)
     return c
 
 
-def lge(loss, x: ParamSet, sketch: PerturbationSketch, epsilon: float, xi: int) -> ParamSet:
-    """Low-rank gradient estimate: layer l gets c * U_l V_l^T / r_l."""
-    factors = _factors(sketch)
-    c = _central_difference(loss, x, xi, epsilon, add_low_rank, factors)
-    add_low_rank(x, factors, epsilon)
-    grads = [(c / s.r) * (u @ v.T) for s, (u, v) in zip(x.shapes, factors)]
-    return ParamSet(grads, x.shapes)
+def lge(loss, x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], epsilon: float, xi: int) -> ParamSet:
+    """Low-rank gradient estimate: layer l gets c * U_l V_l^T / r_l, factors as lge_scalar takes them."""
+    c = lge_scalar(loss, x, factors, epsilon, xi)
+    return ParamSet([(c / s.r) * (u @ v.T) for s, (u, v) in zip(x.shapes, factors)], x.shapes)
 
 
 def rge(loss, x: ParamSet, z: ParamSet | Sequence[Matrix], epsilon: float, xi: int) -> ParamSet:

@@ -15,7 +15,8 @@ m x r factor per layer, projected onto the new subspace at each resample
 boundary after a successful probe, and the plain low-rank recursion is a
 lozo step at nu = 1 started from t. Every seed is a function of the step
 counter t: U and Z are keyed by (layer, t), and V by (layer, t // nu), the
-outer index of the subspace method. V changes only at a boundary, so each
+outer index of the subspace method; step_factors draws U and V, for the
+step and for the estimator checks alike. V changes only at a boundary, so each
 period's V matrices, their Gram matrices V^T V and the per-layer prefix of
 U's seed are computed once and cached in LozoState; U is drawn every step.
 The rank of layer l is x.shapes[l].r, nowhere else. Persistent optimizer
@@ -84,7 +85,7 @@ class OptimizerConfig:
             raise ValueError("total_steps must be nonnegative")
 
     def effective_shapes(self, x: ParamSet) -> list[LayerShape]:
-        """The layer shapes a step uses; the ranks are the shapes' own."""
+        """x.shapes, ranks included; perfbench/harness.py is the last caller, and ROADMAP item J removes it."""
         return list(x.shapes)
 
 
@@ -187,6 +188,23 @@ def _build_period(config: OptimizerConfig, x: ParamSet, period: int) -> Period:
     return Period(period, vs, [v.T @ v for v in vs], u_keys)
 
 
+def step_factors(
+    config: OptimizerConfig, x: ParamSet, t: int, cache: Optional[Period] = None
+) -> tuple[Period, list[tuple[np.ndarray, np.ndarray]]]:
+    """Step t's period and (U_l, V_l) per layer: U_l, m_l x r_l, keyed by (layer, t); V_l, n_l x r_l, by period.
+
+    V_l is the period's own array, taken from cache when it holds step t's
+    period. lozo_step, AC1 and AC2 all draw their factors here.
+    """
+    period = t // config.nu
+    cur = cache if cache is not None and cache.period == period else _build_period(config, x, period)
+    # a plain loop, not a comprehension: a local a comprehension reads becomes a cell allocated on entry
+    factors = []
+    for key, s, v in zip(cur.u_keys, x.shapes, cur.vs):
+        factors.append((sample_gaussian(derive_seed(key, t), s.m, s.r), v))
+    return cur, factors
+
+
 def lozo_step(
     x: ParamSet, state: LozoState, loss, config: OptimizerConfig, mom: Optional[MomentumState] = None
 ) -> tuple[float, float]:
@@ -204,15 +222,10 @@ def lozo_step(
     its boundary, and kept in state.v_cache; a state resumed from t alone
     rebuilds it, and the old V it projects from.
     """
-    t, shapes = state.t, x.shapes
-    period = t // config.nu
-    cache = state.v_cache
-    cur = cache if cache is not None and cache.period == period else _build_period(config, x, period)
-    # plain loops, not comprehensions: a local a comprehension reads becomes a cell allocated on entry
-    factors = []
-    for key, s, v in zip(cur.u_keys, shapes, cur.vs):
-        factors.append((sample_gaussian(derive_seed(key, t), s.m, s.r), v))
+    t, shapes, cache = state.t, x.shapes, state.v_cache
+    cur, factors = step_factors(config, x, t, cache)
     c = _probe(x, loss, config, t, add_low_rank, factors, "low-rank" if mom is None else "lozo-m")
+    # plain loops, not comprehensions: a local a comprehension reads becomes a cell allocated on entry
     eps, alpha = config.epsilon, config.alpha
     if mom is None:
         scales = []
@@ -223,7 +236,8 @@ def lozo_step(
     else:
         n_factors = mom.n_factors
         if t > 0 and t % config.nu == 0:
-            old = cache if cache is not None and cache.period == period - 1 else _build_period(config, x, period - 1)
+            prev = cur.period - 1
+            old = cache if cache is not None and cache.period == prev else _build_period(config, x, prev)
             n_factors = [project_momentum(nf, vo, vn, s.n) for nf, s, vo, vn in zip(n_factors, shapes, old.vs, cur.vs)]
         lefts = []
         for nf, (u, _) in zip(n_factors, factors):
@@ -256,7 +270,7 @@ def project_momentum(n_factor: np.ndarray, v_old: np.ndarray, v_new: np.ndarray,
 def lozo_m_step(
     x: ParamSet, state: LozoState, mom: MomentumState, loss, config: OptimizerConfig
 ) -> tuple[float, float]:
-    """Momentum step with low-rank accumulators and cross-subspace projection."""
+    """lozo_step with mom; perfbench/harness.py is the last caller, and ROADMAP item J removes it."""
     return lozo_step(x, state, loss, config, mom)
 
 

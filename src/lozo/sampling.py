@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -120,40 +119,17 @@ def sample_v(seed: Seed, n: int, r: int, kind: SamplerKind) -> Matrix:
     raise ValueError(f"unknown sampler kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class PerturbationSketch:
-    """The seeds and shapes that define one step's U V^T perturbation.
-
-    U of layer l is keyed by (STREAM_U, l, step) and V by (STREAM_V, l,
-    period); regenerating twice gives bit-identical factors.
-    """
-
-    base_seed: Seed
-    shapes: tuple[LayerShape, ...]
-    v_kind: SamplerKind
-    step: int
-    period: int
-
-    def __len__(self) -> int:
-        return len(self.shapes)
-
-
 def make_sketch(
-    base_seed: Seed,
-    shapes: Sequence[LayerShape],
-    v_kind: SamplerKind,
-    step: int,
-    period: int,
-) -> PerturbationSketch:
-    """Sketch for one optimizer step: U keyed by (layer, step), V by (layer, period)."""
-    return PerturbationSketch(base_seed, tuple(shapes), v_kind, step, period)
+    base_seed: Seed, shapes: Sequence[LayerShape], v_kind: SamplerKind, step: int, period: int
+) -> list[tuple[Matrix, Matrix]]:
+    """One step's (U_l, V_l), U keyed by (layer, step) and V by (layer, period): the streams of optimizers.step_factors.
 
-
-def regenerate(sketch: PerturbationSketch, layer: int) -> tuple[Matrix, Matrix]:
-    """Rebuild (U, V) for one layer from the sketch's seeds; nothing is cached."""
-    if not (0 <= layer < len(sketch)):
-        raise IndexError(f"layer index {layer} out of range for {len(sketch)} layers")
-    s = sketch.shapes[layer]
-    u = sample_gaussian(derive_seed(sketch.base_seed, STREAM_U, layer, sketch.step), s.m, s.r)
-    v = sample_v(derive_seed(sketch.base_seed, STREAM_V, layer, sketch.period), s.n, s.r, sketch.v_kind)
-    return u, v
+    perfbench/harness.py is the last caller, and ROADMAP item J removes it.
+    """
+    return [
+        (
+            sample_gaussian(derive_seed(base_seed, STREAM_U, i, step), s.m, s.r),
+            sample_v(derive_seed(base_seed, STREAM_V, i, period), s.n, s.r, v_kind),
+        )
+        for i, s in enumerate(shapes)
+    ]

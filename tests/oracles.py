@@ -134,7 +134,7 @@ def naive_lozo_step(loss, x, config, t: int, n_factors=None):
     def v_of(i, s, p):
         return fresh_sample_v(derive_seed(config.base_seed, STREAM_V, i, p), s.n, s.r, config.v_kind)
 
-    shapes = config.effective_shapes(x)
+    shapes = x.shapes
     us = [fresh_generator(derive_seed(config.base_seed, STREAM_U, i, t)).standard_normal((s.m, s.r)) for i, s in enumerate(shapes)]
     vs = [v_of(i, s, period) for i, s in enumerate(shapes)]
     if n_factors is not None and t % config.nu == 0 and t > 0:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lozo import checks, estimators
+from lozo import checks, estimators, optimizers
 from lozo.cli import (
     ConfigError,
     DivergenceError,
@@ -59,6 +59,12 @@ class TestParseConfig:
         cfg = parse_config(["--algo", "lozo", "--rank", "4", "--lr", "1e-3",
                             "--lr-convention", "subspace", "--steps", "10", "--seed", "1"])
         assert cfg.optimizer.alpha == pytest.approx(4e-3)
+
+    @pytest.mark.parametrize("convention", ["direct", "subspace"])
+    def test_lr_convention_without_lr_rejected(self, tmp_path, convention):
+        path = write_config(tmp_path, small_config(tmp_path).to_dict())
+        with pytest.raises(ConfigError, match="--lr"):
+            parse_config(["--config", path, "--rank", "4", "--lr-convention", convention])
 
     def test_nu_zero_rejected(self):
         with pytest.raises(ConfigError):
@@ -219,6 +225,21 @@ class TestOneConfigReader:
             ("problem", "shapes", [[4, 4, 9]], "rank must satisfy"),
             (None, "problem", 5, "config section 'problem' is missing or not a JSON object"),
             (None, "optimizer", [1], "config section 'optimizer' is missing or not a JSON object"),
+            ("optimizer", "total_steps", 3.9, "total_steps must be a JSON integer, got 3.9"),
+            ("optimizer", "nu", 1.5, "nu must be a JSON integer, got 1.5"),
+            ("optimizer", "total_steps", True, "total_steps must be a JSON integer, got true"),
+            ("problem", "data_seed", 1.9, "data_seed must be a JSON integer, got 1.9"),
+            ("optimizer", "base_seed", "7", "base_seed must be a JSON integer, got \"7\""),
+            ("optimizer", "alpha", "1e-3", "alpha must be a JSON number, got \"1e-3\""),
+            ("optimizer", "beta", False, "beta must be a JSON number, got false"),
+            ("problem", "noise_scale", 10**400, "noise_scale is out of floating-point range"),
+            (None, "algo", 5, "algo must be a JSON string, got 5"),
+            ("problem", "kind", ["quadratic"], "kind must be a JSON string"),
+            ("optimizer", "v_kind", ["normal"], "unknown sampler"),
+            ("problem", "shapes", [[8.5, 8, 2]], "shapes must be a list of"),
+            ("problem", "shapes", [[8, 8]], "shapes must be a list of"),
+            ("problem", "shapes", [[8, 8, True]], "shapes must be a list of"),
+            ("problem", "shapes", "8x8", "shapes must be a list of"),
         ],
     )
     def test_run_and_compare_reject_alike(self, tmp_path, section, key, value, message):
@@ -507,6 +528,23 @@ class TestVerifySuite:
 
         with pytest.raises(ConfigError):
             verify_suite("medium")
+
+    @pytest.mark.parametrize("check, size, draws", [
+        (checks.lge_unbiasedness, {"num_sketches": 40}, 40),
+        (checks.lge_rank_bound, {"num_evals": 12}, 12),
+    ])
+    def test_estimator_checks_draw_through_step_factors(self, monkeypatch, check, size, draws):
+        # AC1 and AC2 measure the perturbation the optimizer step itself draws
+        calls = []
+        step_factors = optimizers.step_factors
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return step_factors(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, "step_factors", counted)
+        check(**size)
+        assert calls == list(range(draws))
 
 
 class TestMutationSensitivity:

@@ -14,12 +14,12 @@ from lozo.estimators import (
     cge,
     lge,
     lge_scalar,
-    perturb_in_place,
     rge,
 )
 from lozo.linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
 from lozo.problems import LossOracle, make_quadratic
-from lozo.sampling import SamplerKind, derive_seed, make_sketch, regenerate, sample_gaussian
+from lozo.optimizers import OptimizerConfig, step_factors
+from lozo.sampling import SamplerKind, derive_seed, make_sketch, sample_gaussian
 
 
 def half_sqnorm_oracle():
@@ -163,7 +163,7 @@ class TestLGEScalar:
         x = ParamSet.zeros(shapes)
         for eps in (1.0, 1e-4, 1e-9):
             sk = make_sketch(4, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
-            u, v = regenerate(sk, 0)
+            u, v = sk[0]
             expected = float(np.vdot(c, u @ v.T))
             got = lge_scalar(oracle, x, sk, eps, 0)
             ulps = abs(got - expected) / max(np.spacing(abs(expected)), np.finfo(float).tiny)
@@ -175,7 +175,7 @@ class TestLGEScalar:
         x = ParamSet([sample_gaussian(1, 6, 5)], shapes)
         grad = oracle.analytic_grad(x, 0).layers[0]
         sk = make_sketch(2, shapes, SamplerKind.STANDARD_NORMAL, step=1, period=1)
-        u, v = regenerate(sk, 0)
+        u, v = sk[0]
         expected = float(np.vdot(grad, u @ v.T))
         for eps in (1e-1, 1e-3, 1e-6):
             assert lge_scalar(oracle, x, sk, eps, 0) == pytest.approx(expected, rel=1e-9)
@@ -213,10 +213,9 @@ class TestLGE:
         sk = make_sketch(31, shapes, SamplerKind.STANDARD_NORMAL, step=2, period=0)
         c = lge_scalar(oracle, x, sk, 1e-5, 1)
         est = lge(oracle, x, sk, 1e-5, 1)
-        for i, s in enumerate(shapes):
-            u, v = regenerate(sk, i)
-            np.testing.assert_allclose(est.layers[i], (c / s.r) * (u @ v.T), rtol=1e-12)
-            assert numeric_rank(est.layers[i], 1e-10) <= s.r
+        for (u, v), s, g in zip(sk, shapes, est.layers):
+            np.testing.assert_allclose(g, (c / s.r) * (u @ v.T), rtol=1e-12)
+            assert numeric_rank(g, 1e-10) <= s.r
 
     def test_two_evaluations(self):
         shapes = [LayerShape(3, 3, 1)]
@@ -225,6 +224,32 @@ class TestLGE:
         sk = make_sketch(1, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
         lge(oracle, x, sk, 1e-3, 0)
         assert oracle.calls == 2
+
+    @pytest.mark.parametrize("estimate", [lge, lge_scalar])
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda f: f[:1],
+            lambda f: f + f[:1],
+            lambda f: [f[0], (f[1][0][:-1], f[1][1])],
+            lambda f: [f[0], (f[1][0][:, :2], f[1][1])],
+            lambda f: [f[0], (f[1][0], f[1][1][1:])],
+            lambda f: [f[0], (f[1][0], f[1][1][:, :2])],
+            lambda f: [f[0], f[1][::-1]],
+        ],
+        ids=["pair-short", "pair-extra", "u-row-short", "u-rank-short", "v-row-short", "v-rank-short", "u-v-swapped"],
+    )
+    def test_malformed_factors_rejected_before_x_is_touched(self, estimate, malform):
+        shapes = [LayerShape(6, 5, 2), LayerShape(4, 7, 3)]
+        oracle = CountingOracle(make_quadratic(shapes, data_seed=3, num_samples=2))
+        x = ParamSet([sample_gaussian(7, 6, 5), sample_gaussian(8, 4, 7)], shapes)
+        before = x.copy()
+        _, factors = step_factors(OptimizerConfig(alpha=0.0, total_steps=1, base_seed=9, nu=1), x, 0)
+        with pytest.raises(ValueError, match="factors"):
+            estimate(oracle, x, malform(factors), 1e-3, 0)
+        assert oracle.calls == 0
+        for a, b in zip(x.layers, before.layers):
+            assert a.tobytes() == b.tobytes()
 
     def test_monte_carlo_unbiased(self):
         # smaller companion of the acceptance-scale run: threshold max(5%, 4/sqrt(N))
@@ -249,7 +274,7 @@ class TestPerturbInPlace:
         sk = make_sketch(42, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
         eps = 1e-3
         for scale in (eps, -2.0 * eps, eps):
-            perturb_in_place(x, scale, sk)
+            add_low_rank(x, sk, scale)
         per_entry = np.abs(x.layers[0] - before.layers[0])
         assert np.max(per_entry / np.maximum(np.spacing(np.abs(before.layers[0])), np.finfo(float).tiny)) <= 4.0
 
@@ -258,7 +283,7 @@ class TestPerturbInPlace:
         x = ParamSet([sample_gaussian(43, 4, 4)], shapes)
         before = x.copy()
         sk = make_sketch(44, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
-        perturb_in_place(x, 0.0, sk)
+        add_low_rank(x, sk, 0.0)
         np.testing.assert_array_equal(x.layers[0], before.layers[0])
 
     def test_round_trip_drift(self):
@@ -266,8 +291,8 @@ class TestPerturbInPlace:
         x = ParamSet([sample_gaussian(45, 16, 16)], shapes)
         before = x.copy()
         sk = make_sketch(46, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
-        perturb_in_place(x, 1e-3, sk)
-        perturb_in_place(x, -1e-3, sk)
+        add_low_rank(x, sk, 1e-3)
+        add_low_rank(x, sk, -1e-3)
         drift = np.max(np.abs(x.layers[0] - before.layers[0]))
         assert drift <= 1e-12 * before.norm()
 

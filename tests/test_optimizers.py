@@ -11,7 +11,6 @@ from lozo.optimizers import (
     MomentumState,
     OptimizerConfig,
     StepError,
-    lozo_m_step,
     lozo_step,
     project_momentum,
     run,
@@ -28,7 +27,6 @@ from lozo.sampling import (
     SamplerKind,
     derive_seed,
     make_sketch,
-    regenerate,
     sample_gaussian,
     sample_v,
 )
@@ -134,8 +132,7 @@ class TestLozoStep:
         for t in range(12):
             lozo_step(x_replay, state, oracle, config)
             # eager path: build the same factors once, store, and reuse
-            sk = make_sketch(16, shapes, config.v_kind, step=t, period=t // 4)
-            u, v = regenerate(sk, 0)
+            u, v = make_sketch(16, shapes, config.v_kind, step=t, period=t // 4)[0]
             eps = config.epsilon
             c = _central_difference(oracle, x_eager, sample_index(t, 3), eps, add_low_rank, [(u, v)])
             # the probe left x at X - eps U V^T; one pass restores and updates
@@ -201,7 +198,7 @@ class TestLozoMStep:
         state_m, state_p = LozoState(), LozoState()
         mom = MomentumState.zeros(self.shapes, beta=0.0)
         for _ in range(20):
-            lozo_m_step(x_m, state_m, mom, oracle, config)
+            lozo_step(x_m, state_m, oracle, config, mom)
             lozo_step(x_plain, state_p, oracle, config)
         # identical up to reassociation of the scalar products, amplified over 20 steps
         np.testing.assert_allclose(x_m.layers[0], x_plain.layers[0], rtol=1e-10, atol=1e-12)
@@ -211,7 +208,7 @@ class TestLozoMStep:
         before = x.copy()
         mom = MomentumState.zeros(self.shapes, beta=0.9)
         state = LozoState()
-        c, _ = lozo_m_step(x, state, mom, oracle, config)
+        c, _ = lozo_step(x, state, oracle, config, mom)
         u = sample_gaussian(derive_seed(config.base_seed, STREAM_U, 0, 0), 6, 2)
         v = sample_v(derive_seed(config.base_seed, STREAM_V, 0, 0), 5, 2, config.v_kind)
         expected = before.layers[0] - (config.alpha / 2) * ((0.1 * c * u) @ v.T)
@@ -225,7 +222,7 @@ class TestLozoMStep:
         state = LozoState()
         cs, us = [], []
         for t in range(steps):
-            c, _ = lozo_m_step(x, state, mom, oracle, config)
+            c, _ = lozo_step(x, state, oracle, config, mom)
             cs.append(c)
             us.append(sample_gaussian(derive_seed(config.base_seed, STREAM_U, 0, t), 6, 2))
         expected = ema_momentum(cs, us, beta=0.8)
@@ -241,7 +238,7 @@ class TestLozoMStep:
             x = ParamSet([sample_gaussian(72, 512, 512)], shapes)
             state, mom = LozoState(), MomentumState.zeros(shapes, config.beta)
             for _ in range(config.total_steps):
-                lozo_m_step(x, state, mom, oracle, config)
+                lozo_step(x, state, oracle, config, mom)
             return x.layers[0].tobytes() + mom.n_factors[0].tobytes()
 
         assert trajectory() == trajectory()
@@ -366,10 +363,7 @@ class TestRetryAfterStepError:
             cached_v = [v.copy() for v in cache[1]] if cache else []
             calls["projections"] = 0
             try:
-                if mom is None:
-                    lozo_step(x, state, oracle, config)
-                else:
-                    lozo_m_step(x, state, mom, oracle, config)
+                lozo_step(x, state, oracle, config, mom)
                 if failures and state.t == 11:
                     # the retried boundary step projects lozo-m's momentum once per layer
                     assert calls["projections"] == (len(self.shapes) if mom else 0)

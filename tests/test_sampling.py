@@ -9,11 +9,11 @@ from lozo.sampling import (
     SamplerKind,
     derive_seed,
     make_sketch,
-    regenerate,
     sample_gaussian,
     sample_v,
 )
-from lozo.linalg import LayerShape
+from lozo.linalg import LayerShape, ParamSet
+from lozo.optimizers import OptimizerConfig, step_factors
 
 from oracles import fresh_generator, fresh_sample_v
 
@@ -85,22 +85,34 @@ class TestSampleV:
 
 class TestSketch:
     def test_regenerate_bit_identical(self):
-        sk = make_sketch(42, [LayerShape(3, 4, 1), LayerShape(5, 6, 2)], SamplerKind.HAAR_SCALED, step=3, period=1)
-        u1, v1 = regenerate(sk, 1)
-        u2, v2 = regenerate(sk, 1)
+        shapes = [LayerShape(3, 4, 1), LayerShape(5, 6, 2)]
+        u1, v1 = make_sketch(42, shapes, SamplerKind.HAAR_SCALED, step=3, period=1)[1]
+        u2, v2 = make_sketch(42, shapes, SamplerKind.HAAR_SCALED, step=3, period=1)[1]
         np.testing.assert_array_equal(u1, u2)
         np.testing.assert_array_equal(v1, v2)
 
     def test_shape_contract(self):
         sk = make_sketch(42, [LayerShape(3, 4, 1)], SamplerKind.STANDARD_NORMAL, step=0, period=0)
-        u, v = regenerate(sk, 0)
+        u, v = sk[0]
         assert u.shape == (3, 1)
         assert v.shape == (4, 1)
 
     def test_invalid_layer_index(self):
         sk = make_sketch(42, [LayerShape(3, 4, 1)], SamplerKind.STANDARD_NORMAL, step=0, period=0)
         with pytest.raises(IndexError):
-            regenerate(sk, 1)
+            sk[1]
+
+    @pytest.mark.parametrize("t", [8, 9], ids=["boundary", "inner"])
+    @pytest.mark.parametrize("kind", list(SamplerKind))
+    def test_matches_step_factors(self, kind, t):
+        # the last duplicate derivation of a step's factors draws what the step draws
+        shapes = [LayerShape(5, 6, 2), LayerShape(7, 3, 3)]
+        config = OptimizerConfig(alpha=1e-3, total_steps=t + 1, base_seed=derive_seed(11, 12), nu=4, v_kind=kind)
+        _, factors = step_factors(config, ParamSet.zeros(shapes), t)
+        sketch = make_sketch(config.base_seed, shapes, kind, step=t, period=t // config.nu)
+        assert len(sketch) == len(factors)
+        for (u, v), (us, vs) in zip(factors, sketch):
+            assert u.tobytes() == us.tobytes() and v.tobytes() == vs.tobytes()
 
     def test_streams_are_distinct(self):
         seeds = {
