@@ -19,6 +19,11 @@ outer index of the subspace method; step_factors draws U and V, for the
 step and for the estimator checks alike. V changes only at a boundary, so each
 period's V matrices, their Gram matrices V^T V and the per-layer prefix of
 U's seed are computed once and cached in LozoState; U is drawn every step.
+A low-rank step returns only its finite-difference scalar c and does no
+telemetry work: run computes the estimator norm on the steps it records,
+from U regenerated from its seed (lozo) or the momentum factors (lozo-m),
+against the cached period's V^T V. zo_sgd_step still returns its norm,
+since redrawing a full-size Z at a record costs more than its in-step sum.
 The rank of layer l is x.shapes[l].r, nowhere else. Persistent optimizer
 state is the counter t plus the momentum factors: the period cache is
 derived state, rebuilt from t when absent, and is not counted by
@@ -29,6 +34,7 @@ loss).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
@@ -70,6 +76,12 @@ class OptimizerConfig:
     v_kind: SamplerKind = SamplerKind.STANDARD_NORMAL
 
     def __post_init__(self):
+        for name in ("total_steps", "base_seed", "nu"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer would overflow the seed arithmetic, which masks Python ints to 64 bits
+            object.__setattr__(self, name, int(value))
         for name in ("alpha", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -207,7 +219,7 @@ def step_factors(
 
 def lozo_step(
     x: ParamSet, state: LozoState, loss, config: OptimizerConfig, mom: Optional[MomentumState] = None
-) -> tuple[float, float]:
+) -> float:
     """One lazy-subspace step: V rotates only when t mod nu == 0, U is drawn every step.
 
     Layer l moves by -(alpha c / r_l) U_l V_l^T, or with mom by
@@ -220,7 +232,9 @@ def lozo_step(
     difference succeeds, so a failed step does no momentum work. The
     period's V, with its Gram matrix and U's seed prefix, is built once, at
     its boundary, and kept in state.v_cache; a state resumed from t alone
-    rebuilds it, and the old V it projects from.
+    rebuilds it, and the old V it projects from. Returns the
+    finite-difference scalar c and does no telemetry work: run computes
+    est_norm on the steps it records.
     """
     t, shapes, cache = state.t, x.shapes, state.v_cache
     cur, factors = step_factors(config, x, t, cache)
@@ -232,7 +246,6 @@ def lozo_step(
         for s in shapes:
             scales.append(eps - alpha * c / s.r)
         add_low_rank(x, factors, scales)
-        gain, lefts = c, [u for u, _ in factors]
     else:
         n_factors = mom.n_factors
         if t > 0 and t % config.nu == 0:
@@ -246,15 +259,12 @@ def lozo_step(
             u *= eps
             u -= (alpha / s.r) * nf
         add_low_rank(x, factors, 1.0)
-        gain, mom.n_factors = 1.0, lefts
-    sq = 0.0
-    for s, u, gram in zip(shapes, lefts, cur.grams):
-        sq += (_outer_norm(u, gram) / s.r) ** 2
+        mom.n_factors = lefts
     state.v_cache, state.t = cur, t + 1
-    return c, abs(gain) * math.sqrt(sq)
+    return c
 
 
-def vanilla_lge_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, float]:
+def vanilla_lge_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> float:
     """Plain low-rank recursion, both factors fresh every step: a lazy step at nu = 1 resumed from t."""
     return lozo_step(x, LozoState(t=t), loss, replace(config, nu=1))
 
@@ -269,9 +279,28 @@ def project_momentum(n_factor: np.ndarray, v_old: np.ndarray, v_new: np.ndarray,
 
 def lozo_m_step(
     x: ParamSet, state: LozoState, mom: MomentumState, loss, config: OptimizerConfig
-) -> tuple[float, float]:
+) -> float:
     """lozo_step with mom; perfbench/harness.py is the last caller, and ROADMAP item J removes it."""
     return lozo_step(x, state, loss, config, mom)
+
+
+def _est_norm(x: ParamSet, state: LozoState, config: OptimizerConfig, c: float, mom: Optional[MomentumState]) -> float:
+    """Norm of the low-rank step just taken, sqrt(sum_l ||L_l V_l^T||^2 / r_l^2) times |c| for lozo.
+
+    L_l is U_l for lozo, regenerated from step t - 1's seed against the
+    cached period, so it is the step's own array bit for bit; for lozo-m it
+    is the momentum factor N_l. Both use the period's V_l^T V_l.
+    """
+    cur = state.v_cache
+    if mom is None:
+        _, factors = step_factors(config, x, state.t - 1, cur)
+        gain, lefts = c, [u for u, _ in factors]
+    else:
+        gain, lefts = 1.0, mom.n_factors
+    sq = 0.0
+    for s, u, gram in zip(x.shapes, lefts, cur.grams):
+        sq += (_outer_norm(u, gram) / s.r) ** 2
+    return abs(gain) * math.sqrt(sq)
 
 
 def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int = 1) -> list[RunRecord]:
@@ -279,7 +308,8 @@ def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int =
 
     A record is appended every eval_every steps (and at the final step); its
     loss field is the oracle's evaluation metric, the exact finite-sample
-    average where the problem defines one.
+    average where the problem defines one. A low-rank run computes est_norm
+    only for these records, after the step's timed wall_ms.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
@@ -293,9 +323,11 @@ def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int =
         if algo == "zo-sgd":
             c, est_norm = zo_sgd_step(x, loss, config, t)
         else:
-            c, est_norm = lozo_step(x, state, loss, config, mom)
+            c = lozo_step(x, state, loss, config, mom)
         wall_ms = (time.perf_counter() - t0) * 1e3
         if t % eval_every == 0 or t == config.total_steps - 1:
+            if algo != "zo-sgd":
+                est_norm = _est_norm(x, state, config, c, mom)
             records.append(
                 RunRecord(step=t + 1, loss=loss.eval_metric(x), fd_scalar_abs=abs(c), est_norm=est_norm, wall_ms=wall_ms)
             )

@@ -208,7 +208,7 @@ class TestLozoMStep:
         before = x.copy()
         mom = MomentumState.zeros(self.shapes, beta=0.9)
         state = LozoState()
-        c, _ = lozo_step(x, state, oracle, config, mom)
+        c = lozo_step(x, state, oracle, config, mom)
         u = sample_gaussian(derive_seed(config.base_seed, STREAM_U, 0, 0), 6, 2)
         v = sample_v(derive_seed(config.base_seed, STREAM_V, 0, 0), 5, 2, config.v_kind)
         expected = before.layers[0] - (config.alpha / 2) * ((0.1 * c * u) @ v.T)
@@ -222,7 +222,7 @@ class TestLozoMStep:
         state = LozoState()
         cs, us = [], []
         for t in range(steps):
-            c, _ = lozo_step(x, state, oracle, config, mom)
+            c = lozo_step(x, state, oracle, config, mom)
             cs.append(c)
             us.append(sample_gaussian(derive_seed(config.base_seed, STREAM_U, 0, t), 6, 2))
         expected = ema_momentum(cs, us, beta=0.8)
@@ -328,6 +328,25 @@ class TestConfigValidation:
     def test_alpha_and_epsilon_finite(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             OptimizerConfig(**{"alpha": 1e-3, "total_steps": 1, "base_seed": 0, key: value})
+
+    @pytest.mark.parametrize("key", ["nu", "total_steps", "base_seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None], ids=["float", "integral-float", "bool", "str", "none"])
+    def test_integer_fields_reject_other_types(self, key, value):
+        with pytest.raises(TypeError, match=f"{key} must be an integer"):
+            OptimizerConfig(**{"alpha": 1e-3, "total_steps": 3, "base_seed": 0, key: value})
+
+    @pytest.mark.parametrize("algo", ["zo-sgd", "lozo", "lozo-m"])
+    def test_numpy_integers_run_as_python_ints(self, algo):
+        shapes = [LayerShape(4, 3, 2)]
+        oracle = make_quadratic(shapes, data_seed=1, num_samples=2)
+        plain = OptimizerConfig(alpha=1e-2, total_steps=5, base_seed=2**63 + 5, nu=2)
+        numpy = OptimizerConfig(alpha=1e-2, total_steps=np.int64(5), base_seed=np.uint64(2**63 + 5), nu=np.int32(2))
+        assert numpy == plain and all(type(getattr(numpy, k)) is int for k in ("nu", "total_steps", "base_seed"))
+
+        def rows(cfg):
+            return [(r.loss, r.fd_scalar_abs, r.est_norm) for r in run(oracle, ParamSet.zeros(shapes), cfg, algo)]
+
+        assert rows(numpy) == rows(plain)
 
 
 class TestRetryAfterStepError:
@@ -483,10 +502,12 @@ class TestFoldedStep:
     @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
     def test_est_norm_uses_this_periods_v(self, algo):
         # est_norm does not feed x, so only this catches a stale cached V^T V; normal V differ per period
-        oracle, config, x, mom = self._setup(algo)
-        state = LozoState()
-        for t in range(config.total_steps):  # boundaries at 0, 5, 10 and 15
-            c, est_norm = lozo_step(x, state, oracle, config, mom)
+        oracle, config, x0, mom = self._setup(algo)
+        # replay run's steps for each step's c and momentum; boundaries at 0, 5, 10 and 15
+        expected = {}
+        x, state = x0.copy(), LozoState()
+        for t in range(config.total_steps):
+            c = lozo_step(x, state, oracle, config, mom)
             sq = 0.0
             for i, s in enumerate(self.shapes):
                 u = sample_gaussian(derive_seed(config.base_seed, STREAM_U, i, t), s.m, s.r)
@@ -494,7 +515,44 @@ class TestFoldedStep:
                 left = mom.n_factors[i] if mom else u
                 sq += (frobenius_norm(left @ v.T) / s.r) ** 2
             gain = 1.0 if mom else c
-            assert est_norm == pytest.approx(abs(gain) * np.sqrt(sq), rel=1e-12, abs=0.0), f"step {t}"
+            expected[t + 1] = abs(gain) * np.sqrt(sq)
+        last = config.total_steps - 1
+        for eval_every in (1, 3):
+            records = run(oracle, x0.copy(), config, algo, eval_every=eval_every)
+            assert [r.step for r in records] == [t + 1 for t in range(last + 1) if t % eval_every == 0 or t == last]
+            for r in records:
+                assert r.est_norm == pytest.approx(expected[r.step], rel=1e-12, abs=0.0), f"step {r.step}"
+
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_est_norm_is_computed_only_at_records(self, algo, monkeypatch):
+        calls = {"n": 0}
+        real = optimizers._outer_norm
+
+        def counting(*args):
+            calls["n"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(optimizers, "_outer_norm", counting)
+        oracle, config, x, mom = self._setup(algo)
+        state = LozoState()
+        for _ in range(config.total_steps):
+            assert isinstance(lozo_step(x, state, oracle, config, mom), float)
+        assert calls["n"] == 0
+        records = run(oracle, x, config, algo, eval_every=3)
+        assert len(records) == 7  # t = 0, 3, ..., 15 and the last step, t = 16
+        assert calls["n"] == len(self.shapes) * len(records)
+
+    def test_layer_swapped_by_the_oracle_is_rejected_at_the_next_pass(self):
+        # evaluate runs between the passes, so add_low_rank checks the layers on every pass, not once a step
+        oracle, config, x, _ = self._setup("lozo")
+
+        def evaluate(p, xi):
+            p.layers[0] = np.asfortranarray(p.layers[0])
+            return oracle.evaluate(p, xi)
+
+        swapping = LossOracle("swapping", oracle.num_samples, evaluate)
+        with pytest.raises(ValueError, match="layer 0 must be a writeable C-contiguous float64 array"):
+            lozo_step(x, LozoState(), swapping, config)
 
     @pytest.mark.parametrize("algo", ["zo-sgd", "lozo", "lozo-m"])
     def test_successful_step_makes_three_parameter_passes(self, algo, monkeypatch):
