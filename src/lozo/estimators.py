@@ -4,8 +4,9 @@ One perturbation core serves every estimator and every optimizer step:
 add_low_rank adds scale_l * U_l V_l^T to each layer, add_dense adds
 scale * Z_l, and _central_difference drives either one through the
 +eps / -2eps phases. add_low_rank is one in-place BLAS dgemm per layer
-(beta = 1, written through the layer's transpose), so no perturb, restore or
-update pass builds an m x n temporary. Its result equals the numpy expression
+(beta = 1, written through the layer's transpose, U passed as its
+F-contiguous transpose), so no perturb, restore or update pass builds an
+m x n temporary or a copy of U. Its result equals the numpy expression
 X += s * (U @ V.T) bit for bit on the shapes the acceptance checks and the
 benchmark's small workloads use (32 x 32, 256 x 256, 16 x 256 and the tests'
 small shapes); on larger layers, such as 512 x 512 or 1024 x 1024, OpenBLAS
@@ -37,6 +38,7 @@ from .linalg import Matrix, ParamSet
 DEFAULT_EPSILON = 1e-3
 CGE_DIMENSION_CAP = 100_000
 DENSE_BLOCK = 65536  # entries per add_dense block: the 512 KiB buffer stays in cache between its write and read
+_F64 = np.dtype(np.float64)
 
 
 class EvaluationError(RuntimeError):
@@ -53,17 +55,23 @@ def add_low_rank(x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], scale: f
 
     Each layer takes one dgemm, X_l^T = scale_l * V_l U_l^T + X_l^T, written
     through the F-contiguous transpose of the C-contiguous layer, so no
-    m x n temporary is built. A layer that BLAS could only update through a
-    copy (not C-contiguous, not float64 or read-only) raises ValueError
-    before any layer is touched.
+    m x n temporary is built. The call is positional, and U_l goes in as its
+    transpose, an F-contiguous view, so the wrapper neither parses keywords
+    nor copies U_l into Fortran order. Every pass checks every layer, since
+    an oracle may replace one between passes: a layer that BLAS could only
+    update through a copy, one that is not a writeable, aligned,
+    C-contiguous float64 array, raises ValueError before any layer is
+    touched.
     """
     for i, a in enumerate(x.layers):
-        flags = a.flags
-        if not (flags.c_contiguous and flags.writeable) or a.dtype != np.float64:
-            raise ValueError(f"layer {i} must be a writeable C-contiguous float64 array to be updated in place")
+        if not a.flags.carray or a.dtype != _F64:
+            raise ValueError(
+                f"layer {i} must be a writeable C-contiguous float64 array in aligned memory to be updated in place"
+            )
     scales = scale if isinstance(scale, (list, tuple)) else repeat(scale)
     for a, (u, v), s in zip(x.layers, factors, scales):
-        dgemm(s, v, u, beta=1.0, c=a.T, trans_b=True, overwrite_c=True)
+        # positional: dgemm(alpha, a, b, beta, c, trans_a, trans_b, overwrite_c); U^T is an F-contiguous view
+        dgemm(s, v, u.T, 1.0, a.T, 0, 0, 1)
 
 
 def add_dense(x: ParamSet, directions: Sequence[Matrix], scale: float) -> None:

@@ -31,8 +31,16 @@ class LayerShape:
 
 
 def as_matrix(a) -> Matrix:
-    """Coerce to a 2-D float64 array, validating shape and finiteness."""
+    """Coerce to an aligned C-contiguous 2-D float64 array, validating shape and finiteness.
+
+    A C-contiguous float64 array is kept as is unless its data is misaligned
+    (say, np.frombuffer at an odd offset); such an array is copied, since
+    BLAS would update it only through a copy and estimators.add_low_rank
+    rejects it.
+    """
     out = np.ascontiguousarray(a, dtype=np.float64)
+    if not out.flags.aligned:
+        out = out.copy()
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={out.ndim}")
     if not np.isfinite(out).all():

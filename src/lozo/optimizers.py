@@ -34,7 +34,6 @@ loss).
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
@@ -49,6 +48,7 @@ from .sampling import (
     STREAM_Z,
     SamplerKind,
     Seed,
+    as_int,
     derive_seed,
     sample_gaussian,
     sample_v,
@@ -77,11 +77,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("total_steps", "base_seed", "nu"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            # a numpy integer would overflow the seed arithmetic, which masks Python ints to 64 bits
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         for name in ("alpha", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

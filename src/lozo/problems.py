@@ -15,7 +15,7 @@ import numpy as np
 
 from . import estimators
 from .linalg import LayerShape, ParamSet, top_singular_values
-from .sampling import STREAM_DATA, derive_seed, sample_gaussian
+from .sampling import STREAM_DATA, as_int, derive_seed, sample_gaussian
 
 
 class LossOracle:
@@ -95,6 +95,8 @@ class ProblemSpec:
     true_rank: int = 2
 
     def __post_init__(self):
+        for name in ("data_seed", "num_samples", "true_rank"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if not self.shapes:
             raise ValueError("a problem needs at least one layer shape")
         if not self.noise_scale >= 0.0:

@@ -14,12 +14,16 @@ Draws reuse one Philox bit generator per thread instead of constructing one
 per draw: before each draw its state is reset to counter 0, key [seed, 0] and
 an empty buffer, which is exactly the state of a fresh Philox(key=seed), so
 the stream is the same while the per-draw constructor cost (it seeds an
-unused SeedSequence from OS entropy) is paid once per thread.
+unused SeedSequence from OS entropy) is paid once per thread. The reset
+state holds its counter, key and buffer as lists of plain Python ints, which
+the state setter reads without the numpy-scalar conversions that uint64
+arrays would cost, and each draw rewrites only the key's first word.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 import threading
 from typing import Sequence
 
@@ -37,6 +41,17 @@ STREAM_U = 0x11
 STREAM_V = 0x22
 STREAM_Z = 0x33
 STREAM_DATA = 0x44
+
+
+def as_int(name: str, value) -> int:
+    """value as a Python int; a bool or a non-integer raises TypeError naming the field.
+
+    A numpy integer is converted: the seed arithmetic masks Python ints to 64
+    bits, and a numpy int64 operand would overflow it.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def splitmix64(x: int) -> int:
@@ -63,11 +78,11 @@ def _generator(seed: Seed) -> np.random.Generator:
     gen = getattr(_thread, "generator", None)
     if gen is None:
         gen = _thread.generator = np.random.Generator(np.random.Philox(key=0))
-        # the state of a fresh Philox: counter 0, key [seed, 0], empty buffer
+        # the state of a fresh Philox: counter 0, key [seed, 0], empty buffer, in plain ints
         _thread.state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.zeros(2, dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,

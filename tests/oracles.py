@@ -8,6 +8,7 @@ not tautology.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from lozo.sampling import STREAM_U, STREAM_V, SamplerKind, derive_seed
 
@@ -91,6 +92,20 @@ def ema_momentum(cs, us, beta: float) -> np.ndarray:
     for s, (c, u) in enumerate(zip(cs, us)):
         acc += (1.0 - beta) * beta ** (t - s) * c * u
     return acc
+
+
+def reference_add_low_rank(layers, factors, scale: float) -> None:
+    """X_l += scale * U_l V_l^T in place through dgemm's keyword interface on U itself, trans_b set."""
+    for a, (u, v) in zip(layers, factors):
+        dgemm(scale, v, u, beta=1.0, c=a.T, trans_b=True, overwrite_c=True)
+
+
+def misaligned(a: np.ndarray) -> np.ndarray:
+    """A writeable C-contiguous float64 copy of a whose data starts one byte into its buffer."""
+    b = np.frombuffer(bytearray(a.nbytes + 1), dtype=np.float64, count=a.size, offset=1).reshape(a.shape)
+    b[...] = a
+    assert b.flags.c_contiguous and b.flags.writeable and not b.flags.aligned
+    return b
 
 
 def fresh_generator(seed: int) -> np.random.Generator:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lozo import estimators
 from lozo.estimators import (
     EvaluationError,
     DENSE_BLOCK,
@@ -20,6 +21,8 @@ from lozo.linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
 from lozo.problems import LossOracle, make_quadratic
 from lozo.optimizers import OptimizerConfig, step_factors
 from lozo.sampling import SamplerKind, derive_seed, make_sketch, sample_gaussian
+
+from oracles import misaligned, reference_add_low_rank
 
 
 def half_sqnorm_oracle():
@@ -342,8 +345,14 @@ class TestAddLowRank:
 
     @pytest.mark.parametrize(
         "index, spoil",
-        [(0, lambda a: a.T), (1, np.asfortranarray), (1, lambda a: a.astype(np.float32)), (1, _read_only)],
-        ids=["transposed-view", "fortran-order", "float32", "read-only"],
+        [
+            (0, lambda a: a.T),
+            (1, np.asfortranarray),
+            (1, lambda a: a.astype(np.float32)),
+            (1, _read_only),
+            (0, misaligned),
+        ],
+        ids=["transposed-view", "fortran-order", "float32", "read-only", "misaligned"],
     )
     def test_layer_that_cannot_be_updated_in_place_is_rejected(self, index, spoil):
         # BLAS would update a copy of such a layer and drop the update; no layer is touched
@@ -355,6 +364,40 @@ class TestAddLowRank:
             add_low_rank(x, factors, 1e-3)
         for a, b in zip(x.layers, before):
             np.testing.assert_array_equal(a, b)
+
+    def test_one_positional_blas_call_per_layer_on_a_view_of_u(self, monkeypatch):
+        # no keyword parsing, and no Fortran-order copy of U: its transpose is passed as is
+        calls = []
+        real = estimators.dgemm
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "dgemm", recording)
+        shapes = [LayerShape(6, 5, 2), LayerShape(4, 7, 3)]
+        x, factors = self._layers(shapes, seed=65)
+        for scale in (1e-3, [-2e-3, 5e-4]):
+            add_low_rank(x, factors, scale)
+        assert len(calls) == 2 * len(shapes)
+        for (args, kwargs), (a, (u, _)) in zip(calls, 2 * list(zip(x.layers, factors))):
+            assert kwargs == {}
+            assert np.shares_memory(args[2], u)
+            assert np.shares_memory(args[4], a)
+
+    @pytest.mark.parametrize(
+        "m, n, r",
+        [(32, 32, 2), (256, 256, 4), (16, 256, 4), (512, 512, 4), (7, 5, 3), (5, 9, 1)],
+        ids=["32x32-r2", "256x256-r4", "16x256-r4", "512x512-r4", "7x5-r3", "5x9-r1"],
+    )
+    def test_matches_the_keyword_call_bitwise(self, m, n, r):
+        shapes = [LayerShape(m, n, r)]
+        x, factors = self._layers(shapes, seed=66)
+        expected = [a.copy() for a in x.layers]
+        for scale in (1e-3, -2.7e-2):
+            add_low_rank(x, factors, scale)
+            reference_add_low_rank(expected, factors, scale)
+            assert [a.tobytes() for a in x.layers] == [e.tobytes() for e in expected]
 
 
 class TestAddDense:

@@ -12,7 +12,7 @@ from lozo.linalg import (
     top_singular_values,
 )
 
-from oracles import gram_rank, jacobi_singular_values
+from oracles import gram_rank, jacobi_singular_values, misaligned
 
 
 class TestFrobeniusNorm:
@@ -130,6 +130,16 @@ class TestParamSet:
     def test_global_norm(self):
         x = ParamSet([np.full((2, 2), 2.0), np.full((1, 2), 1.0)], [LayerShape(2, 2, 1), LayerShape(1, 2, 1)])
         assert x.norm() == pytest.approx(np.sqrt(16.0 + 2.0), rel=1e-12)
+
+    def test_misaligned_layer_is_stored_as_an_aligned_copy(self):
+        buffer = misaligned(np.arange(6.0).reshape(2, 3))
+        x = ParamSet([buffer], [LayerShape(2, 3, 1)])
+        assert x.layers[0].flags.carray and not np.shares_memory(x.layers[0], buffer)
+        np.testing.assert_array_equal(x.layers[0], buffer)
+
+    def test_aligned_contiguous_layer_is_kept_without_a_copy(self):
+        a = np.arange(6.0).reshape(2, 3)
+        assert ParamSet([a], [LayerShape(2, 3, 1)]).layers[0] is a
 
     def test_copy_is_independent(self):
         x = ParamSet.zeros([LayerShape(2, 2, 1)])

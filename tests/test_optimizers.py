@@ -31,7 +31,7 @@ from lozo.sampling import (
     sample_v,
 )
 
-from oracles import ema_momentum, lstsq_projection, naive_lozo_step
+from oracles import ema_momentum, lstsq_projection, misaligned, naive_lozo_step
 
 
 def half_sqnorm():
@@ -281,6 +281,20 @@ class TestRun:
         config = OptimizerConfig(alpha=5e-3, total_steps=20_000, base_seed=31, nu=50)
         records = run(oracle, x, config, "lozo", eval_every=500)
         assert records[-1].loss <= 1e-3  # optimum value is 0
+
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_parameters_from_a_misaligned_buffer_move(self, algo):
+        # such a layer would make BLAS update a copy and drop every low-rank update; ParamSet stores an aligned one
+        shapes = [LayerShape(6, 5, 2)]
+        oracle = make_quadratic(shapes, data_seed=1)
+        config = OptimizerConfig(alpha=1e-2, total_steps=50, base_seed=0, nu=5)
+        x = ParamSet([misaligned(np.zeros((6, 5)))], shapes)
+        records = run(oracle, x, config, algo, eval_every=10)
+        reference = run(oracle, ParamSet.zeros(shapes), config, algo, eval_every=10)
+        assert [(r.loss, r.fd_scalar_abs, r.est_norm) for r in records] == [
+            (r.loss, r.fd_scalar_abs, r.est_norm) for r in reference
+        ]
+        assert records[-1].loss < 0.9 * records[0].loss and all(r.fd_scalar_abs > 0.0 for r in records)
 
     def test_unknown_algorithm_rejected(self):
         oracle = make_quadratic(self.shapes, data_seed=32, num_samples=2)

@@ -6,10 +6,12 @@ import pytest
 from lozo.linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
 from lozo.optimizers import OptimizerConfig, run
 from lozo.problems import (
+    ProblemSpec,
     gradient_rank_profile,
     make_logistic,
     make_planted_low_rank,
     make_quadratic,
+    make_problem,
     make_tiny_mlp,
 )
 from lozo.sampling import sample_gaussian
@@ -199,3 +201,37 @@ class TestOracleInvariants:
         oracle = make_quadratic([LayerShape(3, 3, 1)], 35, num_samples=2)
         with pytest.raises(ValueError):
             oracle.evaluate(ParamSet.zeros([LayerShape(3, 3, 1)]), 2)
+
+
+class TestProblemSpecValidation:
+    shapes = (LayerShape(6, 5, 2),)
+
+    @pytest.mark.parametrize("key", ["data_seed", "num_samples", "true_rank"])
+    @pytest.mark.parametrize(
+        "value", [1.5, 2.0, True, "3", None], ids=["float", "integral-float", "bool", "str", "none"]
+    )
+    def test_integer_fields_reject_other_types(self, key, value):
+        # data_seed=1.5 and num_samples=1.5 died in the seed hash or in range(), data_seed=True ran as seed 1
+        fields = {"data_seed": 1, key: value}
+        with pytest.raises(TypeError, match=f"{key} must be an integer"):
+            ProblemSpec("quadratic", self.shapes, **fields)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "planted"])
+    def test_numpy_integers_build_the_python_int_problem(self, kind):
+        plain = ProblemSpec(kind, self.shapes, data_seed=2**63 + 3, num_samples=4, true_rank=2)
+        numpy = ProblemSpec(
+            kind, self.shapes, data_seed=np.uint64(2**63 + 3), num_samples=np.int64(4), true_rank=np.int32(2)
+        )
+        assert numpy == plain
+        assert all(type(getattr(numpy, k)) is int for k in ("data_seed", "num_samples", "true_rank"))
+        x = ParamSet([sample_gaussian(36, 6, 5)], list(self.shapes))
+        a, b = make_problem(numpy), make_problem(plain)
+        assert [a.evaluate(x, xi) for xi in range(4)] == [b.evaluate(x, xi) for xi in range(4)]
+
+    def test_numpy_int64_data_seed_builds(self):
+        # np.int64 overflowed the 64-bit mask of the seed hash
+        spec = ProblemSpec("quadratic", self.shapes, data_seed=np.int64(3))
+        assert type(spec.data_seed) is int
+        x = ParamSet([sample_gaussian(37, 6, 5)], list(self.shapes))
+        plain = ProblemSpec("quadratic", self.shapes, data_seed=3)
+        assert make_problem(spec).evaluate(x, 0) == make_problem(plain).evaluate(x, 0)

@@ -7,6 +7,7 @@ import pytest
 
 from lozo.sampling import (
     SamplerKind,
+    _generator,
     derive_seed,
     make_sketch,
     sample_gaussian,
@@ -155,6 +156,18 @@ class TestReusedGenerator:
                 expected = fresh_sample_v(seed, 8, 1 + i % 5, kind)
                 got = sample_v(seed, 8, 1 + i % 5, kind)
             assert got.tobytes() == expected.tobytes(), f"draw {i} differs"
+
+    def test_draw_after_a_partly_used_buffer_matches_fresh_philox(self):
+        # 32-bit draws leave has_uint32 set and the 64-bit buffer partly used; the reset must clear both
+        for seed in self.seeds:
+            left = _generator(seed)
+            left.integers(0, 7, size=3, dtype=np.uint32)
+            state = left.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+            assert sample_gaussian(seed, 7, 3).tobytes() == fresh_generator(seed).standard_normal((7, 3)).tobytes()
+            _generator(seed).integers(0, 7, size=3, dtype=np.uint32)
+            got = _generator(seed).random(5, dtype=np.float32)  # 32-bit draws, which read has_uint32 first
+            assert got.tobytes() == fresh_generator(seed).random(5, dtype=np.float32).tobytes()
 
     def test_draws_from_other_threads_match_fresh_philox(self):
         mismatches = []
