@@ -7,23 +7,38 @@ ranks; it is the optimization variable everything else operates on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr
 
 Matrix = np.ndarray
 
 
+def as_int(name: str, value) -> int:
+    """value as a Python int; a bool or a non-integer raises TypeError naming the field.
+
+    A numpy integer is converted: the seed arithmetic masks Python ints to 64
+    bits, and a numpy int64 operand would overflow it.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class LayerShape:
-    """Dimensions (m, n) of one weight matrix and its perturbation rank r."""
+    """Dimensions (m, n) of one weight matrix and its perturbation rank r, stored as Python ints."""
 
     m: int
     n: int
     r: int
 
     def __post_init__(self):
+        for name in ("m", "n", "r"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.m < 1 or self.n < 1:
             raise ValueError(f"matrix dimensions must be positive, got {self.m}x{self.n}")
         if self.r < 1 or self.r > min(self.m, self.n):
@@ -89,6 +104,26 @@ class ParamSet:
     def __repr__(self) -> str:
         dims = ", ".join(f"{s.m}x{s.n}(r={s.r})" for s in self.shapes)
         return f"ParamSet[{dims}]"
+
+
+def thin_qr(a: Matrix) -> tuple[Matrix, np.ndarray]:
+    """Q (m x k, Fortran order) and the diagonal of R of the reduced QR of an m x k float64 matrix, m >= k.
+
+    LAPACK dgeqrf, then dorgqr in dgeqrf's output buffer, called directly,
+    each with dgeqrf's optimal workspace: the routines and workspace rule of
+    np.linalg.qr, without its wrapper's cost. On the installed numpy and scipy
+    builds Q and diag(R) equal its Q and np.diag(R) byte for byte (the tests
+    check it); the two link separate LAPACK builds, so that is checked, not
+    guaranteed.
+    """
+    m, k = a.shape
+    if k > m:
+        raise ValueError(f"thin_qr needs a tall or square matrix, got {m}x{k}")
+    lwork = int(dgeqrf_lwork(m, k)[0])
+    qr, tau, _, _ = dgeqrf(a, lwork)
+    d = qr.diagonal().copy()
+    q, _, _ = dorgqr(qr, tau, lwork, 1)
+    return q, d
 
 
 def frobenius_norm(a: Matrix) -> float:

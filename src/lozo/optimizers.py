@@ -17,12 +17,12 @@ lozo step at nu = 1 started from t. Every seed is a function of the step
 counter t: U and Z are keyed by (layer, t), and V by (layer, t // nu), the
 outer index of the subspace method; step_factors draws U and V, for the
 step and for the estimator checks alike. V changes only at a boundary, so each
-period's V matrices, their Gram matrices V^T V and the per-layer prefix of
-U's seed are computed once and cached in LozoState; U is drawn every step.
-A low-rank step returns only its finite-difference scalar c and does no
-telemetry work: run computes the estimator norm on the steps it records,
-from U regenerated from its seed (lozo) or the momentum factors (lozo-m),
-against the cached period's V^T V. zo_sgd_step still returns its norm,
+period's V matrices and the per-layer prefix of U's seed are computed once
+and cached in LozoState; U is drawn every step. A low-rank step returns only
+its finite-difference scalar c and does no telemetry work: run computes the
+estimator norm on the steps it records, from U regenerated from its seed
+(lozo) or the momentum factors (lozo-m), against V^T V formed from the
+cached period's V at that record. zo_sgd_step still returns its norm,
 since redrawing a full-size Z at a record costs more than its in-step sum.
 The rank of layer l is x.shapes[l].r, nowhere else. Persistent optimizer
 state is the counter t plus the momentum factors: the period cache is
@@ -41,14 +41,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .estimators import DEFAULT_EPSILON, EvaluationError, _central_difference, add_dense, add_low_rank
-from .linalg import LayerShape, ParamSet
+from .linalg import LayerShape, ParamSet, as_int
 from .sampling import (
     STREAM_U,
     STREAM_V,
     STREAM_Z,
     SamplerKind,
     Seed,
-    as_int,
     derive_seed,
     sample_gaussian,
     sample_v,
@@ -98,11 +97,13 @@ class OptimizerConfig:
 
 
 class Period(NamedTuple):
-    """What the steps of one period derive from the config and the period index, computed once."""
+    """What the steps of one period derive from the config and the period index, computed once.
+
+    Only what a step reads: run's est_norm forms V_l^T V_l from vs at each record.
+    """
 
     period: int
     vs: list[np.ndarray]  # V_l, n_l x r_l
-    grams: list[np.ndarray]  # V_l^T V_l, r_l x r_l, for the estimator norm
     u_keys: list[Seed]  # derive_seed(base_seed, STREAM_U, l); U_l's seed at step t is derive_seed(u_keys[l], t)
 
 
@@ -187,13 +188,13 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
 
 
 def _build_period(config: OptimizerConfig, x: ParamSet, period: int) -> Period:
-    """One period's cache: V_l keyed by (layer, period), each V_l^T V_l, and U's seed prefixes."""
+    """One period's cache: V_l keyed by (layer, period) and U's seed prefixes."""
     vs = [
         sample_v(derive_seed(config.base_seed, STREAM_V, i, period), s.n, s.r, config.v_kind)
         for i, s in enumerate(x.shapes)
     ]
     u_keys = [derive_seed(config.base_seed, STREAM_U, i) for i in range(len(x))]
-    return Period(period, vs, [v.T @ v for v in vs], u_keys)
+    return Period(period, vs, u_keys)
 
 
 def step_factors(
@@ -226,9 +227,9 @@ def lozo_step(
     boundary after t = 0, lozo-m first projects its momentum factors from
     the old subspace onto the new one; this happens only after the central
     difference succeeds, so a failed step does no momentum work. The
-    period's V, with its Gram matrix and U's seed prefix, is built once, at
-    its boundary, and kept in state.v_cache; a state resumed from t alone
-    rebuilds it, and the old V it projects from. Returns the
+    period's V, with U's seed prefix, is built once, at its boundary, and
+    kept in state.v_cache; a state resumed from t alone rebuilds it, and the
+    old V it projects from. Returns the
     finite-difference scalar c and does no telemetry work: run computes
     est_norm on the steps it records.
     """
@@ -285,7 +286,8 @@ def _est_norm(x: ParamSet, state: LozoState, config: OptimizerConfig, c: float, 
 
     L_l is U_l for lozo, regenerated from step t - 1's seed against the
     cached period, so it is the step's own array bit for bit; for lozo-m it
-    is the momentum factor N_l. Both use the period's V_l^T V_l.
+    is the momentum factor N_l. Both use V_l^T V_l, formed here from the
+    cached period's V_l.
     """
     cur = state.v_cache
     if mom is None:
@@ -294,8 +296,8 @@ def _est_norm(x: ParamSet, state: LozoState, config: OptimizerConfig, c: float, 
     else:
         gain, lefts = 1.0, mom.n_factors
     sq = 0.0
-    for s, u, gram in zip(x.shapes, lefts, cur.grams):
-        sq += (_outer_norm(u, gram) / s.r) ** 2
+    for s, u, v in zip(x.shapes, lefts, cur.vs):
+        sq += (_outer_norm(u, v.T @ v) / s.r) ** 2
     return abs(gain) * math.sqrt(sq)
 
 

@@ -14,8 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import estimators
-from .linalg import LayerShape, ParamSet, top_singular_values
-from .sampling import STREAM_DATA, as_int, derive_seed, sample_gaussian
+from .linalg import LayerShape, ParamSet, as_int, thin_qr, top_singular_values
+from .sampling import STREAM_DATA, derive_seed, sample_gaussian
 
 
 class LossOracle:
@@ -176,13 +176,13 @@ def make_planted_low_rank(
     if not (1 <= p <= min(m, n)):
         raise ValueError(f"true_rank must be in [1, min(m, n)], got {p}")
     root = derive_seed(data_seed, STREAM_DATA, 0xB1)
-    w, _ = np.linalg.qr(sample_gaussian(derive_seed(root, 0), n, p))
+    w, _ = thin_qr(sample_gaussian(derive_seed(root, 0), n, p))
     x_star = sample_gaussian(derive_seed(root, 1), m, n)
     a_vecs = np.empty((num_batches, p, m))
     b_vecs = np.empty((num_batches, p, n))
     for bi in range(num_batches):
-        qa, _ = np.linalg.qr(sample_gaussian(derive_seed(root, 2, bi), m, p))
-        qb, _ = np.linalg.qr(sample_gaussian(derive_seed(root, 3, bi), p, p))
+        qa, _ = thin_qr(sample_gaussian(derive_seed(root, 2, bi), m, p))
+        qb, _ = thin_qr(sample_gaussian(derive_seed(root, 3, bi), p, p))
         a_vecs[bi] = qa.T
         b_vecs[bi] = (w @ qb).T
     unif = sample_gaussian(derive_seed(root, 4), num_batches, p)

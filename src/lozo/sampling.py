@@ -23,13 +23,13 @@ arrays would cost, and each draw rewrites only the key's first word.
 from __future__ import annotations
 
 import enum
-import numbers
+import math
 import threading
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import LayerShape, Matrix
+from .linalg import LayerShape, Matrix, thin_qr
 
 Seed = int
 
@@ -41,17 +41,6 @@ STREAM_U = 0x11
 STREAM_V = 0x22
 STREAM_Z = 0x33
 STREAM_DATA = 0x44
-
-
-def as_int(name: str, value) -> int:
-    """value as a Python int; a bool or a non-integer raises TypeError naming the field.
-
-    A numpy integer is converted: the seed arithmetic masks Python ints to 64
-    bits, and a numpy int64 operand would overflow it.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def splitmix64(x: int) -> int:
@@ -113,7 +102,11 @@ def sample_v(seed: Seed, n: int, r: int, kind: SamplerKind) -> Matrix:
 
     STANDARD_NORMAL: i.i.d. N(0, 1) entries.
     HAAR_SCALED: sqrt(n) * Q with Q the Q-factor of a Gaussian draw, signs
-        fixed so R's diagonal is nonnegative; V^T V = n I to rounding.
+        fixed so R's diagonal is nonnegative; V^T V = n I to rounding. Q and
+        diag(R) come from linalg.thin_qr (LAPACK dgeqrf and dorgqr, equal to
+        np.linalg.qr's bytes on the installed builds), and one multiply by
+        +-sqrt(n) per column applies the sign fix and the scale and writes V
+        in C order.
     RANDOM_COORDINATE: columns sqrt(n) * e_j with r distinct uniformly drawn
         indices; V^T V = n I exactly.
     """
@@ -123,9 +116,9 @@ def sample_v(seed: Seed, n: int, r: int, kind: SamplerKind) -> Matrix:
     if kind is SamplerKind.STANDARD_NORMAL:
         return gen.standard_normal((n, r))
     if kind is SamplerKind.HAAR_SCALED:
-        q, rr = np.linalg.qr(gen.standard_normal((n, r)))
-        signs = np.where(np.diag(rr) >= 0.0, 1.0, -1.0)
-        return np.sqrt(n) * (q * signs)
+        q, d = thin_qr(gen.standard_normal((n, r)))
+        s = math.sqrt(n)
+        return np.multiply(q, np.where(d >= 0.0, s, -s), order="C")
     if kind is SamplerKind.RANDOM_COORDINATE:
         idx = gen.choice(n, size=r, replace=False)
         v = np.zeros((n, r))

@@ -1,0 +1,87 @@
+"""One SHA-256 over a fixed set of trajectories and draws: the bit-identity check for performance changes.
+
+A change that claims to keep every byte must print the same digest as its
+parent. The digest covers the records (step, loss, |c|, est_norm; not the
+wall time) and final layers of optimizers.run for zo-sgd, lozo and lozo-m
+under each V sampler, on four problems:
+
+- a two-layer tanh MLP at nu = 1, every step a resample boundary;
+- a two-layer quadratic at nu = 7 with beta = 0.5;
+- the planted 32 x 32 problem at nu = 5, with its generated data;
+- a 256 x 256 quadratic at nu = 10.
+
+It also covers sample_v draws of every sampler at each of their layer shapes.
+Compare digests under one OPENBLAS_NUM_THREADS: the 256 x 256 quadratic's
+loss is a whole-layer dot product that OpenBLAS splits across threads.
+
+Run as: PYTHONPATH=src python tests/digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import struct
+
+import numpy as np
+
+from lozo.linalg import LayerShape, ParamSet
+from lozo.optimizers import ALGORITHMS, OptimizerConfig, run
+from lozo.problems import make_planted_low_rank, make_quadratic, make_tiny_mlp
+from lozo.sampling import SamplerKind, derive_seed, sample_gaussian, sample_v
+
+STEPS = 60
+
+
+def _problems():
+    """(name, oracle, layer shapes, nu, alpha, beta, generated data arrays) per problem."""
+    mlp = [LayerShape(32, 32, 4), LayerShape(4, 32, 4)]
+    quad = [LayerShape(9, 7, 3), LayerShape(5, 8, 3)]
+    planted = [LayerShape(32, 32, 2)]
+    big = [LayerShape(256, 256, 4)]
+    planted_oracle = make_planted_low_rank(planted[0], 2, data_seed=3, noise_scale=1.4, num_batches=32)
+    return [
+        ("mlp", make_tiny_mlp(mlp, data_seed=256, num_batches=8, batch_size=16), mlp, 1, 1e-3, 0.9, []),
+        ("quadratic", make_quadratic(quad, data_seed=7, noise_scale=0.2, num_samples=4), quad, 7, 2e-3, 0.5, []),
+        ("planted", planted_oracle, planted, 5, 5e-3, 0.9, [planted_oracle.planted, *planted_oracle.pair_data]),
+        ("quadratic-256", make_quadratic(big, data_seed=256, noise_scale=0.1, num_samples=4), big, 10, 1e-5, 0.9, []),
+    ]
+
+
+def _start(shapes, key: int) -> ParamSet:
+    """A Gaussian start scaled by 1 / sqrt(n) per layer."""
+    return ParamSet(
+        [sample_gaussian(derive_seed(key, i), s.m, s.n) / math.sqrt(s.n) for i, s in enumerate(shapes)], shapes
+    )
+
+
+def _update(h, a: np.ndarray) -> None:
+    h.update(struct.pack("<q", a.ndim) + struct.pack(f"<{a.ndim}q", *a.shape))
+    h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+
+
+def digest() -> str:
+    """The hex SHA-256 of every covered trajectory, problem datum and V draw."""
+    h = hashlib.sha256()
+    for p, (name, oracle, shapes, nu, alpha, beta, data) in enumerate(_problems()):
+        h.update(name.encode())
+        for a in data:
+            _update(h, a)
+        for kind in SamplerKind:
+            for i, s in enumerate(shapes):
+                for k in range(8):
+                    _update(h, sample_v(derive_seed(0xD16, p, i, k), s.n, s.r, kind))
+            for algo in ALGORITHMS:
+                config = OptimizerConfig(
+                    alpha=alpha, total_steps=STEPS, base_seed=derive_seed(0xD16, p), nu=nu, beta=beta, v_kind=kind
+                )
+                x = _start(shapes, derive_seed(0xD16, p, 0x57))
+                for r in run(oracle, x, config, algo):
+                    h.update(struct.pack("<qddd", r.step, r.loss, r.fd_scalar_abs, r.est_norm))
+                for a in x.layers:
+                    _update(h, a)
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    print(digest())

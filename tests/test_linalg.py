@@ -9,6 +9,7 @@ from lozo.linalg import (
     frobenius_norm,
     numeric_rank,
     outer_product_scaled,
+    thin_qr,
     top_singular_values,
 )
 
@@ -110,6 +111,55 @@ class TestTopSingularValues:
         total = frobenius_norm(a) ** 2
         assert sum(s * s for s in sv) == pytest.approx(total, rel=1e-12)
         assert sum(s * s for s in top_singular_values(a, 2)) <= total + 1e-12
+
+
+class TestThinQR:
+    @pytest.mark.parametrize(
+        "shape",
+        [(32, 2), (256, 4), (16, 4), (1024, 4), (4096, 8), (9, 1), (4, 4), (8, 8)]
+        + [(500, 64), (300, 128), (300, 129), (200, 200)],
+        ids=lambda s: f"{s[0]}x{s[1]}",
+    )
+    def test_matches_numpy_qr_bytes(self, shape):
+        # the last four have more columns than LAPACK's block size (32), the last two
+        # more than its unblocked crossover (128)
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for _ in range(4 if shape[1] > 32 else 20):
+            a = rng.standard_normal(shape)
+            kept = a.copy()
+            q, d = thin_qr(a)
+            ref_q, ref_r = np.linalg.qr(a)
+            assert q.shape == shape and d.shape == (shape[1],)
+            assert np.ascontiguousarray(q).tobytes() == ref_q.tobytes()
+            assert d.tobytes() == np.diag(ref_r).tobytes()
+            assert a.tobytes() == kept.tobytes()
+
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(ValueError, match="tall or square"):
+            thin_qr(np.ones((2, 3)))
+
+
+class TestLayerShape:
+    @pytest.mark.parametrize("field", ["m", "n", "r"])
+    @pytest.mark.parametrize(
+        "value", [1.5, 2.0, True, "2", None], ids=["float", "integral-float", "bool", "str", "none"]
+    )
+    def test_integer_fields_reject_other_types(self, field, value):
+        # a float m died unnamed inside sample_gaussian, a float r built a problem without complaint
+        dims = {"m": 6, "n": 5, "r": 2, field: value}
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            LayerShape(**dims)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        s = LayerShape(np.int64(6), np.uint8(5), np.int32(2))
+        assert s == LayerShape(6, 5, 2) and hash(s) == hash(LayerShape(6, 5, 2))
+        assert all(type(getattr(s, k)) is int for k in ("m", "n", "r"))
+
+    def test_range_checks_follow_the_type_checks(self):
+        with pytest.raises(ValueError, match="positive"):
+            LayerShape(np.int64(0), 5, 1)
+        with pytest.raises(ValueError, match="rank"):
+            LayerShape(6, 5, np.int64(6))
 
 
 class TestParamSet:

@@ -487,6 +487,10 @@ class TestPeriodV:
             lozo_step(x, state, oracle, config, mom)
         assert calls["n"] == len(shapes) * periods
 
+    def test_period_holds_only_what_a_step_reads(self):
+        # no Gram matrices: run's est_norm forms V^T V from the cached V at each record
+        assert optimizers.Period._fields == ("period", "vs", "u_keys")
+
     def test_vanilla_draws_v_every_step(self, monkeypatch):
         calls = {"n": 0}
 

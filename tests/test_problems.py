@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lozo import problems
 from lozo.linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
 from lozo.optimizers import OptimizerConfig, run
 from lozo.problems import (
@@ -92,6 +93,24 @@ class TestPlantedLowRank:
         # the planted matrix is a stationary point of the expected loss
         x_star = ParamSet([oracle.planted.copy()], [shape])
         assert oracle.expected_loss(x_star) == pytest.approx(oracle.optimal_loss, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape, rank, batches",
+        [(LayerShape(32, 32, 2), 2, 128), (LayerShape(12, 20, 3), 3, 16), (LayerShape(9, 5, 5), 5, 8)],
+        ids=["race-32", "12x20-p3", "9x5-p5"],
+    )
+    def test_data_bytes_match_a_numpy_qr_build(self, shape, rank, batches, monkeypatch):
+        def numpy_qr(a):
+            q, r = np.linalg.qr(a)
+            return q, np.diag(r).copy()
+
+        fast = make_planted_low_rank(shape, rank, 41, noise_scale=1.4, num_batches=batches)
+        monkeypatch.setattr(problems, "thin_qr", numpy_qr)
+        ref = make_planted_low_rank(shape, rank, 41, noise_scale=1.4, num_batches=batches)
+        assert fast.planted.tobytes() == ref.planted.tobytes()
+        for a, b in zip(fast.pair_data, ref.pair_data, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert fast.optimal_loss == ref.optimal_loss
 
 
 class TestLogistic:

@@ -54,6 +54,15 @@ class TestSampleV:
             err = np.linalg.norm(gram - n * np.eye(gram.shape[0]))
             assert err <= 1e-12 * n
 
+    @pytest.mark.parametrize("n, r", [(32, 2), (256, 4), (16, 4), (1024, 4), (4, 4), (1, 1)])
+    def test_haar_matches_numpy_qr_reference_bytes(self, n, r):
+        # the reference draws through np.linalg.qr; sample_v calls LAPACK directly
+        for i in range(25):
+            seed = derive_seed(n, r, i)
+            v = sample_v(seed, n, r, SamplerKind.HAAR_SCALED)
+            assert v.flags.c_contiguous
+            assert v.tobytes() == fresh_sample_v(seed, n, r, SamplerKind.HAAR_SCALED).tobytes()
+
     def test_coordinate_gram_exact(self):
         for seed in range(10):
             v = sample_v(seed, 9, 3, SamplerKind.RANDOM_COORDINATE)
