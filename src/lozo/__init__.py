@@ -19,7 +19,6 @@ from .linalg import (
     ParamSet,
     frobenius_norm,
     numeric_rank,
-    outer_product_scaled,
     top_singular_values,
 )
 from .optimizers import (

@@ -36,26 +36,19 @@ class CheckResult:
         return f"{status}  {self.name}: measured={self.value:.6g} threshold={self.threshold:.6g}{extra}"
 
 
-def evals_to_target(
-    records: Sequence[RunRecord], target_loss: float, trailing: int = 10, evals_per_step: int = 2
-) -> Optional[int]:
-    """First cumulative evaluation count whose trailing-mean loss meets target."""
+def evals_to_target(records: Sequence[RunRecord], target_loss: float) -> Optional[int]:
+    """First cumulative evaluation count, at two per step, whose trailing-10 mean loss meets target."""
     losses: list[float] = []
     for rec in records:
         losses.append(rec.loss)
-        if len(losses) >= trailing and float(np.mean(losses[-trailing:])) <= target_loss:
-            return rec.step * evals_per_step
+        if len(losses) >= 10 and float(np.mean(losses[-10:])) <= target_loss:
+            return rec.step * 2
     return None
 
 
-def lge_unbiasedness(
-    num_sketches: int = 100_000,
-    shape: tuple[int, int] = (8, 6),
-    rank: int = 2,
-    epsilon: float = 1e-6,
-    seed: int = 2024,
-) -> CheckResult:
+def lge_unbiasedness(num_sketches: int = 100_000, shape: tuple[int, int] = (8, 6), rank: int = 2) -> CheckResult:
     """Monte Carlo mean of the low-rank estimate vs the analytic gradient; draw i is step i of a nu = 1 run."""
+    seed, epsilon = 2024, 1e-6
     m, n = shape
     ls = LayerShape(m, n, rank)
     oracle = problems.make_quadratic(ls, data_seed=seed, noise_scale=0.0, num_samples=2)
@@ -98,8 +91,9 @@ def _random_params_like(oracle_index: int, trial: int, seed: int, shapes) -> Par
     return ParamSet(layers, shapes)
 
 
-def lge_rank_bound(num_evals: int = 1000, seed: int = 77, rel_tol: float = 1e-10) -> CheckResult:
+def lge_rank_bound(num_evals: int = 1000) -> CheckResult:
     """Every per-layer low-rank estimate, each step i of its own nu = 1 run, must have numeric rank <= its r."""
+    seed, rel_tol = 77, 1e-10
     pool = _check_problems(seed)
     kinds = list(SamplerKind)
     violations = 0
@@ -118,13 +112,9 @@ def lge_rank_bound(num_evals: int = 1000, seed: int = 77, rel_tol: float = 1e-10
     )
 
 
-def lazy_accumulation_rank(
-    nus: Sequence[int] = (10, 50),
-    num_seeds: int = 5,
-    periods: int = 4,
-    rel_tol: float = 1e-8,
-) -> CheckResult:
+def lazy_accumulation_rank(nus: Sequence[int] = (10, 50), num_seeds: int = 5, periods: int = 4) -> CheckResult:
     """Within a period, accumulated updates must stay rank <= r per layer."""
+    rel_tol = 1e-8
     shapes = [LayerShape(12, 10, 2), LayerShape(8, 9, 3)]
     violations = 0
     for nu in nus:
@@ -186,8 +176,9 @@ def subspace_equivalence(
     )
 
 
-def momentum_projection_agreement(trials: int = 100, seed: int = 404) -> CheckResult:
+def momentum_projection_agreement(trials: int = 100) -> CheckResult:
     """Closed-form projection vs the normal-equations oracle, exact samplers."""
+    seed = 404
     worst = 0.0
     kinds = [SamplerKind.HAAR_SCALED, SamplerKind.RANDOM_COORDINATE]
     for i in range(trials):
@@ -207,7 +198,7 @@ def momentum_projection_agreement(trials: int = 100, seed: int = 404) -> CheckRe
     )
 
 
-def perturb_restore_drift(num_calls: int = 10_000, seed: int = 515) -> CheckResult:
+def perturb_restore_drift(num_calls: int = 10_000) -> CheckResult:
     """After each probe of a lozo step, X must return to within 1e-12 * (1 + ||X||).
 
     Each call is one optimizer step with alpha = 0. The step's last pass adds
@@ -215,6 +206,7 @@ def perturb_restore_drift(num_calls: int = 10_000, seed: int = 515) -> CheckResu
     -(alpha c / r) U V^T; at alpha = 0 that pass is the restore alone, so X
     holds what the +eps / -2eps / +eps round trip left.
     """
+    seed = 515
     pool = _check_problems(seed)
     worst = 0.0
     for i in range(num_calls):
@@ -245,13 +237,14 @@ def footprint_ratio() -> CheckResult:
     return CheckResult("state_footprint_ratio", ratio, 2 / 2048, ok, "2048x2048, r=2")
 
 
-def nu1_matches_vanilla(steps: int = 200, seed: int = 616) -> CheckResult:
+def nu1_matches_vanilla(steps: int = 200) -> CheckResult:
     """nu = 1 lazy trajectory must be bit-identical to the plain recursion.
 
     The reference, vanilla_lge_step, is the same step rebuilt from t on every
     call, with no period cache carried between steps; so this shows that the
     cache is invisible at nu = 1.
     """
+    seed = 616
     shapes = [LayerShape(6, 5, 2)]
     oracle = problems.make_quadratic(shapes, data_seed=seed, noise_scale=0.2, num_samples=3)
     x_lazy = _random_params_like(0, 0, seed, shapes)
@@ -279,10 +272,11 @@ def _linear_oracle(c_mats: list[np.ndarray]) -> problems.LossOracle:
     return problems.LossOracle("linear", 1, eval_fn, grad_fn)
 
 
-def cge_rge_exactness(seed: int = 717) -> CheckResult:
+def cge_rge_exactness() -> CheckResult:
     """CGE must match analytic gradients on quadratics to 1e-9 relative error
     for every epsilon <= 1e-2; RGE on a linear loss at X = 0 must equal
     <C, Z> Z to 8 ulps."""
+    seed = 717
     shapes = [LayerShape(6, 4, 2)]
     oracle = problems.make_quadratic(shapes, data_seed=seed, noise_scale=0.0, num_samples=2)
     x = _random_params_like(0, 0, seed, shapes)
@@ -317,13 +311,14 @@ def cge_rge_exactness(seed: int = 717) -> CheckResult:
     )
 
 
-def run_determinism(steps: int = 120, seed: int = 818) -> CheckResult:
+def run_determinism(steps: int = 120) -> CheckResult:
     """Two run_experiment invocations with one config must be byte-identical."""
     import tempfile
     from pathlib import Path
 
     from . import cli
 
+    seed = 818
     with tempfile.TemporaryDirectory() as td:
         spec = problems.ProblemSpec(
             kind="quadratic", shapes=(LayerShape(6, 5, 2),), data_seed=seed, noise_scale=0.2, num_samples=4
@@ -344,18 +339,19 @@ def run_determinism(steps: int = 120, seed: int = 818) -> CheckResult:
     return CheckResult("run_determinism", 0.0 if same else 1.0, 0.0, same, f"{steps} steps, CSV and JSON bytes")
 
 
-def lozo_vs_rge(num_seeds: int = 10, total_steps: int = 10_000) -> CheckResult:
-    """Desk-scale convergence race on the planted low-rank problem.
+def lozo_vs_rge() -> CheckResult:
+    """Desk-scale convergence race on the planted low-rank problem, over seeds 0-9.
 
     Per seed, both algorithms run a 3-point learning-rate grid through
     cli.compare_algorithms, each value read in its own native convention (for
     the low-rank optimizer the nominal rate is alpha/r, matching the
     convention of the published tuning grids). A win means the lazy low-rank
     optimizer reached a trailing-10 mean loss of 1.2x the optimum using
-    strictly fewer loss evaluations.
+    strictly fewer loss evaluations within 10,000 steps; 7 wins of 10 pass.
     """
     from . import cli
 
+    num_seeds, total_steps = 10, 10_000
     grid, rank = (2.8e-4, 8.4e-4, 2.5e-3), 2
     races = (("lozo", rank, SamplerKind.HAAR_SCALED), ("zo-sgd", 1, SamplerKind.STANDARD_NORMAL))
     wins, rows = 0, []
@@ -381,15 +377,15 @@ def lozo_vs_rge(num_seeds: int = 10, total_steps: int = 10_000) -> CheckResult:
     return CheckResult("lozo_beats_rge", wins, 7, wins >= 7, f"{num_seeds} seeds; " + "; ".join(rows))
 
 
-def smoke_public_surface(seed: int = 909) -> CheckResult:
+def smoke_public_surface() -> CheckResult:
     """Touch every public operation once with trivial inputs."""
     from . import cli, linalg
 
+    seed = 909
     ok = True
     try:
         ident = np.eye(2)
         ok &= abs(linalg.frobenius_norm(ident) - math.sqrt(2)) < 1e-12
-        ok &= np.allclose(linalg.outer_product_scaled(np.ones((2, 1)), np.ones((3, 1)), 2.0), 2 * np.ones((2, 3)))
         ok &= linalg.numeric_rank(ident, 1e-10) == 2
         ok &= np.allclose(linalg.top_singular_values(np.diag([3.0, 2.0]), 2), [3.0, 2.0], atol=3e-10)
 

@@ -29,7 +29,7 @@ from . import checks, optimizers
 from .estimators import EvaluationError
 from .linalg import LayerShape, ParamSet
 from .optimizers import OptimizerConfig, StepError, state_footprint
-from .problems import ProblemSpec, make_problem
+from .problems import PROBLEM_KINDS, ProblemSpec, make_problem
 from .sampling import SamplerKind
 
 _SAMPLER_NAMES = {k.value: k for k in SamplerKind}
@@ -232,7 +232,7 @@ def _parse_shape(text: str) -> tuple[int, int]:
 def _experiment_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lozo-bench run", add_help=False)
     p.add_argument("--config", type=str, default=None, help="JSON config file; flags override its values")
-    p.add_argument("--problem", choices=["quadratic", "planted", "logistic", "mlp"], default=None)
+    p.add_argument("--problem", choices=PROBLEM_KINDS, default=None)
     p.add_argument("--shape", action="append", default=None, help="layer shape MxN, repeatable")
     p.add_argument("--data-seed", type=int, default=None)
     p.add_argument("--noise", type=float, default=None, help="problem noise scale")
@@ -324,8 +324,8 @@ def _execute(config: ExperimentConfig, oracle) -> tuple[list[optimizers.RunRecor
     A diverged or stalled run raises DivergenceError.
     """
     x = ParamSet.zeros(config.problem.shapes)
+    initial = oracle.eval_metric(x)
     records = optimizers.run(oracle, x, config.optimizer, config.algo, eval_every=config.eval_every)
-    initial = oracle.eval_metric(ParamSet.zeros(config.problem.shapes))
     _check_divergence(records, initial)
     return records, initial
 
@@ -404,12 +404,12 @@ def _load_compare_file(path: str) -> tuple[list[ExperimentConfig], float]:
         return configs, float(blob["target_loss"])
 
 
-def compare_algorithms(
-    configs: Sequence[ExperimentConfig], target_loss: float, trailing: int = 10
-) -> list[tuple[str, object, float]]:
+def compare_algorithms(configs: Sequence[ExperimentConfig], target_loss: float) -> list[tuple[str, object, float]]:
     """Run each config on the shared problem; tabulate evaluations to target.
 
-    Rows are (algo, evals_to_target or "not reached", final_loss). All configs
+    Rows are (algo, evals_to_target or "not reached", final_loss), where
+    evals_to_target counts two evaluations per step up to the first record
+    whose trailing-10 mean loss meets target_loss. All configs
     must describe the same problem so the race is meaningful; the layers'
     ranks may differ, since no problem family reads them. The problem is
     therefore built once and shared by every run. A diverged or stalled run
@@ -430,7 +430,7 @@ def compare_algorithms(
     table: list[tuple[str, object, float]] = []
     for cfg in configs:
         records, initial = _execute(cfg, oracle)
-        e2t = checks.evals_to_target(records, target_loss, trailing=trailing)
+        e2t = checks.evals_to_target(records, target_loss)
         final = records[-1].loss if records else initial
         table.append((cfg.algo, e2t if e2t is not None else "not reached", final))
     return table

@@ -20,8 +20,12 @@ over X adds eps P back together with its own update (an optimizer step folds
 the restore into its update; lge, lge_scalar and rge add eps P back alone).
 When an evaluation raises or a loss is not finite, X is restored before the
 error propagates, accepting a few ulps of floating-point drift rather than
-checkpointing it. The low-rank estimators take one step's per-layer (U_l, V_l)
-factors, the list optimizers.step_factors draws and add_low_rank applies.
+checkpointing it. The one exception is an oracle that rebinds a layer of X
+inside evaluate to an array add_low_rank rejects (say, a Fortran-ordered
+copy): the -2eps pass raises ValueError, the restore raises it again, and
+the layer is left at X + eps U V^T. The low-rank estimators take one step's
+per-layer (U_l, V_l) factors, the list optimizers.step_factors draws and
+add_low_rank applies.
 """
 
 from __future__ import annotations
@@ -152,9 +156,9 @@ def lge(loss, x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], epsilon: fl
     return ParamSet([(c / s.r) * (u @ v.T) for s, (u, v) in zip(x.shapes, factors)], x.shapes)
 
 
-def rge(loss, x: ParamSet, z: ParamSet | Sequence[Matrix], epsilon: float, xi: int) -> ParamSet:
-    """Random-direction estimate c * Z from one central difference along Z."""
-    zs = z.layers if isinstance(z, ParamSet) else [np.asarray(m, dtype=np.float64) for m in z]
+def rge(loss, x: ParamSet, z: Sequence[Matrix], epsilon: float, xi: int) -> ParamSet:
+    """Random-direction estimate c * Z from one central difference along Z, one matrix Z_l per layer."""
+    zs = [np.asarray(m, dtype=np.float64) for m in z]
     if len(zs) != len(x):
         raise ValueError("Z must have one matrix per layer")
     for a, zm in zip(x.layers, zs):
@@ -165,17 +169,17 @@ def rge(loss, x: ParamSet, z: ParamSet | Sequence[Matrix], epsilon: float, xi: i
     return ParamSet([c * zm for zm in zs], x.shapes)
 
 
-def cge(loss, x: ParamSet, epsilon: float, xi: int, max_dim: int = CGE_DIMENSION_CAP) -> ParamSet:
+def cge(loss, x: ParamSet, epsilon: float, xi: int) -> ParamSet:
     """Coordinate-wise central differences; exactly 2d loss evaluations.
 
-    Refuses to run above max_dim coordinates to avoid accidental 2d blowups.
-    Entries are saved and restored exactly around each probe.
+    Refuses to run above CGE_DIMENSION_CAP coordinates to avoid accidental
+    2d blowups. Entries are saved and restored exactly around each probe.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     d = x.num_elements()
-    if d > max_dim:
-        raise ValueError(f"CGE over {d} coordinates exceeds the cap of {max_dim}; raise max_dim to override")
+    if d > CGE_DIMENSION_CAP:
+        raise ValueError(f"CGE over {d} coordinates exceeds the cap of {CGE_DIMENSION_CAP}")
     grads = [np.zeros_like(a) for a in x.layers]
     for li, a in enumerate(x.layers):
         for i in range(a.shape[0]):

@@ -131,15 +131,6 @@ def frobenius_norm(a: Matrix) -> float:
     return float(np.sqrt(np.vdot(a, a).real))
 
 
-def outer_product_scaled(u: Matrix, v: Matrix, s: float) -> Matrix:
-    """s * U V^T for U (m x r) and V (n x r)."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 2 or v.ndim != 2 or u.shape[1] != v.shape[1]:
-        raise ValueError(f"factor shapes {u.shape} and {v.shape} do not share an inner dimension")
-    return s * (u @ v.T)
-
-
 def singular_values(a: Matrix) -> np.ndarray:
     """All singular values, descending."""
     a = np.asarray(a, dtype=np.float64)

@@ -92,7 +92,7 @@ class OptimizerConfig:
             raise ValueError("total_steps must be nonnegative")
 
     def effective_shapes(self, x: ParamSet) -> list[LayerShape]:
-        """x.shapes, ranks included; perfbench/harness.py is the last caller, and ROADMAP item J removes it."""
+        """x.shapes, ranks included; perfbench/harness.py is the last caller until ROADMAP J, and K deletes it."""
         return list(x.shapes)
 
 
@@ -277,7 +277,7 @@ def project_momentum(n_factor: np.ndarray, v_old: np.ndarray, v_new: np.ndarray,
 def lozo_m_step(
     x: ParamSet, state: LozoState, mom: MomentumState, loss, config: OptimizerConfig
 ) -> float:
-    """lozo_step with mom; perfbench/harness.py is the last caller, and ROADMAP item J removes it."""
+    """lozo_step with mom; perfbench/harness.py is the last caller until ROADMAP J, and K deletes it."""
     return lozo_step(x, state, loss, config, mom)
 
 

@@ -73,6 +73,9 @@ class LossOracle:
         return self.evaluate(x, 0)
 
 
+PROBLEM_KINDS = ("quadratic", "planted", "logistic", "mlp")  # the kinds make_problem builds
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Description of a test problem; the CLI reads and writes its fields as JSON.
@@ -335,4 +338,4 @@ def make_problem(spec: ProblemSpec) -> LossOracle:
         return make_tiny_mlp(
             spec.shapes, spec.data_seed, num_batches=spec.num_samples or 8, noise_scale=spec.noise_scale
         )
-    raise ValueError(f"unknown problem kind {spec.kind!r}")
+    raise ValueError(f"unknown problem kind {spec.kind!r}; expected one of {PROBLEM_KINDS}")

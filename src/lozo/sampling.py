@@ -132,7 +132,7 @@ def make_sketch(
 ) -> list[tuple[Matrix, Matrix]]:
     """One step's (U_l, V_l), U keyed by (layer, step) and V by (layer, period): the streams of optimizers.step_factors.
 
-    perfbench/harness.py is the last caller, and ROADMAP item J removes it.
+    perfbench/harness.py is the last caller until ROADMAP item J; item K deletes it.
     """
     return [
         (

@@ -10,9 +10,18 @@ under each V sampler, on four problems:
 - the planted 32 x 32 problem at nu = 5, with its generated data;
 - a 256 x 256 quadratic at nu = 10.
 
-It also covers sample_v draws of every sampler at each of their layer shapes.
+It also covers sample_v draws of every sampler at each of their layer
+shapes, and the CLI's output bytes:
+
+- the CSV and JSON that cli.run_experiment writes for every algorithm on
+  README's planted 32 x 32 example (shortened to 400 steps), a 6x5 / 4x6 MLP
+  at nu = 1 and a two-layer quadratic at nu = 7 with beta = 0.5;
+- the rows of cli.compare_algorithms on AC7's seed-0 planted race, one
+  config per algorithm, as `lozo-bench compare --out` writes them.
+
 Compare digests under one OPENBLAS_NUM_THREADS: the 256 x 256 quadratic's
-loss is a whole-layer dot product that OpenBLAS splits across threads.
+loss is a whole-layer dot product that OpenBLAS splits across threads. The
+CLI part keeps every shape at 32 or below, where it does not.
 
 Run as: PYTHONPATH=src python tests/digest.py
 """
@@ -22,12 +31,16 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
+from lozo.cli import ExperimentConfig, compare_algorithms, run_experiment
 from lozo.linalg import LayerShape, ParamSet
 from lozo.optimizers import ALGORITHMS, OptimizerConfig, run
-from lozo.problems import make_planted_low_rank, make_quadratic, make_tiny_mlp
+from lozo.problems import ProblemSpec, make_planted_low_rank, make_problem, make_quadratic, make_tiny_mlp
 from lozo.sampling import SamplerKind, derive_seed, sample_gaussian, sample_v
 
 STEPS = 60
@@ -55,13 +68,49 @@ def _start(shapes, key: int) -> ParamSet:
     )
 
 
+def _experiments() -> list[tuple[str, ExperimentConfig]]:
+    """(name, config) per run_experiment call: every algorithm on three problems."""
+    planted = ProblemSpec("planted", (LayerShape(32, 32, 2),), data_seed=0, true_rank=2)
+    mlp = ProblemSpec("mlp", (LayerShape(6, 5, 2), LayerShape(4, 6, 2)), data_seed=0)
+    quad = ProblemSpec("quadratic", (LayerShape(9, 7, 3), LayerShape(5, 8, 3)), data_seed=7, noise_scale=0.2)
+    settings = [
+        ("planted", planted, OptimizerConfig(alpha=1e-3, total_steps=400, base_seed=42, nu=50), 10),
+        ("mlp", mlp, OptimizerConfig(alpha=1e-2, total_steps=100, base_seed=3, nu=1), 1),
+        ("quadratic", quad, OptimizerConfig(alpha=2e-3, total_steps=100, base_seed=5, nu=7, beta=0.5), 5),
+    ]
+    return [
+        (f"{name}-{algo}", ExperimentConfig(spec, opt, algo, eval_every))
+        for name, spec, opt, eval_every in settings
+        for algo in ALGORITHMS
+    ]
+
+
+def _race() -> tuple[list[ExperimentConfig], float]:
+    """AC7's seed-0 planted race, one config per algorithm at its best grid rate, and its target."""
+    spec = ProblemSpec("planted", (LayerShape(32, 32, 2),), data_seed=0, noise_scale=1.4, num_samples=128, true_rank=2)
+    configs = [
+        ExperimentConfig(
+            spec,
+            OptimizerConfig(alpha=alpha, total_steps=2000, base_seed=derive_seed(0xAC7, 0), nu=50, v_kind=kind),
+            algo,
+            eval_every=10,
+        )
+        for algo, alpha, kind in (
+            ("lozo", 5e-3, SamplerKind.HAAR_SCALED),
+            ("lozo-m", 5e-3, SamplerKind.HAAR_SCALED),
+            ("zo-sgd", 2.5e-3, SamplerKind.STANDARD_NORMAL),
+        )
+    ]
+    return configs, 1.2 * make_problem(spec).optimal_loss
+
+
 def _update(h, a: np.ndarray) -> None:
     h.update(struct.pack("<q", a.ndim) + struct.pack(f"<{a.ndim}q", *a.shape))
     h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
 
 
 def digest() -> str:
-    """The hex SHA-256 of every covered trajectory, problem datum and V draw."""
+    """The hex SHA-256 of every covered trajectory, problem datum, V draw and CLI output."""
     h = hashlib.sha256()
     for p, (name, oracle, shapes, nu, alpha, beta, data) in enumerate(_problems()):
         h.update(name.encode())
@@ -80,6 +129,15 @@ def digest() -> str:
                     h.update(struct.pack("<qddd", r.step, r.loss, r.fd_scalar_abs, r.est_norm))
                 for a in x.layers:
                     _update(h, a)
+    with tempfile.TemporaryDirectory() as td:
+        for name, config in _experiments():
+            stem = Path(td) / name
+            run_experiment(replace(config, output_path=str(stem)))
+            h.update(name.encode())
+            h.update(stem.with_suffix(".csv").read_bytes())
+            h.update(stem.with_suffix(".json").read_bytes())
+    for algo, e2t, final in compare_algorithms(*_race()):
+        h.update(f"{algo},{e2t},{final!r}\n".encode())
     return h.hexdigest()
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from lozo.cli import (
     ConfigError,
     DivergenceError,
     ExperimentConfig,
+    _experiment_parser,
     _load_compare_file,
     compare_algorithms,
     main,
@@ -20,7 +22,7 @@ from lozo.cli import (
 )
 from lozo.linalg import LayerShape, ParamSet
 from lozo.optimizers import OptimizerConfig
-from lozo.problems import ProblemSpec
+from lozo.problems import PROBLEM_KINDS, ProblemSpec, make_problem
 from lozo.sampling import SamplerKind
 
 
@@ -54,6 +56,16 @@ class TestParseConfig:
         assert cfg.optimizer.alpha == 1e-3
         assert cfg.optimizer.total_steps == 1000
         assert cfg.optimizer.base_seed == 42
+
+    def test_problem_flag_takes_exactly_the_kinds_make_problem_builds(self):
+        (choices,) = [a.choices for a in _experiment_parser()._actions if a.dest == "problem"]
+        assert tuple(choices) == PROBLEM_KINDS
+        for kind in PROBLEM_KINDS:
+            shapes = ["--shape", "4x3"] + (["--shape", "2x4"] if kind == "mlp" else [])
+            cfg = parse_config(["--problem", kind, *shapes, "--lr", "1e-3", "--steps", "1"])
+            assert make_problem(cfg.problem).num_samples > 0
+        with pytest.raises(ValueError, match=re.escape(f"expected one of {PROBLEM_KINDS}")):
+            make_problem(ProblemSpec("nope", (LayerShape(4, 3, 2),), data_seed=0))
 
     def test_subspace_lr_convention(self):
         cfg = parse_config(["--algo", "lozo", "--rank", "4", "--lr", "1e-3",

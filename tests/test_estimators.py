@@ -7,6 +7,7 @@ import pytest
 
 from lozo import estimators
 from lozo.estimators import (
+    CGE_DIMENSION_CAP,
     EvaluationError,
     DENSE_BLOCK,
     _central_difference,
@@ -20,7 +21,7 @@ from lozo.estimators import (
 from lozo.linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
 from lozo.problems import LossOracle, make_quadratic
 from lozo.optimizers import OptimizerConfig, step_factors
-from lozo.sampling import SamplerKind, derive_seed, make_sketch, sample_gaussian
+from lozo.sampling import derive_seed, sample_gaussian
 
 from oracles import misaligned, reference_add_low_rank
 
@@ -41,6 +42,11 @@ def linear_oracle(c_mats):
         lambda x, xi: sum(float(np.vdot(c, a)) for c, a in zip(c_mats, x.layers)),
         grad_fn=lambda x, xi: ParamSet([c.copy() for c in c_mats], x.shapes),
     )
+
+
+def factors_at(base_seed, x, t, nu=1):
+    """Step t's (U_l, V_l) per layer as lozo_step draws them, with a standard-normal V of period t // nu."""
+    return step_factors(OptimizerConfig(alpha=0.0, total_steps=t + 1, base_seed=base_seed, nu=nu), x, t)[1]
 
 
 def _read_only(a):
@@ -90,10 +96,11 @@ class TestCGE:
         assert oracle.calls == 2 * 12
 
     def test_dimension_cap(self):
-        oracle = half_sqnorm_oracle()
-        x = ParamSet([np.ones((4, 4))], [LayerShape(4, 4, 1)])
+        oracle = CountingOracle(half_sqnorm_oracle())
+        x = ParamSet.zeros([LayerShape(1, CGE_DIMENSION_CAP + 1, 1)])
         with pytest.raises(ValueError, match="cap"):
-            cge(oracle, x, 1e-3, 0, max_dim=10)
+            cge(oracle, x, 1e-3, 0)
+        assert oracle.calls == 0
 
     def test_non_finite_names_coordinate(self):
         def bad_eval(x, xi):
@@ -165,7 +172,7 @@ class TestLGEScalar:
         shapes = [LayerShape(5, 4, 2)]
         x = ParamSet.zeros(shapes)
         for eps in (1.0, 1e-4, 1e-9):
-            sk = make_sketch(4, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
+            sk = factors_at(4, x, 0)
             u, v = sk[0]
             expected = float(np.vdot(c, u @ v.T))
             got = lge_scalar(oracle, x, sk, eps, 0)
@@ -177,7 +184,7 @@ class TestLGEScalar:
         oracle = make_quadratic(shapes, data_seed=9, noise_scale=0.0, num_samples=2)
         x = ParamSet([sample_gaussian(1, 6, 5)], shapes)
         grad = oracle.analytic_grad(x, 0).layers[0]
-        sk = make_sketch(2, shapes, SamplerKind.STANDARD_NORMAL, step=1, period=1)
+        sk = factors_at(2, x, 1)
         u, v = sk[0]
         expected = float(np.vdot(grad, u @ v.T))
         for eps in (1e-1, 1e-3, 1e-6):
@@ -187,7 +194,7 @@ class TestLGEScalar:
         oracle = LossOracle("const", 1, lambda x, xi: 3.5)
         shapes = [LayerShape(4, 4, 2)]
         x = ParamSet.zeros(shapes)
-        sk = make_sketch(8, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
+        sk = factors_at(8, x, 0)
         assert lge_scalar(oracle, x, sk, 1e-3, 0) == 0.0
 
     def test_restores_after_failure(self):
@@ -201,7 +208,7 @@ class TestLGEScalar:
         shapes = [LayerShape(5, 5, 2)]
         x = ParamSet([sample_gaussian(3, 5, 5)], shapes)
         before = x.copy()
-        sk = make_sketch(12, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
+        sk = factors_at(12, x, 0)
         with pytest.raises(EvaluationError):
             lge_scalar(oracle, x, sk, 1e-3, 0)
         drift = frobenius_norm(x.layers[0] - before.layers[0])
@@ -213,7 +220,7 @@ class TestLGE:
         shapes = [LayerShape(6, 5, 2), LayerShape(4, 7, 3)]
         oracle = make_quadratic(shapes, data_seed=2, noise_scale=0.1, num_samples=3)
         x = ParamSet([sample_gaussian(5, 6, 5), sample_gaussian(6, 4, 7)], shapes)
-        sk = make_sketch(31, shapes, SamplerKind.STANDARD_NORMAL, step=2, period=0)
+        sk = factors_at(31, x, 2, nu=3)
         c = lge_scalar(oracle, x, sk, 1e-5, 1)
         est = lge(oracle, x, sk, 1e-5, 1)
         for (u, v), s, g in zip(sk, shapes, est.layers):
@@ -224,7 +231,7 @@ class TestLGE:
         shapes = [LayerShape(3, 3, 1)]
         oracle = CountingOracle(make_quadratic(shapes, data_seed=1, num_samples=2))
         x = ParamSet.zeros(shapes)
-        sk = make_sketch(1, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
+        sk = factors_at(1, x, 0)
         lge(oracle, x, sk, 1e-3, 0)
         assert oracle.calls == 2
 
@@ -262,8 +269,9 @@ class TestLGE:
         truth = oracle.analytic_grad(x, 0).layers[0]
         trials = 20_000
         acc = np.zeros((6, 4))
+        config = OptimizerConfig(alpha=0.0, total_steps=trials, base_seed=99, nu=1)
         for i in range(trials):
-            sk = make_sketch(99, shapes, SamplerKind.STANDARD_NORMAL, step=i, period=i)
+            _, sk = step_factors(config, x, i)
             acc += lge(oracle, x, sk, 1e-6, 0).layers[0]
         rel = frobenius_norm(acc / trials - truth) / frobenius_norm(truth)
         assert rel <= max(0.05, 4.0 / np.sqrt(trials))
@@ -274,7 +282,7 @@ class TestPerturbInPlace:
         shapes = [LayerShape(16, 16, 2)]
         x = ParamSet([sample_gaussian(41, 16, 16)], shapes)
         before = x.copy()
-        sk = make_sketch(42, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
+        sk = factors_at(42, x, 0)
         eps = 1e-3
         for scale in (eps, -2.0 * eps, eps):
             add_low_rank(x, sk, scale)
@@ -285,7 +293,7 @@ class TestPerturbInPlace:
         shapes = [LayerShape(4, 4, 2)]
         x = ParamSet([sample_gaussian(43, 4, 4)], shapes)
         before = x.copy()
-        sk = make_sketch(44, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
+        sk = factors_at(44, x, 0)
         add_low_rank(x, sk, 0.0)
         np.testing.assert_array_equal(x.layers[0], before.layers[0])
 
@@ -293,7 +301,7 @@ class TestPerturbInPlace:
         shapes = [LayerShape(16, 16, 2)]
         x = ParamSet([sample_gaussian(45, 16, 16)], shapes)
         before = x.copy()
-        sk = make_sketch(46, shapes, SamplerKind.STANDARD_NORMAL, step=0, period=0)
+        sk = factors_at(46, x, 0)
         add_low_rank(x, sk, 1e-3)
         add_low_rank(x, sk, -1e-3)
         drift = np.max(np.abs(x.layers[0] - before.layers[0]))

@@ -8,7 +8,6 @@ from lozo.linalg import (
     ParamSet,
     frobenius_norm,
     numeric_rank,
-    outer_product_scaled,
     thin_qr,
     top_singular_values,
 )
@@ -35,31 +34,14 @@ class TestFrobeniusNorm:
 
 
 class TestOuterProductScaled:
-    def test_basis_vectors(self):
-        u = np.array([[1.0], [0.0]])
-        v = np.array([[1.0], [0.0]])
-        np.testing.assert_array_equal(outer_product_scaled(u, v, 1.0), [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_zero_scale(self):
-        rng = np.random.default_rng(1)
-        u, v = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
-        np.testing.assert_array_equal(outer_product_scaled(u, v, 0.0), np.zeros((4, 3)))
-
-    def test_hand_multiplication(self):
-        u = np.array([[1.0], [2.0]])
-        v = np.array([[3.0], [4.0]])
-        np.testing.assert_allclose(outer_product_scaled(u, v, 0.5), [[1.5, 2.0], [3.0, 4.0]])
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            outer_product_scaled(np.ones((2, 2)), np.ones((3, 1)), 1.0)
+    """The rank of s * (U @ V.T), the outer product behind every low-rank estimate."""
 
     def test_rank_bound_property(self):
         rng = np.random.default_rng(2)
         for r in (1, 2, 3):
             u = rng.standard_normal((6, r))
             v = rng.standard_normal((5, r))
-            assert numeric_rank(outer_product_scaled(u, v, 0.7), 1e-10) <= r
+            assert numeric_rank(0.7 * (u @ v.T), 1e-10) <= r
 
 
 class TestNumericRank:

@@ -16,6 +16,7 @@ from lozo.optimizers import (
     run,
     sample_index,
     state_footprint,
+    step_factors,
     vanilla_lge_step,
     zo_sgd_step,
 )
@@ -26,7 +27,6 @@ from lozo.sampling import (
     STREAM_Z,
     SamplerKind,
     derive_seed,
-    make_sketch,
     sample_gaussian,
     sample_v,
 )
@@ -132,7 +132,7 @@ class TestLozoStep:
         for t in range(12):
             lozo_step(x_replay, state, oracle, config)
             # eager path: build the same factors once, store, and reuse
-            u, v = make_sketch(16, shapes, config.v_kind, step=t, period=t // 4)[0]
+            u, v = step_factors(config, x_eager, t)[1][0]
             eps = config.epsilon
             c = _central_difference(oracle, x_eager, sample_index(t, 3), eps, add_low_rank, [(u, v)])
             # the probe left x at X - eps U V^T; one pass restores and updates
