@@ -1,22 +1,25 @@
-"""Verification battery behind the CLI verify command.
+"""Verification battery behind the CLI verify command: acceptance checks AC1-AC11.
 
 Each check returns a CheckResult with the measured value and its threshold so
 reports can show numbers, not just pass/fail. A check's defaults are its
 acceptance sizes: `verify --level full` and the acceptance test suite call it
-with no arguments. BATTERY lists every check once with its smaller fast-level
-sizes, or None where the check is left out of the fast level. The AC7 race
-runs through cli.compare_algorithms, the code path of `lozo-bench compare`.
+with no arguments. BATTERY lists the eleven checks once, in AC order, with
+their smaller fast-level sizes, or None where the check is left out of the
+fast level. The AC7 race runs through cli.compare_algorithms, the code path of
+`lozo-bench compare`.
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import estimators, optimizers, problems, subspace
+from . import cli, estimators, optimizers, problems, subspace
 from .linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
 from .optimizers import LozoState, MomentumState, OptimizerConfig, RunRecord
 from .sampling import SamplerKind, derive_seed, sample_gaussian, sample_v
@@ -266,10 +269,7 @@ def _linear_oracle(c_mats: list[np.ndarray]) -> problems.LossOracle:
     def eval_fn(x: ParamSet, xi: int) -> float:
         return sum(float(np.vdot(c, a)) for c, a in zip(c_mats, x.layers))
 
-    def grad_fn(x: ParamSet, xi: int) -> ParamSet:
-        return ParamSet([c.copy() for c in c_mats], x.shapes)
-
-    return problems.LossOracle("linear", 1, eval_fn, grad_fn)
+    return problems.LossOracle("linear", 1, eval_fn)
 
 
 def cge_rge_exactness() -> CheckResult:
@@ -313,11 +313,6 @@ def cge_rge_exactness() -> CheckResult:
 
 def run_determinism(steps: int = 120) -> CheckResult:
     """Two run_experiment invocations with one config must be byte-identical."""
-    import tempfile
-    from pathlib import Path
-
-    from . import cli
-
     seed = 818
     with tempfile.TemporaryDirectory() as td:
         spec = problems.ProblemSpec(
@@ -349,8 +344,6 @@ def lozo_vs_rge() -> CheckResult:
     optimizer reached a trailing-10 mean loss of 1.2x the optimum using
     strictly fewer loss evaluations within 10,000 steps; 7 wins of 10 pass.
     """
-    from . import cli
-
     num_seeds, total_steps = 10, 10_000
     grid, rank = (2.8e-4, 8.4e-4, 2.5e-3), 2
     races = (("lozo", rank, SamplerKind.HAAR_SCALED), ("zo-sgd", 1, SamplerKind.STANDARD_NORMAL))
@@ -377,89 +370,19 @@ def lozo_vs_rge() -> CheckResult:
     return CheckResult("lozo_beats_rge", wins, 7, wins >= 7, f"{num_seeds} seeds; " + "; ".join(rows))
 
 
-def smoke_public_surface() -> CheckResult:
-    """Touch every public operation once with trivial inputs."""
-    from . import cli, linalg
-
-    seed = 909
-    ok = True
-    try:
-        ident = np.eye(2)
-        ok &= abs(linalg.frobenius_norm(ident) - math.sqrt(2)) < 1e-12
-        ok &= linalg.numeric_rank(ident, 1e-10) == 2
-        ok &= np.allclose(linalg.top_singular_values(np.diag([3.0, 2.0]), 2), [3.0, 2.0], atol=3e-10)
-
-        g1 = sample_gaussian(7, 3, 2)
-        ok &= np.array_equal(g1, sample_gaussian(7, 3, 2))
-        for kind in SamplerKind:
-            v = sample_v(11, 6, 2, kind)
-            ok &= v.shape == (6, 2)
-
-        shapes = [LayerShape(4, 3, 2)]
-        oracle = problems.make_quadratic(shapes, seed, noise_scale=0.0, num_samples=2)
-        x = ParamSet.zeros(shapes)
-        config = OptimizerConfig(alpha=1e-3, total_steps=4, base_seed=21, nu=2)
-        _, factors = optimizers.step_factors(config, x, 0)
-        ok &= [(u.shape, v.shape) for u, v in factors] == [((4, 2), (3, 2))]
-        estimators.lge_scalar(oracle, x, factors, 1e-3, 0)
-        estimators.lge(oracle, x, factors, 1e-3, 0)
-        estimators.rge(oracle, x, [np.ones((4, 3))], 1e-3, 0)
-        estimators.cge(oracle, x, 1e-3, 0)
-        problems.gradient_rank_profile(oracle, x, 0, 2)
-        problems.make_planted_low_rank(LayerShape(8, 8, 2), 2, seed, num_batches=4)
-        problems.make_logistic(LayerShape(4, 4, 2), seed, num_batches=2, batch_size=4)
-        problems.make_tiny_mlp([LayerShape(4, 3, 2), LayerShape(2, 4, 2)], seed, num_batches=2, batch_size=4)
-
-        optimizers.run(oracle, x.copy(), config, "zo-sgd", eval_every=2)
-        optimizers.run(oracle, x.copy(), config, "lozo", eval_every=2)
-        optimizers.run(oracle, x.copy(), config, "lozo-m", eval_every=2)
-        optimizers.state_footprint("lozo", shapes)
-        v_old = sample_v(1, 6, 2, SamplerKind.HAAR_SCALED)
-        n_factor = np.ones((3, 2))
-        ok &= np.allclose(optimizers.project_momentum(n_factor, v_old, v_old, 6), n_factor)
-        ok &= np.allclose(subspace.least_squares_projection(n_factor, v_old, v_old), n_factor)
-
-        state = subspace.SubspaceState.fresh(x.copy(), alpha=1e-3)
-        v_mats = [sample_v(3, 3, 2, SamplerKind.STANDARD_NORMAL)]
-        subspace.subspace_inner_step(state, v_mats, oracle, 1e-3, 0, [5])
-        subspace.subspace_outer_step(state, v_mats)
-
-        parsed = cli.parse_config(
-            ["--problem", "quadratic", "--algo", "lozo", "--rank", "2", "--nu", "2",
-             "--eps", "1e-3", "--lr", "1e-3", "--steps", "2", "--seed", "3", "--out", "/tmp/lozo-smoke"]
-        )
-        ok &= parsed.algo == "lozo"
-        table = cli.compare_algorithms(
-            [cli.ExperimentConfig(
-                problem=problems.ProblemSpec(kind="quadratic", shapes=(LayerShape(4, 3, 2),), data_seed=1,
-                                             num_samples=2),
-                algo=a,
-                optimizer=OptimizerConfig(alpha=1e-3, total_steps=6, base_seed=5, nu=2),
-                eval_every=2,
-                output_path="",
-            ) for a in ("lozo", "zo-sgd")],
-            target_loss=0.0,
-        )
-        ok &= len(table) == 2
-    except Exception as e:  # pragma: no cover - the failure detail is the point
-        return CheckResult("smoke_public_surface", 1.0, 0.0, False, f"{type(e).__name__}: {e}")
-    return CheckResult("smoke_public_surface", 0.0, 0.0, bool(ok), "all public operations touched")
-
-
 # The verify battery: (check, fast-level kwargs). None leaves the check out of
 # the fast level; the full level and the acceptance suite call every check with
 # its defaults.
 BATTERY = (
-    (smoke_public_surface, {}),
     (lge_unbiasedness, dict(num_sketches=50_000, shape=(6, 4))),
     (lge_rank_bound, dict(num_evals=200)),
     (lazy_accumulation_rank, dict(nus=(5, 10), num_seeds=2, periods=3)),
     (subspace_equivalence, {}),
-    (momentum_projection_agreement, dict(trials=30)),
     (perturb_restore_drift, dict(num_calls=2000)),
+    (momentum_projection_agreement, dict(trials=30)),
+    (lozo_vs_rge, None),
     (footprint_ratio, {}),
     (nu1_matches_vanilla, dict(steps=100)),
     (cge_rge_exactness, {}),
     (run_determinism, dict(steps=60)),
-    (lozo_vs_rge, None),
 )

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, get_type_hints
 
 from . import checks, optimizers
 from .estimators import EvaluationError
-from .linalg import LayerShape, ParamSet
+from .linalg import LayerShape, ParamSet, as_int
 from .optimizers import OptimizerConfig, StepError, state_footprint
 from .problems import PROBLEM_KINDS, ProblemSpec, make_problem
 from .sampling import SamplerKind
@@ -61,6 +61,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in optimizers.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}; expected one of {optimizers.ALGORITHMS}")
+        object.__setattr__(self, "eval_every", as_int("eval_every", self.eval_every))
         if self.eval_every < 1:
             raise ConfigError("eval_every must be at least 1")
 
@@ -78,8 +79,9 @@ class ExperimentConfig:
 def _read(cls, d: dict, where: str):
     """Build dataclass cls from JSON object d, one field at a time.
 
-    A field whose type is a dataclass reads a nested section; a field with no
-    default is required; every other value is converted by its field type.
+    A field whose type is a dataclass reads a nested section, {} when d has
+    none; a field with no default is required; every other value is converted
+    by its field type.
     """
     _reject_unknown(d, {f.name for f in fields(cls)}, where)
     hints = get_type_hints(cls)
@@ -174,28 +176,11 @@ def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
 
 
 def _section(d: dict, name: str) -> dict:
-    if not isinstance(d.get(name), dict):
-        raise ConfigError(f"config section {name!r} is missing or not a JSON object")
-    return d[name]
-
-
-def _with_file_defaults(d):
-    """Experiment config d with the values a config file may leave out filled in.
-
-    Every problem key has a default here, so a file may leave out its problem
-    section; the optimizer section must be there, since alpha and total_steps
-    have none. `run --config` and `compare` both read their configs through this.
-    """
-    if not isinstance(d, dict):
-        return d
-    d = {"problem": {}, **d}
-    for name, defaults in (
-        ("problem", {"kind": "quadratic", "data_seed": 0, "shapes": [[16, 16, _DEFAULT_RANK]]}),
-        ("optimizer", {"base_seed": 0}),
-    ):
-        if isinstance(d.get(name), dict):
-            d[name] = {**defaults, **d[name]}
-    return d
+    """Section name of config d; a missing section reads as {}."""
+    section = d.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} is not a JSON object")
+    return section
 
 
 # Flags that override one config value as given: argparse dest -> (section, key).
@@ -218,7 +203,7 @@ _FLAG_KEYS = {
 }
 
 
-_DEFAULT_RANK = 2  # the r of flag-given and default shapes when --rank is absent
+_DEFAULT_RANK = ProblemSpec().shapes[0].r  # the r of --shape layers when --rank is absent
 
 
 def _parse_shape(text: str) -> tuple[int, int]:
@@ -278,9 +263,8 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     base = _json_object(args.config) if args.config is not None else {}
-    # flags can supply every optimizer key, so here the file may leave out that section too
-    d = _with_file_defaults({"optimizer": {}, **base})
-    prob, opt = _section(d, "problem"), _section(d, "optimizer")
+    prob, opt = {**_section(base, "problem")}, {**_section(base, "optimizer")}
+    d = {**base, "problem": prob, "optimizer": opt}
     for dest, (section, key) in _FLAG_KEYS.items():
         value = getattr(args, dest)
         if value is not None:
@@ -297,9 +281,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("missing required key: --steps (or optimizer.total_steps in the config file)")
 
     with _usage_errors():
-        if args.rank is not None:  # every layer, from flags or the config file alike
-            prob["shapes"] = [[m, n, args.rank] for m, n, *_ in prob["shapes"]]
         config = ExperimentConfig.from_dict(d)
+        if args.rank is not None:  # every layer, from flags, the config file or the default shape alike
+            shapes = tuple(replace(s, r=args.rank) for s in config.problem.shapes)
+            config = replace(config, problem=replace(config.problem, shapes=shapes))
         if args.lr is not None and args.lr_convention == "subspace":
             config = replace(config, optimizer=replace(config.optimizer, alpha=args.lr * config.problem.shapes[0].r))
     return config
@@ -400,7 +385,7 @@ def _load_compare_file(path: str) -> tuple[list[ExperimentConfig], float]:
     if not isinstance(blob["configs"], list):
         raise ConfigError("configs in compare file must be a list of experiment configs")
     with _usage_errors():
-        configs = [ExperimentConfig.from_dict(_with_file_defaults(c)) for c in blob["configs"]]
+        configs = [ExperimentConfig.from_dict(c) for c in blob["configs"]]
         return configs, float(blob["target_loss"])
 
 

@@ -68,7 +68,7 @@ class StepError(RuntimeError):
 class OptimizerConfig:
     alpha: float
     total_steps: int
-    base_seed: Seed
+    base_seed: Seed = 0
     epsilon: float = DEFAULT_EPSILON
     nu: int = 50
     beta: float = 0.9
@@ -311,6 +311,7 @@ def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int =
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    eval_every = as_int("eval_every", eval_every)
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
     state = LozoState()

@@ -90,9 +90,9 @@ class ProblemSpec:
     0.05. No kind reads the layer ranks.
     """
 
-    kind: str
-    shapes: tuple[LayerShape, ...]
-    data_seed: int
+    kind: str = "quadratic"
+    shapes: tuple[LayerShape, ...] = (LayerShape(16, 16, 2),)
+    data_seed: int = 0
     noise_scale: float = 0.0
     num_samples: int = 0  # 0 means the problem family default
     true_rank: int = 2

@@ -4,7 +4,8 @@ Each test calls one check function of the CLI verify command with its
 defaults, which are the acceptance sizes that `verify --level full` runs too,
 prints its PASS/FAIL line with the measured value, and asserts the documented
 threshold and runtime budget. AC7 races through cli.compare_algorithms, the
-code path of `lozo-bench compare`.
+code path of `lozo-bench compare`. The verify battery holds these eleven
+checks and no other, in AC order.
 """
 
 import time
@@ -12,6 +13,26 @@ import time
 import pytest
 
 from lozo import checks
+
+
+# the check each test below calls, in AC order
+AC_CHECKS = (
+    checks.lge_unbiasedness,
+    checks.lge_rank_bound,
+    checks.lazy_accumulation_rank,
+    checks.subspace_equivalence,
+    checks.perturb_restore_drift,
+    checks.momentum_projection_agreement,
+    checks.lozo_vs_rge,
+    checks.footprint_ratio,
+    checks.nu1_matches_vanilla,
+    checks.cge_rge_exactness,
+    checks.run_determinism,
+)
+
+
+def test_verify_battery_is_the_acceptance_checks():
+    assert tuple(check for check, _ in checks.BATTERY) == AC_CHECKS
 
 
 def _report(result, budget_s=None, elapsed=None):

@@ -296,6 +296,14 @@ class TestRun:
         ]
         assert records[-1].loss < 0.9 * records[0].loss and all(r.fd_scalar_abs > 0.0 for r in records)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None], ids=["float", "integral-float", "bool", "str", "none"])
+    def test_eval_every_must_be_an_integer(self, value):
+        # eval_every=2.5 used to record only the first and last of six steps, and True every step
+        oracle = make_quadratic(self.shapes, data_seed=32, num_samples=2)
+        config = OptimizerConfig(alpha=1e-2, total_steps=6, base_seed=33)
+        with pytest.raises(TypeError, match="eval_every must be an integer"):
+            run(oracle, ParamSet.zeros(self.shapes), config, "lozo", eval_every=value)
+
     def test_unknown_algorithm_rejected(self):
         oracle = make_quadratic(self.shapes, data_seed=32, num_samples=2)
         config = OptimizerConfig(alpha=1e-2, total_steps=1, base_seed=33)
