@@ -49,9 +49,9 @@ def evals_to_target(records: Sequence[RunRecord], target_loss: float) -> Optiona
     return None
 
 
-def lge_unbiasedness(num_sketches: int = 100_000, shape: tuple[int, int] = (8, 6), rank: int = 2) -> CheckResult:
+def lge_unbiasedness(num_sketches: int = 100_000, shape: tuple[int, int] = (8, 6)) -> CheckResult:
     """Monte Carlo mean of the low-rank estimate vs the analytic gradient; draw i is step i of a nu = 1 run."""
-    seed, epsilon = 2024, 1e-6
+    seed, epsilon, rank = 2024, 1e-6, 2
     m, n = shape
     ls = LayerShape(m, n, rank)
     oracle = problems.make_quadratic(ls, data_seed=seed, noise_scale=0.0, num_samples=2)
@@ -150,18 +150,13 @@ def lozo_snapshots(loss, x: ParamSet, config: OptimizerConfig, num_periods: int)
     return snaps
 
 
-def subspace_equivalence(
-    nu: int = 10,
-    periods: int = 5,
-    size: int = 16,
-    seed: int = 31,
-    v_kind: SamplerKind = SamplerKind.STANDARD_NORMAL,
-) -> CheckResult:
+def subspace_equivalence(seed: int = 31, v_kind: SamplerKind = SamplerKind.STANDARD_NORMAL) -> CheckResult:
     """Lazy optimizer vs the independent subspace oracle with shared seeds.
 
     With the oracle's inner step size alpha/r, the period-boundary iterates
     must agree to 1e-8 in max-abs.
     """
+    nu, periods, size = 10, 5, 16
     shapes = [LayerShape(size, size, 2)]
     oracle = problems.make_quadratic(shapes, data_seed=seed, noise_scale=0.1, num_samples=5)
     x0 = ParamSet([0.5 * sample_gaussian(derive_seed(seed, 1), size, size)], shapes)

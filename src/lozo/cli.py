@@ -183,26 +183,6 @@ def _section(d: dict, name: str) -> dict:
     return section
 
 
-# Flags that override one config value as given: argparse dest -> (section, key).
-# A section of None puts the key at the top level of the config.
-_FLAG_KEYS = {
-    "problem": ("problem", "kind"),
-    "data_seed": ("problem", "data_seed"),
-    "noise": ("problem", "noise_scale"),
-    "num_samples": ("problem", "num_samples"),
-    "true_rank": ("problem", "true_rank"),
-    "algo": (None, "algo"),
-    "eval_every": (None, "eval_every"),
-    "out": (None, "output_path"),
-    "nu": ("optimizer", "nu"),
-    "eps": ("optimizer", "epsilon"),
-    "beta": ("optimizer", "beta"),
-    "steps": ("optimizer", "total_steps"),
-    "seed": ("optimizer", "base_seed"),
-    "sampler": ("optimizer", "v_kind"),
-}
-
-
 _DEFAULT_RANK = ProblemSpec().shapes[0].r  # the r of --shape layers when --rank is absent
 
 
@@ -215,32 +195,28 @@ def _parse_shape(text: str) -> tuple[int, int]:
 
 
 def _experiment_parser() -> argparse.ArgumentParser:
+    """The run flags: every dest but --config's, --shape's and --rank's is the config key its flag sets."""
     p = argparse.ArgumentParser(prog="lozo-bench run", add_help=False)
-    p.add_argument("--config", type=str, default=None, help="JSON config file; flags override its values")
-    p.add_argument("--problem", choices=PROBLEM_KINDS, default=None)
-    p.add_argument("--shape", action="append", default=None, help="layer shape MxN, repeatable")
-    p.add_argument("--data-seed", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None, help="problem noise scale")
-    p.add_argument("--num-samples", type=int, default=None)
-    p.add_argument("--true-rank", type=int, default=None, help="planted gradient rank")
-    p.add_argument("--algo", choices=list(optimizers.ALGORITHMS), default=None)
-    p.add_argument("--rank", type=int, default=None, help="perturbation rank r of every layer")
-    p.add_argument("--nu", type=int, default=None, help="subspace resample interval")
-    p.add_argument("--eps", type=float, default=None, help="perturbation scale epsilon")
-    p.add_argument("--lr", type=float, default=None, help="learning rate (see --lr-convention)")
-    p.add_argument(
-        "--lr-convention",
-        choices=["direct", "subspace"],
-        default=None,
-        help="direct: --lr is the update step alpha; subspace: --lr is alpha/r "
-        "(the convention used by published low-rank tuning grids)",
-    )
-    p.add_argument("--beta", type=float, default=None, help="momentum coefficient")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="base seed (64-bit)")
-    p.add_argument("--sampler", choices=sorted(_SAMPLER_NAMES), default=None)
-    p.add_argument("--eval-every", type=int, default=None)
-    p.add_argument("--out", type=str, default=None, help="output stem; writes <out>.csv and <out>.json")
+    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--problem", dest="problem.kind", metavar="PROBLEM.KIND", choices=PROBLEM_KINDS,
+                   help="one of %(choices)s")
+    p.add_argument("--shape", action="append", help="layer shape MxN, repeatable")
+    p.add_argument("--data-seed", dest="problem.data_seed", type=int)
+    p.add_argument("--noise", dest="problem.noise_scale", type=float, help="problem noise scale")
+    p.add_argument("--num-samples", dest="problem.num_samples", type=int)
+    p.add_argument("--true-rank", dest="problem.true_rank", type=int, help="planted gradient rank")
+    p.add_argument("--algo", metavar="ALGO", choices=optimizers.ALGORITHMS, help="one of %(choices)s")
+    p.add_argument("--rank", type=int, help="perturbation rank r of every layer")
+    p.add_argument("--nu", dest="optimizer.nu", type=int, help="subspace resample interval")
+    p.add_argument("--eps", dest="optimizer.epsilon", type=float, help="perturbation scale epsilon")
+    p.add_argument("--lr", dest="optimizer.alpha", type=float, help="step size alpha (a low-rank step divides it by r)")
+    p.add_argument("--beta", dest="optimizer.beta", type=float, help="momentum coefficient")
+    p.add_argument("--steps", dest="optimizer.total_steps", type=int)
+    p.add_argument("--seed", dest="optimizer.base_seed", type=int, help="base seed (64-bit)")
+    p.add_argument("--sampler", dest="optimizer.v_kind", metavar="OPTIMIZER.V_KIND", choices=sorted(_SAMPLER_NAMES),
+                   help="one of %(choices)s")
+    p.add_argument("--eval-every", type=int)
+    p.add_argument("--out", dest="output_path", help="output stem; writes <out>.csv and <out>.json")
     return p
 
 
@@ -262,31 +238,25 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    base = _json_object(args.config) if args.config is not None else {}
-    prob, opt = {**_section(base, "problem")}, {**_section(base, "optimizer")}
-    d = {**base, "problem": prob, "optimizer": opt}
-    for dest, (section, key) in _FLAG_KEYS.items():
-        value = getattr(args, dest)
-        if value is not None:
-            (d if section is None else d[section])[key] = value
+    d = _json_object(args.config) if args.config is not None else {}
+    top_level = {f.name for f in fields(ExperimentConfig)}
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if value is None or not (section or key in top_level):
+            continue
+        if section:
+            d[section] = {**_section(d, section), key: value}
+        else:
+            d[key] = value
     if args.shape is not None:
-        prob["shapes"] = [[m, n, min(_DEFAULT_RANK, m, n)] for m, n in (_parse_shape(s) for s in args.shape)]
-    if args.lr is not None:
-        opt["alpha"] = args.lr
-    elif args.lr_convention is not None:
-        raise ConfigError("--lr-convention applies to --lr, which is missing")
-    if "alpha" not in opt:
-        raise ConfigError("missing required key: --lr (or optimizer.alpha in the config file)")
-    if "total_steps" not in opt:
-        raise ConfigError("missing required key: --steps (or optimizer.total_steps in the config file)")
+        shapes = [[m, n, min(_DEFAULT_RANK, m, n)] for m, n in (_parse_shape(s) for s in args.shape)]
+        d["problem"] = {**_section(d, "problem"), "shapes": shapes}
 
     with _usage_errors():
         config = ExperimentConfig.from_dict(d)
         if args.rank is not None:  # every layer, from flags, the config file or the default shape alike
             shapes = tuple(replace(s, r=args.rank) for s in config.problem.shapes)
             config = replace(config, problem=replace(config.problem, shapes=shapes))
-        if args.lr is not None and args.lr_convention == "subspace":
-            config = replace(config, optimizer=replace(config.optimizer, alpha=args.lr * config.problem.shapes[0].r))
     return config
 
 

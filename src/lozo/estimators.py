@@ -20,10 +20,10 @@ over X adds eps P back together with its own update (an optimizer step folds
 the restore into its update; lge, lge_scalar and rge add eps P back alone).
 When an evaluation raises or a loss is not finite, X is restored before the
 error propagates, accepting a few ulps of floating-point drift rather than
-checkpointing it. The one exception is an oracle that rebinds a layer of X
-inside evaluate to an array add_low_rank rejects (say, a Fortran-ordered
-copy): the -2eps pass raises ValueError, the restore raises it again, and
-the layer is left at X + eps U V^T. The low-rank estimators take one step's
+checkpointing it. Every pass acts on the layer arrays X held on entry, which
+_central_difference puts back before each pass and on return, so an oracle
+that rebinds a layer of X inside evaluate changes neither the result nor
+the arrays the caller holds. The low-rank estimators take one step's
 per-layer (U_l, V_l) factors, the list optimizers.step_factors draws and
 add_low_rank applies.
 """
@@ -62,10 +62,11 @@ def add_low_rank(x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], scale: f
     m x n temporary is built. The call is positional, and U_l goes in as its
     transpose, an F-contiguous view, so the wrapper neither parses keywords
     nor copies U_l into Fortran order. Every pass checks every layer, since
-    an oracle may replace one between passes: a layer that BLAS could only
-    update through a copy, one that is not a writeable, aligned,
-    C-contiguous float64 array, raises ValueError before any layer is
-    touched.
+    it keeps no record of the arrays it has seen, and an oracle may still
+    change a layer's flags in place between passes (say, make it read-only):
+    a layer that BLAS could only update through a copy, one that is not a
+    writeable, aligned, C-contiguous float64 array, raises ValueError before
+    any layer is touched.
     """
     for i, a in enumerate(x.layers):
         if not a.flags.carray or a.dtype != _F64:
@@ -112,19 +113,24 @@ def _central_difference(
     or folded into its update, in its next pass. When an evaluation raises,
     or a loss is not finite (EvaluationError), x is restored before the error
     propagates. An epsilon that is not positive raises ValueError before x is
-    touched.
+    touched. Each pass, and the restore, acts on the layer arrays x held on
+    entry: an oracle that rebinds a layer of x inside evaluate has the
+    originals put back before the next pass, and on return.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    layers = x.layers[:]
     add(x, directions, epsilon)
     offset, finite = 1.0, False
     try:
         f_plus = float(loss.evaluate(x, xi))
+        x.layers[:] = layers
         add(x, directions, -2.0 * epsilon)
         offset = -1.0
         f_minus = float(loss.evaluate(x, xi))
         finite = math.isfinite(f_plus) and math.isfinite(f_minus)
     finally:
+        x.layers[:] = layers
         if not finite:
             add(x, directions, -offset * epsilon)
     if not finite:

@@ -14,8 +14,9 @@ It also covers sample_v draws of every sampler at each of their layer
 shapes, and the CLI's output bytes:
 
 - the CSV and JSON that cli.run_experiment writes for every algorithm on
-  README's planted 32 x 32 example (shortened to 400 steps), a 6x5 / 4x6 MLP
-  at nu = 1 and a two-layer quadratic at nu = 7 with beta = 0.5;
+  README's planted 32 x 32 example, parsed from its flags by cli.parse_config
+  and shortened to 400 steps, a 6x5 / 4x6 MLP at nu = 1 and a two-layer
+  quadratic at nu = 7 with beta = 0.5;
 - the rows of cli.compare_algorithms on AC7's seed-0 planted race, one
   config per algorithm, as `lozo-bench compare --out` writes them.
 
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lozo.cli import ExperimentConfig, compare_algorithms, run_experiment
+from lozo.cli import ExperimentConfig, compare_algorithms, parse_config, run_experiment
 from lozo.linalg import LayerShape, ParamSet
 from lozo.optimizers import ALGORITHMS, OptimizerConfig, run
 from lozo.problems import ProblemSpec, make_planted_low_rank, make_problem, make_quadratic, make_tiny_mlp
@@ -68,17 +69,23 @@ def _start(shapes, key: int) -> ParamSet:
     )
 
 
+# README's `lozo-bench run` example without --out, so a flag that sets the wrong config key changes the digest
+README_RUN = (
+    "--problem planted --shape 32x32 --true-rank 2 --data-seed 0 --algo lozo --rank 2 --nu 50 --eps 1e-3 "
+    "--lr 1e-3 --steps 2000 --seed 42 --eval-every 10"
+).split()
+
+
 def _experiments() -> list[tuple[str, ExperimentConfig]]:
     """(name, config) per run_experiment call: every algorithm on three problems."""
-    planted = ProblemSpec("planted", (LayerShape(32, 32, 2),), data_seed=0, true_rank=2)
     mlp = ProblemSpec("mlp", (LayerShape(6, 5, 2), LayerShape(4, 6, 2)), data_seed=0)
     quad = ProblemSpec("quadratic", (LayerShape(9, 7, 3), LayerShape(5, 8, 3)), data_seed=7, noise_scale=0.2)
     settings = [
-        ("planted", planted, OptimizerConfig(alpha=1e-3, total_steps=400, base_seed=42, nu=50), 10),
         ("mlp", mlp, OptimizerConfig(alpha=1e-2, total_steps=100, base_seed=3, nu=1), 1),
         ("quadratic", quad, OptimizerConfig(alpha=2e-3, total_steps=100, base_seed=5, nu=7, beta=0.5), 5),
     ]
-    return [
+    planted = [(f"planted-{algo}", parse_config([*README_RUN, "--steps", "400", "--algo", algo])) for algo in ALGORITHMS]
+    return planted + [
         (f"{name}-{algo}", ExperimentConfig(spec, opt, algo, eval_every))
         for name, spec, opt, eval_every in settings
         for algo in ALGORITHMS

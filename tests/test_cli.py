@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,12 @@ def small_config(tmp_path, algo="lozo", steps=30, out="exp"):
     )
 
 
+# the run flags that set one config key each: a section.key dest or a top-level ExperimentConfig field
+CONFIG_KEY_FLAGS = [
+    a for a in _experiment_parser()._actions if "." in a.dest or a.dest in {f.name for f in fields(ExperimentConfig)}
+]
+
+
 def write_config(tmp_path, blob):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(blob))
@@ -61,7 +68,7 @@ class TestParseConfig:
         assert cfg.optimizer.base_seed == 42
 
     def test_problem_flag_takes_exactly_the_kinds_make_problem_builds(self):
-        (choices,) = [a.choices for a in _experiment_parser()._actions if a.dest == "problem"]
+        (choices,) = [a.choices for a in _experiment_parser()._actions if a.dest == "problem.kind"]
         assert tuple(choices) == PROBLEM_KINDS
         for kind in PROBLEM_KINDS:
             shapes = ["--shape", "4x3"] + (["--shape", "2x4"] if kind == "mlp" else [])
@@ -70,16 +77,26 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=re.escape(f"expected one of {PROBLEM_KINDS}")):
             make_problem(ProblemSpec("nope", (LayerShape(4, 3, 2),), data_seed=0))
 
-    def test_subspace_lr_convention(self):
-        cfg = parse_config(["--algo", "lozo", "--rank", "4", "--lr", "1e-3",
-                            "--lr-convention", "subspace", "--steps", "10", "--seed", "1"])
-        assert cfg.optimizer.alpha == pytest.approx(4e-3)
+    def test_only_config_shape_and_rank_flags_set_no_config_key(self):
+        flags = {a.option_strings[0] for a in _experiment_parser()._actions}
+        assert flags - {a.option_strings[0] for a in CONFIG_KEY_FLAGS} == {"--config", "--shape", "--rank"}
 
-    @pytest.mark.parametrize("convention", ["direct", "subspace"])
-    def test_lr_convention_without_lr_rejected(self, tmp_path, convention):
-        path = write_config(tmp_path, small_config(tmp_path).to_dict())
-        with pytest.raises(ConfigError, match="--lr"):
-            parse_config(["--config", path, "--rank", "4", "--lr-convention", convention])
+    @pytest.mark.parametrize("action", CONFIG_KEY_FLAGS, ids=lambda a: a.option_strings[0])
+    def test_flag_sets_exactly_its_config_key(self, action):
+        base = ["--lr", "1e-3", "--steps", "2"]
+        expected = parse_config(base).to_dict()
+        section, _, key = action.dest.rpartition(".")
+        for text in action.choices or [{int: "7", float: "0.25", None: "o"}[action.type]]:
+            (expected[section] if section else expected)[key] = action.type(text) if action.type else text
+            assert parse_config([*base, action.option_strings[0], text]).to_dict() == expected
+
+    def test_lr_convention_is_an_unknown_flag(self, capsys):
+        with pytest.raises(ConfigError, match="unknown flag '--lr-convention'"):
+            parse_config(["--lr", "1e-3", "--steps", "10", "--lr-convention", "subspace"])
+        with pytest.raises(SystemExit) as exit_:  # argparse exits on an unknown flag
+            main(["run", "--lr", "1e-3", "--steps", "10", "--lr-convention", "subspace"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --lr-convention" in capsys.readouterr().err
 
     def test_nu_zero_rejected(self):
         with pytest.raises(ConfigError):
@@ -90,7 +107,7 @@ class TestParseConfig:
             parse_config(["--lr", "1e-3", "--steps", "10", "--warp-speed", "9"])
 
     def test_missing_required_key_named(self):
-        with pytest.raises(ConfigError, match="--steps"):
+        with pytest.raises(ConfigError, match="missing required optimizer key: total_steps"):
             parse_config(["--lr", "1e-3"])
 
     def test_round_trip(self, tmp_path):
@@ -131,13 +148,6 @@ class TestParseConfig:
         parsed = parse_config(["--config", path, "--rank", "3"])
         assert [(s.m, s.n, s.r) for s in parsed.problem.shapes] == [(5, 4, 3), (6, 7, 3)]
 
-    def test_subspace_lr_reads_first_layer_rank(self, tmp_path):
-        blob = small_config(tmp_path).to_dict()
-        blob["problem"]["shapes"] = [[5, 4, 3], [6, 7, 1]]
-        path = write_config(tmp_path, blob)
-        parsed = parse_config(["--config", path, "--lr", "1e-3", "--lr-convention", "subspace"])
-        assert parsed.optimizer.alpha == 1e-3 * 3
-
     def test_absent_keys_take_dataclass_defaults(self, tmp_path):
         path = write_config(tmp_path, {
             "problem": {"kind": "quadratic", "shapes": [[5, 4, 2]], "data_seed": 1},
@@ -161,7 +171,7 @@ class TestParseConfig:
         blob["problem"]["shapes"] = []
         path = write_config(tmp_path, blob)
         with pytest.raises(ConfigError, match="at least one layer"):
-            parse_config(["--config", path, "--lr", "1e-3", "--lr-convention", "subspace"])
+            parse_config(["--config", path])
 
     def test_non_object_config_file_rejected(self, tmp_path):
         path = write_config(tmp_path, [])
@@ -235,7 +245,8 @@ class TestOneConfigReader:
         "section, key, value, message",
         [
             ("optimizer", "learning_rate_decay", 0.5, "unknown key 'learning_rate_decay' in optimizer section"),
-            ("optimizer", "alpha", None, "alpha"),
+            pytest.param("optimizer", "alpha", None, "missing required optimizer key: alpha",
+                         id="optimizer-alpha-None-alpha"),
             ("optimizer", "nu", 0, "nu must be at least 1"),
             ("optimizer", "alpha", float("nan"), "alpha must be finite"),
             ("optimizer", "epsilon", float("inf"), "epsilon must be finite"),
@@ -397,6 +408,10 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith("error: run diverged at step 1: non-finite loss inf")
         assert list(tmp_path.iterdir()) == []
 
+    def test_run_without_lr_names_the_missing_key(self, capsys):
+        assert main(["run", "--steps", "3"]) == 2
+        assert capsys.readouterr().err == "error: missing required optimizer key: alpha\n"
+
     def test_rank_above_shape_is_a_usage_error(self, capsys):
         code = main(["run", "--shape", "4x4", "--rank", "8", "--lr", "1e-3", "--steps", "2"])
         assert code == 2
@@ -404,9 +419,8 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--eps", "nan"], ["--eps", "inf"], ["--lr", "nan"], ["--lr", "inf"],
-         ["--lr", "1e308", "--lr-convention", "subspace"]],
-        ids=["eps-nan", "eps-inf", "lr-nan", "lr-inf", "subspace-lr-overflows"],
+        [["--eps", "nan"], ["--eps", "inf"], ["--lr", "nan"], ["--lr", "inf"]],
+        ids=["eps-nan", "eps-inf", "lr-nan", "lr-inf"],
     )
     def test_non_finite_setting_is_a_usage_error(self, tmp_path, capsys, flags):
         code = main(["run", "--shape", "4x4", "--lr", "1e-3", "--steps", "3", *flags,
@@ -586,9 +600,9 @@ class TestMutationSensitivity:
             return ParamSet([2.0 * g for g in est.layers], est.shapes)
 
         monkeypatch.setattr(estimators, "lge", lge_without_one_over_r)
-        res = checks.lge_unbiasedness(num_sketches=4000, shape=(6, 4), rank=2)
+        res = checks.lge_unbiasedness(num_sketches=4000, shape=(6, 4))
         assert not res.passed
 
     def test_clean_scaling_passes(self):
-        res = checks.lge_unbiasedness(num_sketches=20_000, shape=(6, 4), rank=2)
+        res = checks.lge_unbiasedness(num_sketches=20_000, shape=(6, 4))
         assert res.passed

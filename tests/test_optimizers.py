@@ -568,17 +568,54 @@ class TestFoldedStep:
         assert len(records) == 7  # t = 0, 3, ..., 15 and the last step, t = 16
         assert calls["n"] == len(self.shapes) * len(records)
 
-    def test_layer_swapped_by_the_oracle_is_rejected_at_the_next_pass(self):
-        # evaluate runs between the passes, so add_low_rank checks the layers on every pass, not once a step
-        oracle, config, x, _ = self._setup("lozo")
+    @staticmethod
+    def _step(algo, x, state, oracle, config, mom):
+        """One step of algo at state.t; a step that succeeds advances state.t."""
+        if algo == "zo-sgd":
+            c, _ = zo_sgd_step(x, oracle, config, state.t)
+            state.t += 1
+            return c
+        return lozo_step(x, state, oracle, config, mom)
+
+    @pytest.mark.parametrize("algo", ["zo-sgd", "lozo", "lozo-m"])
+    def test_layer_swapped_by_the_oracle_changes_no_byte(self, algo):
+        # evaluate rebinds layer 0 to a Fortran-ordered copy, which add_low_rank rejects;
+        # every pass still lands on the arrays x held when the probe began
+        oracle, config, x, mom = self._setup(algo)
 
         def evaluate(p, xi):
             p.layers[0] = np.asfortranarray(p.layers[0])
             return oracle.evaluate(p, xi)
 
         swapping = LossOracle("swapping", oracle.num_samples, evaluate)
-        with pytest.raises(ValueError, match="layer 0 must be a writeable C-contiguous float64 array"):
-            lozo_step(x, LozoState(), swapping, config)
+        y, layers = x.copy(), x.layers[:]
+        mom_y = MomentumState.zeros(self.shapes, config.beta) if mom else None
+        state_x, state_y = LozoState(), LozoState()
+        for _ in range(7):  # crosses the boundary at t = 5
+            c_x = self._step(algo, x, state_x, swapping, config, mom)
+            assert c_x == self._step(algo, y, state_y, oracle, config, mom_y)
+        assert all(a is b for a, b in zip(x.layers, layers))
+        for a, b in zip(x.layers, y.layers):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("copy", [np.asfortranarray, np.copy], ids=["fortran-copy", "c-copy"])
+    @pytest.mark.parametrize("algo", ["zo-sgd", "lozo", "lozo-m"])
+    def test_oracle_that_rebinds_a_layer_then_fails_leaves_the_callers_arrays(self, algo, copy):
+        oracle, config, x, mom = self._setup(algo)
+        calls = {"n": 0}
+
+        def evaluate(p, xi):
+            calls["n"] += 1
+            p.layers[0] = copy(p.layers[0])
+            return oracle.evaluate(p, xi) if calls["n"] == 1 else float("nan")
+
+        rebinding = LossOracle("rebinding", oracle.num_samples, evaluate)
+        before, layers = x.copy(), x.layers[:]
+        with pytest.raises(StepError):
+            self._step(algo, x, LozoState(), rebinding, config, mom)
+        assert all(a is b for a, b in zip(x.layers, layers))
+        for a, b in zip(x.layers, before.layers):
+            assert frobenius_norm(a - b) <= 1e-12 * (1.0 + before.norm())
 
     @pytest.mark.parametrize("algo", ["zo-sgd", "lozo", "lozo-m"])
     def test_successful_step_makes_three_parameter_passes(self, algo, monkeypatch):
@@ -598,9 +635,6 @@ class TestFoldedStep:
         oracle, config, x, mom = self._setup(algo)
         state = LozoState()
         steps = 7  # crosses the boundary at t = 5
-        for t in range(steps):
-            if algo == "zo-sgd":
-                zo_sgd_step(x, oracle, config, t)
-            else:
-                lozo_step(x, state, oracle, config, mom)
+        for _ in range(steps):
+            self._step(algo, x, state, oracle, config, mom)
         assert passes == ["add_dense" if algo == "zo-sgd" else "add_low_rank"] * (3 * steps)
