@@ -27,12 +27,10 @@ from typing import Optional, Sequence, get_type_hints
 
 from . import checks, optimizers
 from .estimators import EvaluationError
-from .linalg import LayerShape, ParamSet, as_int
+from .linalg import LayerShape, ParamSet, as_float, as_int
 from .optimizers import OptimizerConfig, StepError, state_footprint
 from .problems import PROBLEM_KINDS, ProblemSpec, make_problem
 from .sampling import SamplerKind
-
-_SAMPLER_NAMES = {k.value: k for k in SamplerKind}
 
 
 class ConfigError(ValueError):
@@ -64,6 +62,8 @@ class ExperimentConfig:
         object.__setattr__(self, "eval_every", as_int("eval_every", self.eval_every))
         if self.eval_every < 1:
             raise ConfigError("eval_every must be at least 1")
+        if not isinstance(self.output_path, str):
+            raise TypeError(f"output_path must be a string, got {self.output_path!r}")
 
     def to_dict(self) -> dict:
         return _to_json(self)
@@ -80,8 +80,8 @@ def _read(cls, d: dict, where: str):
     """Build dataclass cls from JSON object d, one field at a time.
 
     A field whose type is a dataclass reads a nested section, {} when d has
-    none; a field with no default is required; every other value is converted
-    by its field type.
+    none; a field with no default is required; every other value is decoded
+    by _from_json, and the dataclass checks it.
     """
     _reject_unknown(d, {f.name for f in fields(cls)}, where)
     hints = get_type_hints(cls)
@@ -97,35 +97,21 @@ def _read(cls, d: dict, where: str):
     return cls(**kwargs)
 
 
-_JSON_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"), str: ((str,), "string")}
-
-
-def _is_json(hint, value) -> bool:
-    """Whether value has the JSON type that field type hint takes; true and false are not numbers."""
-    return isinstance(value, _JSON_TYPES[hint][0]) and not isinstance(value, bool)
-
-
 def _from_json(hint, value, key: str):
-    """Convert the JSON value of key to field type hint, or raise a ConfigError naming key.
-
-    An int field takes a JSON integer and a float field any JSON number; the
-    shapes are a list of [m, n, r] integer rows, the sampler one of its names.
+    """Decode the JSON value of key for field type hint: the shapes are a list
+    of [m, n, r] rows and the sampler one of its names; any other value is
+    passed on as it is, for its dataclass to check.
     """
     if hint is SamplerKind:
-        if not isinstance(value, str) or value not in _SAMPLER_NAMES:
-            raise ConfigError(f"unknown sampler {value!r}; expected one of {sorted(_SAMPLER_NAMES)}")
-        return _SAMPLER_NAMES[value]
+        try:
+            return SamplerKind(value)
+        except ValueError as e:
+            raise ConfigError(f"unknown sampler {value!r}; expected one of {[k.value for k in SamplerKind]}") from e
     if hint == tuple[LayerShape, ...]:
-        rows = value if isinstance(value, list) else [value]
-        if not all(isinstance(row, list) and len(row) == 3 and all(_is_json(int, v) for v in row) for row in rows):
+        if not (isinstance(value, list) and all(isinstance(row, list) and len(row) == 3 for row in value)):
             raise ConfigError(f"{key} must be a list of [m, n, r] integer rows, got {json.dumps(value)}")
         return tuple(LayerShape(*row) for row in value)
-    if not _is_json(hint, value):
-        raise ConfigError(f"{key} must be a JSON {_JSON_TYPES[hint][1]}, got {json.dumps(value)}")
-    try:
-        return hint(value)
-    except OverflowError as e:
-        raise ConfigError(f"{key} is out of floating-point range") from e
+    return value
 
 
 def _to_json(value):
@@ -194,9 +180,16 @@ def _parse_shape(text: str) -> tuple[int, int]:
         raise ConfigError(f"malformed --shape value {text!r}; expected MxN") from e
 
 
-def _experiment_parser() -> argparse.ArgumentParser:
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are ConfigErrors, so a bad flag is a usage error like any other."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _experiment_parser() -> _Parser:
     """The run flags: every dest but --config's, --shape's and --rank's is the config key its flag sets."""
-    p = argparse.ArgumentParser(prog="lozo-bench run", add_help=False)
+    p = _Parser(prog="lozo-bench run", add_help=False)
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--problem", dest="problem.kind", metavar="PROBLEM.KIND", choices=PROBLEM_KINDS,
                    help="one of %(choices)s")
@@ -213,8 +206,8 @@ def _experiment_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", dest="optimizer.beta", type=float, help="momentum coefficient")
     p.add_argument("--steps", dest="optimizer.total_steps", type=int)
     p.add_argument("--seed", dest="optimizer.base_seed", type=int, help="base seed (64-bit)")
-    p.add_argument("--sampler", dest="optimizer.v_kind", metavar="OPTIMIZER.V_KIND", choices=sorted(_SAMPLER_NAMES),
-                   help="one of %(choices)s")
+    p.add_argument("--sampler", dest="optimizer.v_kind", metavar="OPTIMIZER.V_KIND",
+                   choices=[k.value for k in SamplerKind], help="one of %(choices)s")
     p.add_argument("--eval-every", type=int)
     p.add_argument("--out", dest="output_path", help="output stem; writes <out>.csv and <out>.json")
     return p
@@ -223,18 +216,11 @@ def _experiment_parser() -> argparse.ArgumentParser:
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Build an ExperimentConfig from flags, optionally layered over a JSON file.
 
-    Flags override file values. Unknown JSON keys and invariant violations
-    (nu < 1, a nonpositive or non-finite epsilon, ...) are rejected with a
-    named error.
+    Flags override file values. A bad flag, unknown JSON keys and invariant
+    violations (nu < 1, a nonpositive or non-finite epsilon, ...) are
+    rejected with a named ConfigError.
     """
-    parser = _experiment_parser()
-    try:
-        args, extra = parser.parse_known_args(list(argv))
-    except SystemExit as e:  # argparse already printed a message
-        raise ConfigError("invalid experiment flags") from e
-    if extra:
-        raise ConfigError(f"unknown flag {extra[0]!r}")
-    return _config_from_args(args)
+    return _config_from_args(_experiment_parser().parse_args(argv))
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -356,7 +342,7 @@ def _load_compare_file(path: str) -> tuple[list[ExperimentConfig], float]:
         raise ConfigError("configs in compare file must be a list of experiment configs")
     with _usage_errors():
         configs = [ExperimentConfig.from_dict(c) for c in blob["configs"]]
-        return configs, float(blob["target_loss"])
+        return configs, as_float("target_loss", blob["target_loss"])
 
 
 def compare_algorithms(configs: Sequence[ExperimentConfig], target_loss: float) -> list[tuple[str, object, float]]:
@@ -411,7 +397,7 @@ def verify_suite(level: str = "fast") -> tuple[list[checks.CheckResult], bool]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="lozo-bench", description=__doc__)
+    parser = _Parser(prog="lozo-bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment", add_help=True, parents=[_experiment_parser()])
@@ -424,8 +410,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     compare_p.add_argument("--config", required=True, help='JSON file: {"target_loss": x, "configs": [...]}')
     compare_p.add_argument("--out", default=None, help="optional CSV output path for the table")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
             config = _config_from_args(args)
             summary = run_experiment(config, timing=args.timing)

@@ -7,6 +7,7 @@ ranks; it is the optimization variable everything else operates on.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,6 +27,22 @@ def as_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_float(name: str, value) -> float:
+    """value as a finite Python float; a bool or a non-number raises TypeError naming the field.
+
+    A number past the float range, or an infinite or NaN one, raises ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError as e:
+        raise ValueError(f"{name} is out of floating-point range") from e
+    if not math.isfinite(out):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .estimators import DEFAULT_EPSILON, EvaluationError, _central_difference, add_dense, add_low_rank
-from .linalg import LayerShape, ParamSet, as_int
+from .linalg import LayerShape, ParamSet, as_float, as_int
 from .sampling import (
     STREAM_U,
     STREAM_V,
@@ -77,9 +77,10 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("total_steps", "base_seed", "nu"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
-        for name in ("alpha", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("alpha", "epsilon", "beta"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
+        if not isinstance(self.v_kind, SamplerKind):
+            raise TypeError(f"v_kind must be a SamplerKind, got {self.v_kind!r}")
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
         if self.epsilon <= 0.0:

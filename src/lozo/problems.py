@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import estimators
-from .linalg import LayerShape, ParamSet, as_int, thin_qr, top_singular_values
+from .linalg import LayerShape, ParamSet, as_float, as_int, thin_qr, top_singular_values
 from .sampling import STREAM_DATA, derive_seed, sample_gaussian
 
 
@@ -73,21 +73,18 @@ class LossOracle:
         return self.evaluate(x, 0)
 
 
-PROBLEM_KINDS = ("quadratic", "planted", "logistic", "mlp")  # the kinds make_problem builds
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Description of a test problem; the CLI reads and writes its fields as JSON.
 
-    make_problem reads the fields by kind. Every kind reads data_seed and
-    num_samples, where 0 means the family default: 8 for "quadratic", 128 for
-    "planted", 16 for "logistic" and 8 for "mlp". "quadratic" takes any
+    kind is one of PROBLEM_KINDS; its builder in make_problem's table reads
+    the other fields. Every kind reads data_seed and num_samples, where 0
+    means the family default that the table gives. "quadratic" takes any
     number of layers; "planted" and "logistic" take one, "mlp" two. Only
-    "planted" reads true_rank. noise_scale must be nonnegative for every
-    kind; "logistic" ignores it, and "planted" turns the default 0 into 1.0.
-    The "mlp" noise default here is 0.0, while make_tiny_mlp's own default is
-    0.05. No kind reads the layer ranks.
+    "planted" reads true_rank. noise_scale must be finite and nonnegative
+    for every kind; "logistic" ignores it, and "planted" turns the default 0
+    into 1.0. The "mlp" noise default here is 0.0, while make_tiny_mlp's own
+    default is 0.05. No kind reads the layer ranks.
     """
 
     kind: str = "quadratic"
@@ -98,11 +95,14 @@ class ProblemSpec:
     true_rank: int = 2
 
     def __post_init__(self):
+        if self.kind not in PROBLEM_KINDS:
+            raise ValueError(f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}")
         for name in ("data_seed", "num_samples", "true_rank"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        object.__setattr__(self, "noise_scale", as_float("noise_scale", self.noise_scale))
         if not self.shapes:
             raise ValueError("a problem needs at least one layer shape")
-        if not self.noise_scale >= 0.0:
+        if self.noise_scale < 0.0:
             raise ValueError(f"noise_scale must be nonnegative, got {self.noise_scale!r}")
 
 
@@ -318,24 +318,18 @@ def gradient_rank_profile(oracle: LossOracle, x: ParamSet, xi: int, k: int) -> l
     return [top_singular_values(g, min(k, min(g.shape))) for g in grad.layers]
 
 
+# kind -> the builder of its oracle from a ProblemSpec; "or" gives the family's num_samples default
+_BUILDERS: dict[str, Callable[[ProblemSpec], LossOracle]] = {
+    "quadratic": lambda spec: make_quadratic(spec.shapes, spec.data_seed, spec.noise_scale, spec.num_samples or 8),
+    "planted": lambda spec: make_planted_low_rank(
+        spec.shapes, spec.true_rank, spec.data_seed, spec.noise_scale or 1.0, spec.num_samples or 128
+    ),
+    "logistic": lambda spec: make_logistic(spec.shapes, spec.data_seed, spec.num_samples or 16),
+    "mlp": lambda spec: make_tiny_mlp(spec.shapes, spec.data_seed, spec.num_samples or 8, noise_scale=spec.noise_scale),
+}
+PROBLEM_KINDS = tuple(_BUILDERS)
+
+
 def make_problem(spec: ProblemSpec) -> LossOracle:
     """Instantiate the oracle described by a ProblemSpec."""
-    if spec.kind == "quadratic":
-        return make_quadratic(
-            spec.shapes, spec.data_seed, noise_scale=spec.noise_scale, num_samples=spec.num_samples or 8
-        )
-    if spec.kind == "planted":
-        return make_planted_low_rank(
-            spec.shapes,
-            spec.true_rank,
-            spec.data_seed,
-            noise_scale=spec.noise_scale or 1.0,
-            num_batches=spec.num_samples or 128,
-        )
-    if spec.kind == "logistic":
-        return make_logistic(spec.shapes, spec.data_seed, num_batches=spec.num_samples or 16)
-    if spec.kind == "mlp":
-        return make_tiny_mlp(
-            spec.shapes, spec.data_seed, num_batches=spec.num_samples or 8, noise_scale=spec.noise_scale
-        )
-    raise ValueError(f"unknown problem kind {spec.kind!r}; expected one of {PROBLEM_KINDS}")
+    return _BUILDERS[spec.kind](spec)

@@ -10,6 +10,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lozo import checks, estimators, optimizers
@@ -45,6 +46,13 @@ def small_config(tmp_path, algo="lozo", steps=30, out="exp"):
 CONFIG_KEY_FLAGS = [
     a for a in _experiment_parser()._actions if "." in a.dest or a.dest in {f.name for f in fields(ExperimentConfig)}
 ]
+
+
+def run_python(*args):
+    """A fresh interpreter run with this checkout's src on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
 
 
 def write_config(tmp_path, blob):
@@ -91,11 +99,9 @@ class TestParseConfig:
             assert parse_config([*base, action.option_strings[0], text]).to_dict() == expected
 
     def test_lr_convention_is_an_unknown_flag(self, capsys):
-        with pytest.raises(ConfigError, match="unknown flag '--lr-convention'"):
+        with pytest.raises(ConfigError, match="unrecognized arguments: --lr-convention"):
             parse_config(["--lr", "1e-3", "--steps", "10", "--lr-convention", "subspace"])
-        with pytest.raises(SystemExit) as exit_:  # argparse exits on an unknown flag
-            main(["run", "--lr", "1e-3", "--steps", "10", "--lr-convention", "subspace"])
-        assert exit_.value.code == 2
+        assert main(["run", "--lr", "1e-3", "--steps", "10", "--lr-convention", "subspace"]) == 2
         assert "unrecognized arguments: --lr-convention" in capsys.readouterr().err
 
     def test_nu_zero_rejected(self):
@@ -103,7 +109,7 @@ class TestParseConfig:
             parse_config(["--lr", "1e-3", "--steps", "10", "--nu", "0", "--seed", "1"])
 
     def test_unknown_flag_rejected(self):
-        with pytest.raises(ConfigError, match="unknown flag"):
+        with pytest.raises(ConfigError, match="unrecognized arguments"):
             parse_config(["--lr", "1e-3", "--steps", "10", "--warp-speed", "9"])
 
     def test_missing_required_key_named(self):
@@ -256,20 +262,23 @@ class TestOneConfigReader:
             ("problem", "shapes", [[4, 4, 9]], "rank must satisfy"),
             (None, "problem", 5, "config section 'problem' is not a JSON object"),
             (None, "optimizer", [1], "config section 'optimizer' is not a JSON object"),
-            ("optimizer", "total_steps", 3.9, "total_steps must be a JSON integer, got 3.9"),
-            ("optimizer", "nu", 1.5, "nu must be a JSON integer, got 1.5"),
-            ("optimizer", "total_steps", True, "total_steps must be a JSON integer, got true"),
-            ("problem", "data_seed", 1.9, "data_seed must be a JSON integer, got 1.9"),
-            ("optimizer", "base_seed", "7", "base_seed must be a JSON integer, got \"7\""),
-            ("optimizer", "alpha", "1e-3", "alpha must be a JSON number, got \"1e-3\""),
-            ("optimizer", "beta", False, "beta must be a JSON number, got false"),
+            ("optimizer", "total_steps", 3.9, "total_steps must be an integer, got 3.9"),
+            ("optimizer", "nu", 1.5, "nu must be an integer, got 1.5"),
+            ("optimizer", "total_steps", True, "total_steps must be an integer, got True"),
+            ("problem", "data_seed", 1.9, "data_seed must be an integer, got 1.9"),
+            ("optimizer", "base_seed", "7", "base_seed must be an integer, got '7'"),
+            ("optimizer", "alpha", "1e-3", "alpha must be a number, got '1e-3'"),
+            ("optimizer", "beta", False, "beta must be a number, got False"),
             ("problem", "noise_scale", 10**400, "noise_scale is out of floating-point range"),
-            (None, "algo", 5, "algo must be a JSON string, got 5"),
-            ("problem", "kind", ["quadratic"], "kind must be a JSON string"),
+            ("problem", "noise_scale", float("inf"), "noise_scale must be finite"),
+            ("problem", "kind", 5, "unknown problem kind 5"),
+            (None, "output_path", 5, "output_path must be a string, got 5"),
+            (None, "algo", 5, "unknown algorithm 5"),
+            ("problem", "kind", ["quadratic"], "unknown problem kind"),
             ("optimizer", "v_kind", ["normal"], "unknown sampler"),
-            ("problem", "shapes", [[8.5, 8, 2]], "shapes must be a list of"),
+            ("problem", "shapes", [[8.5, 8, 2]], "m must be an integer"),
             ("problem", "shapes", [[8, 8]], "shapes must be a list of"),
-            ("problem", "shapes", [[8, 8, True]], "shapes must be a list of"),
+            ("problem", "shapes", [[8, 8, True]], "r must be an integer"),
             ("problem", "shapes", "8x8", "shapes must be a list of"),
         ],
     )
@@ -284,6 +293,36 @@ class TestOneConfigReader:
             parse_config(["--config", write_config(tmp_path, blob)])
         with pytest.raises(ConfigError, match=message):
             _load_compare_file(write_compare_file(tmp_path, [blob]))
+
+    def test_unknown_kind_rejected_on_reading(self):
+        with pytest.raises(ValueError, match="unknown problem kind 'nope'"):
+            ExperimentConfig.from_dict({"problem": {"kind": "nope"}, **ABSENT_KEYS_CONFIG})
+
+
+_OPTIMIZER_KEYS = {"alpha": 1e-3, "total_steps": 1}
+
+
+class TestFieldChecksOnTheDataclasses:
+    """A Python caller meets the check a config file meets, and the error names the field."""
+
+    @pytest.mark.parametrize("cls, kwargs, error, field", [
+        (OptimizerConfig, {**_OPTIMIZER_KEYS, "alpha": True}, TypeError, "alpha"),
+        (OptimizerConfig, {**_OPTIMIZER_KEYS, "beta": False}, TypeError, "beta"),
+        (OptimizerConfig, {**_OPTIMIZER_KEYS, "v_kind": "haar"}, TypeError, "v_kind"),
+        (ProblemSpec, {"noise_scale": True}, TypeError, "noise_scale"),
+        (ProblemSpec, {"noise_scale": float("inf")}, ValueError, "noise_scale"),
+        (ProblemSpec, {"kind": 5}, ValueError, "kind"),
+        (ExperimentConfig, {"problem": ProblemSpec(), "optimizer": OptimizerConfig(**_OPTIMIZER_KEYS),
+                            "output_path": 5}, TypeError, "output_path"),
+    ], ids=["alpha-True", "beta-False", "v_kind-str", "noise_scale-True", "noise_scale-inf", "kind-5", "output_path-5"])
+    def test_python_caller_is_checked(self, cls, kwargs, error, field):
+        with pytest.raises(error, match=field):
+            cls(**kwargs)
+
+    def test_float_fields_are_stored_as_python_floats(self):
+        cfg = OptimizerConfig(alpha=np.float32(0.5), total_steps=1, epsilon=1, beta=np.float64(0.25))
+        assert (cfg.alpha, cfg.epsilon, cfg.beta) == (0.5, 1.0, 0.25)
+        assert all(type(v) is float for v in (cfg.alpha, cfg.epsilon, cfg.beta, ProblemSpec(noise_scale=2).noise_scale))
 
 
 class TestRunExperiment:
@@ -325,6 +364,18 @@ class TestRunExperiment:
         assert all(len(row.split(",")) == 5 for row in lines[1:])
         # deterministic timing writes zeros; live timing is opt-in
         assert all(row.rsplit(",", 1)[1] == "0.0" for row in lines[1:])
+
+    def test_live_timing_changes_only_the_wall_ms_column(self, tmp_path, capsys):
+        config = write_config(tmp_path, small_config(tmp_path).to_dict())
+        stems = {timing: tmp_path / timing for timing in ("deterministic", "live")}
+        for timing, stem in stems.items():
+            assert main(["run", "--config", config, "--out", str(stem), "--timing", timing]) == 0
+        det, live = ([row.rsplit(",", 1) for row in stem.with_suffix(".csv").read_text().splitlines()]
+                     for stem in stems.values())
+        assert [head for head, _ in live] == [head for head, _ in det]
+        assert len(live) > 2 and all(float(wall) > 0.0 for _, wall in live[1:])
+        det_json, live_json = (stem.with_suffix(".json").read_bytes() for stem in stems.values())
+        assert live_json == det_json
 
     def test_no_temp_files_left(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -476,6 +527,43 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert not (tmp_path / "table.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--lr", "x"], "argument --lr: invalid float value: 'x'"),
+            (["run", "--bogus"], "unrecognized arguments: --bogus"),
+            (["run", "--problem", "nope"], "argument --problem: invalid choice: 'nope'"),
+            ([], "the following arguments are required: command"),
+            (["verify", "--level", "x"], "argument --level: invalid choice: 'x'"),
+        ],
+        ids=["bad-number", "unknown-flag", "bad-choice", "no-command", "bad-verify-level"],
+    )
+    def test_flag_error_is_a_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2  # returned, not raised as SystemExit
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lozo-bench run")
+
+    def test_console_flag_error_is_one_line(self):
+        proc = run_python("-m", "lozo.cli", "run", "--lr", "x")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: argument --lr: invalid float value: 'x'\n"  # no usage block, no traceback
+
+    @pytest.mark.parametrize("value", ['"1.5"', "true", '"abc"', "1e999"], ids=["str", "bool", "not-a-number", "inf"])
+    def test_target_loss_must_be_a_finite_number(self, tmp_path, capsys, value):
+        config = json.dumps({"problem": self._PROBLEM, "optimizer": self._OPTIMIZER})
+        path = tmp_path / "cmp.json"
+        path.write_text(f'{{"target_loss": {value}, "configs": [{config}]}}')
+        assert main(["compare", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: target_loss ") and captured.out == ""
+
     def test_usage_error(self, capsys):
         code = main(["run", "--lr", "1e-3"])  # missing --steps
         assert code == 2
@@ -548,10 +636,7 @@ class TestVerifySuite:
     @pytest.mark.parametrize("module", ["lozo.checks", "lozo.cli"])
     def test_module_imports_alone(self, module):
         # checks and cli import each other at the top; a fresh interpreter that imports either first must resolve it
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", f"import {module}"], capture_output=True, text=True, env=env,
-                              timeout=60)
+        proc = run_python("-c", f"import {module}")
         assert proc.returncode == 0, proc.stderr
 
     def test_fast_level_passes_within_budget(self):

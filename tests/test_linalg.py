@@ -6,6 +6,7 @@ import pytest
 from lozo.linalg import (
     LayerShape,
     ParamSet,
+    as_float,
     frobenius_norm,
     numeric_rank,
     thin_qr,
@@ -142,6 +143,27 @@ class TestLayerShape:
             LayerShape(np.int64(0), 5, 1)
         with pytest.raises(ValueError, match="rank"):
             LayerShape(6, 5, np.int64(6))
+
+
+class TestAsFloat:
+    @pytest.mark.parametrize("value", [3, 0.25, np.float32(0.5), np.int64(-2)])
+    def test_numbers_become_python_floats(self, value):
+        out = as_float("x", value)
+        assert type(out) is float and out == float(value)
+
+    @pytest.mark.parametrize("value", [True, "1.5", None, [1.0]], ids=["bool", "str", "none", "list"])
+    def test_non_numbers_raise_type_error_naming_the_field(self, value):
+        with pytest.raises(TypeError, match="alpha must be a number"):
+            as_float("alpha", value)
+
+    @pytest.mark.parametrize("value, message", [
+        (10**400, "beta is out of floating-point range"),
+        (float("inf"), "beta must be finite"),
+        (float("nan"), "beta must be finite"),
+    ], ids=["past-range", "inf", "nan"])
+    def test_values_no_finite_float_holds_raise_value_error(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            as_float("beta", value)
 
 
 class TestParamSet:

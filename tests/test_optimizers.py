@@ -1,5 +1,7 @@
 """Optimizer step semantics, momentum algebra, determinism, footprints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,44 @@ class TestStateFootprint:
     def test_positive_counts(self):
         shapes = [LayerShape(8, 4, 1)]
         assert state_footprint("lozo-m", shapes) > 0
+
+
+class TestStepMemory:
+    """The paper's memory claim: a low-rank step allocates a few (m + n) x r factors, never an m x n matrix.
+
+    The bound is 4 x sum_l (m_l + n_l) r_l 8 bytes, far below one layer's
+    m x n x 8. The oracle reads one entry and allocates nothing, so the
+    traced peak is the step's own. nu = 5: step 1 is inside a period, step 5
+    a resample boundary (where lozo-m also projects its momentum).
+    """
+
+    LAYERS = {
+        "1024x1024": [LayerShape(1024, 1024, 4)],
+        "two-layers": [LayerShape(256, 512, 4), LayerShape(128, 256, 2)],
+    }
+
+    @pytest.mark.parametrize("step", [1, 5], ids=["inside-a-period", "at-a-boundary"])
+    @pytest.mark.parametrize("kind", list(SamplerKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    @pytest.mark.parametrize("layers", LAYERS, ids=str)
+    def test_peak_is_a_few_low_rank_factors(self, layers, algo, kind, step):
+        shapes = self.LAYERS[layers]
+        oracle = LossOracle("one-entry", 1, lambda x, xi: float(x.layers[0][0, 0]))
+        x = ParamSet([sample_gaussian(80 + i, s.m, s.n) for i, s in enumerate(shapes)], shapes)
+        config = OptimizerConfig(alpha=1e-3, total_steps=step + 1, base_seed=81, nu=5, v_kind=kind)
+        state = LozoState()
+        mom = MomentumState.zeros(shapes, config.beta) if algo == "lozo-m" else None
+        for _ in range(step):
+            lozo_step(x, state, oracle, config, mom)
+        tracemalloc.start()
+        try:
+            lozo_step(x, state, oracle, config, mom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 4 * sum((s.m + s.n) * s.r * 8 for s in shapes)
+        assert bound < min(s.m * s.n * 8 for s in shapes)
+        assert peak <= bound, f"peak {peak} B is {peak / (bound / 4):.2f} x sum (m + n) r 8 B"
 
 
 class TestConfigValidation:
