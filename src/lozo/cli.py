@@ -57,6 +57,9 @@ class ExperimentConfig:
     output_path: str = ""
 
     def __post_init__(self):
+        for name, cls in (("problem", ProblemSpec), ("optimizer", OptimizerConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise TypeError(f"{name} must be of type {cls.__name__}, got {getattr(self, name)!r}")
         if self.algo not in optimizers.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}; expected one of {optimizers.ALGORITHMS}")
         object.__setattr__(self, "eval_every", as_int("eval_every", self.eval_every))
@@ -327,8 +330,8 @@ def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> d
     return summary
 
 
-def _load_compare_file(path: str) -> tuple[list[ExperimentConfig], float]:
-    """The configs and target loss of a compare file.
+def _load_compare_file(path: str) -> tuple[list[ExperimentConfig], object]:
+    """The configs of a compare file, and its target loss as read; compare_algorithms checks that.
 
     A missing file, malformed JSON, a missing key or an invalid config
     raises ConfigError; a file that exists but cannot be read raises OSError.
@@ -341,8 +344,7 @@ def _load_compare_file(path: str) -> tuple[list[ExperimentConfig], float]:
     if not isinstance(blob["configs"], list):
         raise ConfigError("configs in compare file must be a list of experiment configs")
     with _usage_errors():
-        configs = [ExperimentConfig.from_dict(c) for c in blob["configs"]]
-        return configs, as_float("target_loss", blob["target_loss"])
+        return [ExperimentConfig.from_dict(c) for c in blob["configs"]], blob["target_loss"]
 
 
 def compare_algorithms(configs: Sequence[ExperimentConfig], target_loss: float) -> list[tuple[str, object, float]]:
@@ -354,8 +356,11 @@ def compare_algorithms(configs: Sequence[ExperimentConfig], target_loss: float) 
     must describe the same problem so the race is meaningful; the layers'
     ranks may differ, since no problem family reads them. The problem is
     therefore built once and shared by every run. A diverged or stalled run
-    raises DivergenceError, as in run_experiment.
+    raises DivergenceError, as in run_experiment. A target_loss that is not a
+    finite number raises ConfigError before any run.
     """
+    with _usage_errors():
+        target_loss = as_float("target_loss", target_loss)
     if not configs:
         raise ConfigError("compare needs at least one config")
 

@@ -3,16 +3,20 @@
 One perturbation core serves every estimator and every optimizer step:
 add_low_rank adds scale_l * U_l V_l^T to each layer, add_dense adds
 scale * Z_l, and _central_difference drives either one through the
-+eps / -2eps phases. add_low_rank is one in-place BLAS dgemm per layer
-(beta = 1, written through the layer's transpose, U passed as its
-F-contiguous transpose), so no perturb, restore or update pass builds an
-m x n temporary or a copy of U. Its result equals the numpy expression
-X += s * (U @ V.T) bit for bit on the shapes the acceptance checks and the
-benchmark's small workloads use (32 x 32, 256 x 256, 16 x 256 and the tests'
-small shapes); on larger layers, such as 512 x 512 or 1024 x 1024, OpenBLAS
-takes another kernel and the two differ by a few ulps. Reruns stay
-byte-identical either way. add_dense walks large layers in fixed row blocks
-through one reused buffer, with the same multiply-then-add per entry.
++eps / -2eps phases. add_low_rank takes each layer's dgemm operands
+(V_l, U_l^T, X_l^T), which low_rank_operands, or optimizers.step_operands
+for a step, builds once for all the passes of a probe. Each layer takes one
+in-place BLAS dgemm (beta = 1, written through the layer's transpose) on
+views of the arrays themselves: U as its F-contiguous transpose, and V as
+sampling.sample_v returns it, in Fortran order. So no perturb, restore or
+update pass builds an m x n temporary or a copy of U or V. The result
+equals the numpy expression X += s * (U @ V.T) bit for bit on the shapes
+the acceptance checks and the benchmark's small workloads use (32 x 32,
+256 x 256, 16 x 256 and the tests' small shapes); on larger layers, such
+as 512 x 512 or 1024 x 1024, OpenBLAS takes another kernel and the two
+differ by a few ulps. Reruns stay byte-identical either way. add_dense walks
+large layers in fixed row blocks through one reused buffer, with the same
+multiply-then-add per entry.
 
 The success/failure contract of _central_difference: when both losses are
 finite it returns c and leaves X at X - eps P, so that the caller's next pass
@@ -23,15 +27,14 @@ error propagates, accepting a few ulps of floating-point drift rather than
 checkpointing it. Every pass acts on the layer arrays X held on entry, which
 _central_difference puts back before each pass and on return, so an oracle
 that rebinds a layer of X inside evaluate changes neither the result nor
-the arrays the caller holds. The low-rank estimators take one step's
-per-layer (U_l, V_l) factors, the list optimizers.step_factors draws and
-add_low_rank applies.
+the arrays the caller holds, and a probe's operands, views of those arrays,
+stay valid for all its passes. The low-rank estimators take one step's
+per-layer (U_l, V_l) factors, the list optimizers.step_factors draws.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,29 +57,46 @@ class EvaluationError(RuntimeError):
         self.entry = entry
 
 
-def add_low_rank(x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], scale: float | Sequence[float]) -> None:
+def low_rank_operands(x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]]) -> list[tuple[Matrix, Matrix, Matrix]]:
+    """Per layer, the dgemm operands of X_l += s U_l V_l^T: V_l, and U_l^T and X_l^T as F-contiguous views.
+
+    One list serves every pass of a probe and of the update after it, since
+    each pass acts on the layer arrays x held when the probe began (see
+    _central_difference). A V_l in C order, unlike sample_v's, gives the
+    same bytes through a copy on every pass.
+    """
+    return [(v, u.T, a.T) for a, (u, v) in zip(x.layers, factors)]
+
+
+def add_low_rank(
+    x: ParamSet, operands: Sequence[tuple[Matrix, Matrix, Matrix]], scale: float | Sequence[float]
+) -> None:
     """X_l += scale_l * U_l V_l^T in place; scale is one float or one per layer.
 
-    Each layer takes one dgemm, X_l^T = scale_l * V_l U_l^T + X_l^T, written
-    through the F-contiguous transpose of the C-contiguous layer, so no
-    m x n temporary is built. The call is positional, and U_l goes in as its
-    transpose, an F-contiguous view, so the wrapper neither parses keywords
-    nor copies U_l into Fortran order. Every pass checks every layer, since
-    it keeps no record of the arrays it has seen, and an oracle may still
-    change a layer's flags in place between passes (say, make it read-only):
-    a layer that BLAS could only update through a copy, one that is not a
-    writeable, aligned, C-contiguous float64 array, raises ValueError before
-    any layer is touched.
+    operands are low_rank_operands(x, factors), built on the layers x holds
+    now. Each layer takes one positional dgemm, X_l^T = scale_l * V_l U_l^T
+    + X_l^T, on those views as they are, so the wrapper parses no keywords,
+    copies none of U_l, V_l and X_l, and builds no m x n temporary. Every
+    pass checks every layer, since it keeps no record of the arrays it has
+    seen, and an oracle may still change a layer's flags in place between
+    passes (say, make it read-only): a layer that BLAS could only update
+    through a copy, one that is not a writeable, aligned, C-contiguous
+    float64 array, raises ValueError before any layer is touched.
     """
-    for i, a in enumerate(x.layers):
+    for a in x.layers:
         if not a.flags.carray or a.dtype != _F64:
             raise ValueError(
-                f"layer {i} must be a writeable C-contiguous float64 array in aligned memory to be updated in place"
+                f"layer {[id(b) for b in x.layers].index(id(a))} must be a writeable C-contiguous float64 array"
+                " in aligned memory to be updated in place"
             )
-    scales = scale if isinstance(scale, (list, tuple)) else repeat(scale)
-    for a, (u, v), s in zip(x.layers, factors, scales):
-        # positional: dgemm(alpha, a, b, beta, c, trans_a, trans_b, overwrite_c); U^T is an F-contiguous view
-        dgemm(s, v, u.T, 1.0, a.T, 0, 0, 1)
+    # positional: dgemm(alpha, a, b, beta, c, trans_a, trans_b, overwrite_c). One loop per form of scale:
+    # zipping the operands with a repeat() of one float costs half a 32 x 32 layer's dgemm call.
+    if isinstance(scale, (list, tuple)):
+        for (v, ut, at), s in zip(operands, scale):
+            dgemm(s, v, ut, 1.0, at, 0, 0, 1)
+    else:
+        for v, ut, at in operands:
+            dgemm(scale, v, ut, 1.0, at, 0, 0, 1)
 
 
 def add_dense(x: ParamSet, directions: Sequence[Matrix], scale: float) -> None:
@@ -108,7 +128,7 @@ def _central_difference(
     """Evaluate c = (F(X + eps P) - F(X - eps P)) / 2 eps via in-place phases.
 
     `add(x, directions, scale)` adds scale * P to x: add_low_rank for
-    per-layer (U, V) factors, add_dense for per-layer matrices. On success x
+    per-layer low-rank operands, add_dense for per-layer matrices. On success x
     is left at X - eps P and c is returned: the caller adds eps P back, alone
     or folded into its update, in its next pass. When an evaluation raises,
     or a loss is not finite (EvaluationError), x is restored before the error
@@ -151,8 +171,9 @@ def lge_scalar(loss, x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], epsi
     for i, (s, (u, v)) in enumerate(zip(x.shapes, factors)):
         if np.shape(u) != (s.m, s.r) or np.shape(v) != (s.n, s.r):
             raise ValueError(f"layer {i} factors are {np.shape(u)}, {np.shape(v)}; expected {(s.m, s.r)}, {(s.n, s.r)}")
-    c = _central_difference(loss, x, xi, epsilon, add_low_rank, factors)
-    add_low_rank(x, factors, epsilon)
+    operands = low_rank_operands(x, factors)
+    c = _central_difference(loss, x, xi, epsilon, add_low_rank, operands)
+    add_low_rank(x, operands, epsilon)
     return c
 
 

@@ -15,10 +15,14 @@ m x r factor per layer, projected onto the new subspace at each resample
 boundary after a successful probe, and the plain low-rank recursion is a
 lozo step at nu = 1 started from t. Every seed is a function of the step
 counter t: U and Z are keyed by (layer, t), and V by (layer, t // nu), the
-outer index of the subspace method; step_factors draws U and V, for the
-step and for the estimator checks alike. V changes only at a boundary, so each
-period's V matrices and the per-layer prefix of U's seed are computed once
-and cached in LozoState; U is drawn every step. A low-rank step returns only
+outer index of the subspace method. step_operands draws U and V and builds
+the dgemm operands of the step's three passes once; step_factors gives the
+estimator checks the same arrays as (U, V) pairs. V changes only at a
+boundary, so each period's V matrices are drawn once and cached in
+LozoState, in the Fortran order dgemm reads (project_momentum forms its
+product from C-ordered copies, whose bytes do not depend on that choice).
+U's per-layer seed prefixes, which no period changes, are derived once per
+state; U is drawn every step. A low-rank step returns only
 its finite-difference scalar c and does no telemetry work: run computes the
 estimator norm on the steps it records, from U regenerated from its seed
 (lozo) or the momentum factors (lozo-m), against V^T V formed from the
@@ -43,6 +47,7 @@ import numpy as np
 from .estimators import DEFAULT_EPSILON, EvaluationError, _central_difference, add_dense, add_low_rank
 from .linalg import LayerShape, ParamSet, as_float, as_int
 from .sampling import (
+    GAMMA,
     STREAM_U,
     STREAM_V,
     STREAM_Z,
@@ -51,6 +56,7 @@ from .sampling import (
     derive_seed,
     sample_gaussian,
     sample_v,
+    splitmix64,
 )
 
 ALGORITHMS = ("zo-sgd", "lozo", "lozo-m")
@@ -104,8 +110,9 @@ class Period(NamedTuple):
     """
 
     period: int
-    vs: list[np.ndarray]  # V_l, n_l x r_l
-    u_keys: list[Seed]  # derive_seed(base_seed, STREAM_U, l); U_l's seed at step t is derive_seed(u_keys[l], t)
+    vs: list[np.ndarray]  # V_l, n_l x r_l, in Fortran order
+    # derive_seed(base_seed, STREAM_U, l), one list for every period; U_l's seed at step t is derive_seed(u_keys[l], t)
+    u_keys: list[Seed]
 
 
 @dataclass
@@ -159,15 +166,6 @@ def _outer_norm(u: np.ndarray, gram: np.ndarray) -> float:
     return math.sqrt(max(float(np.vdot(u.T @ u, gram)), 0.0))
 
 
-def _probe(x: ParamSet, loss, config: OptimizerConfig, t: int, add, directions, label: str) -> float:
-    """The step's central difference; a non-finite loss becomes a StepError."""
-    xi = sample_index(t, loss.num_samples)
-    try:
-        return _central_difference(loss, x, xi, config.epsilon, add, directions)
-    except EvaluationError as e:
-        raise StepError(f"{label} step {t} aborted: {e}", step=t) from e
-
-
 def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, float]:
     """MeZO-style step: RGE along a seeded full-size Gaussian Z, seed replay.
 
@@ -180,7 +178,10 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
         sample_gaussian(derive_seed(config.base_seed, STREAM_Z, i, t), a.shape[0], a.shape[1])
         for i, a in enumerate(x.layers)
     ]
-    c = _probe(x, loss, config, t, add_dense, zs, "zo-sgd")
+    try:  # sample index t % num_samples: sample_index's round-robin schedule
+        c = _central_difference(loss, x, t % loss.num_samples, config.epsilon, add_dense, zs)
+    except EvaluationError as e:
+        raise StepError(f"zo-sgd step {t} aborted: {e}", step=t) from e
     add_dense(x, zs, config.epsilon - config.alpha * c)
     sq = 0.0
     for z in zs:
@@ -188,31 +189,51 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
     return c, abs(c) * math.sqrt(sq)
 
 
-def _build_period(config: OptimizerConfig, x: ParamSet, period: int) -> Period:
-    """One period's cache: V_l keyed by (layer, period) and U's seed prefixes."""
+def _build_period(config: OptimizerConfig, x: ParamSet, period: int, u_keys: Optional[list[Seed]] = None) -> Period:
+    """One period's cache: V_l keyed by (layer, period), and U's seed prefixes unless given (no period changes them)."""
     vs = [
         sample_v(derive_seed(config.base_seed, STREAM_V, i, period), s.n, s.r, config.v_kind)
         for i, s in enumerate(x.shapes)
     ]
-    u_keys = [derive_seed(config.base_seed, STREAM_U, i) for i in range(len(x))]
+    if u_keys is None:
+        u_keys = [derive_seed(config.base_seed, STREAM_U, i) for i in range(len(x))]
     return Period(period, vs, u_keys)
+
+
+def step_operands(
+    config: OptimizerConfig, x: ParamSet, t: int, cache: Optional[Period] = None
+) -> tuple[Period, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Step t's period and, per layer, the operands (V_l, U_l^T, X_l^T) that add_low_rank takes.
+
+    U_l, m_l x r_l, is keyed by (layer, t) and V_l, n_l x r_l, by the period
+    t // nu. V_l is the period's own array, taken from cache when it holds
+    step t's period; U_l^T and X_l^T are views of U_l and of layer l.
+    """
+    period = t // config.nu
+    if cache is None:
+        cur = _build_period(config, x, period)
+    elif cache.period != period:
+        cur = _build_period(config, x, period, cache.u_keys)
+    else:
+        cur = cache
+    # estimators.low_rank_operands' tuples, built in the draw loop: a second walk over the layers
+    # costs about a twentieth of a 32 x 32 step
+    operands = []
+    for key, s, v, a in zip(cur.u_keys, x.shapes, cur.vs, x.layers):
+        # U_l's seed derive_seed(key, t), written as its one splitmix64 round
+        operands.append((v, sample_gaussian(splitmix64(key + GAMMA + t), s.m, s.r).T, a.T))
+    return cur, operands
 
 
 def step_factors(
     config: OptimizerConfig, x: ParamSet, t: int, cache: Optional[Period] = None
 ) -> tuple[Period, list[tuple[np.ndarray, np.ndarray]]]:
-    """Step t's period and (U_l, V_l) per layer: U_l, m_l x r_l, keyed by (layer, t); V_l, n_l x r_l, by period.
+    """Step t's period and (U_l, V_l) per layer, the arrays of step_operands.
 
-    V_l is the period's own array, taken from cache when it holds step t's
-    period. lozo_step, AC1 and AC2 all draw their factors here.
+    lozo_step draws through step_operands; AC1, AC2 and run's est_norm draw here.
     """
-    period = t // config.nu
-    cur = cache if cache is not None and cache.period == period else _build_period(config, x, period)
-    # a plain loop, not a comprehension: a local a comprehension reads becomes a cell allocated on entry
-    factors = []
-    for key, s, v in zip(cur.u_keys, x.shapes, cur.vs):
-        factors.append((sample_gaussian(derive_seed(key, t), s.m, s.r), v))
-    return cur, factors
+    cur, operands = step_operands(config, x, t, cache)
+    return cur, [(ut.T, v) for v, ut, _ in operands]
 
 
 def lozo_step(
@@ -228,35 +249,40 @@ def lozo_step(
     boundary after t = 0, lozo-m first projects its momentum factors from
     the old subspace onto the new one; this happens only after the central
     difference succeeds, so a failed step does no momentum work. The
-    period's V, with U's seed prefix, is built once, at its boundary, and
-    kept in state.v_cache; a state resumed from t alone rebuilds it, and the
-    old V it projects from. Returns the
+    period's V is built once, at its boundary, and kept in state.v_cache
+    with U's seed prefixes; a state resumed from t alone rebuilds it, and
+    the old V it projects from. One list of operands serves all three
+    passes. Returns the
     finite-difference scalar c and does no telemetry work: run computes
     est_norm on the steps it records.
     """
     t, shapes, cache = state.t, x.shapes, state.v_cache
-    cur, factors = step_factors(config, x, t, cache)
-    c = _probe(x, loss, config, t, add_low_rank, factors, "low-rank" if mom is None else "lozo-m")
+    cur, operands = step_operands(config, x, t, cache)
+    try:  # sample index t % num_samples: sample_index's round-robin schedule
+        c = _central_difference(loss, x, t % loss.num_samples, config.epsilon, add_low_rank, operands)
+    except EvaluationError as e:
+        raise StepError(f"{'low-rank' if mom is None else 'lozo-m'} step {t} aborted: {e}", step=t) from e
     # plain loops, not comprehensions: a local a comprehension reads becomes a cell allocated on entry
     eps, alpha = config.epsilon, config.alpha
     if mom is None:
         scales = []
         for s in shapes:
             scales.append(eps - alpha * c / s.r)
-        add_low_rank(x, factors, scales)
+        add_low_rank(x, operands, scales)
     else:
         n_factors = mom.n_factors
         if t > 0 and t % config.nu == 0:
             prev = cur.period - 1
-            old = cache if cache is not None and cache.period == prev else _build_period(config, x, prev)
+            old = cache if cache is not None and cache.period == prev else _build_period(config, x, prev, cur.u_keys)
             n_factors = [project_momentum(nf, vo, vn, s.n) for nf, s, vo, vn in zip(n_factors, shapes, old.vs, cur.vs)]
         lefts = []
-        for nf, (u, _) in zip(n_factors, factors):
-            lefts.append(mom.beta * nf + (1.0 - mom.beta) * c * u)
-        for (u, _), nf, s in zip(factors, lefts, shapes):
-            u *= eps
-            u -= (alpha / s.r) * nf
-        add_low_rank(x, factors, 1.0)
+        for nf, (_, ut, _) in zip(n_factors, operands):
+            lefts.append(mom.beta * nf + (1.0 - mom.beta) * c * ut.T)
+        # W_l^T = eps U_l^T - (alpha / r_l) N_l^T, entry for entry W_l's arithmetic, in U_l's buffer
+        for (_, ut, _), nf, s in zip(operands, lefts, shapes):
+            ut *= eps
+            ut -= (alpha / s.r) * nf.T
+        add_low_rank(x, operands, 1.0)
         mom.n_factors = lefts
     state.v_cache, state.t = cur, t + 1
     return c
@@ -270,9 +296,11 @@ def vanilla_lge_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> floa
 def project_momentum(n_factor: np.ndarray, v_old: np.ndarray, v_new: np.ndarray, n: int) -> np.ndarray:
     """Map momentum onto a resampled row subspace: N (V_old^T V_new) / n.
 
-    This is the least-squares projection when V_new^T V_new = n I.
+    This is the least-squares projection when V_new^T V_new = n I. OpenBLAS
+    picks the kernel of V_old^T V_new by the operands' layout, and its bytes
+    depend on it, so it is formed from C-ordered copies of the two V's.
     """
-    return n_factor @ (v_old.T @ v_new) / n
+    return n_factor @ (np.ascontiguousarray(v_old).T @ np.ascontiguousarray(v_new)) / n
 
 
 def lozo_m_step(

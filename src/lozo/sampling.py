@@ -18,6 +18,10 @@ unused SeedSequence from OS entropy) is paid once per thread. The reset
 state holds its counter, key and buffer as lists of plain Python ints, which
 the state setter reads without the numpy-scalar conversions that uint64
 arrays would cost, and each draw rewrites only the key's first word.
+
+sample_v returns V in Fortran order, the layout BLAS reads without a copy:
+a period's V is drawn once and enters a dgemm on every pass of every step of
+the period. The layout changes no value, so the streams are the same.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .linalg import LayerShape, Matrix, thin_qr
 Seed = int
 
 _MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
+GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
 
 # stream tags keep the per-purpose substreams disjoint
 STREAM_U = 0x11
@@ -55,7 +59,7 @@ def derive_seed(base: Seed, *words: int) -> Seed:
     """Hash (base, words...) into one 64-bit stream key."""
     h = base & _MASK64
     for w in words:
-        h = splitmix64((h + _GAMMA + (w & _MASK64)) & _MASK64)
+        h = splitmix64((h + GAMMA + (w & _MASK64)) & _MASK64)
     return h
 
 
@@ -105,23 +109,28 @@ def sample_v(seed: Seed, n: int, r: int, kind: SamplerKind) -> Matrix:
         fixed so R's diagonal is nonnegative; V^T V = n I to rounding. Q and
         diag(R) come from linalg.thin_qr (LAPACK dgeqrf and dorgqr, equal to
         np.linalg.qr's bytes on the installed builds), and one multiply by
-        +-sqrt(n) per column applies the sign fix and the scale and writes V
-        in C order.
+        +-sqrt(n) per column applies the sign fix and the scale in Q's own
+        Fortran order.
     RANDOM_COORDINATE: columns sqrt(n) * e_j with r distinct uniformly drawn
         indices; V^T V = n I exactly.
+
+    Every kind returns V in Fortran order, the layout in which
+    estimators.add_low_rank hands it to dgemm, so no pass copies it. The
+    values are those of a C-order draw: the normal kind copies its draw into
+    Fortran order once, and the Haar kind keeps the order of LAPACK's Q.
     """
     if r > n:
         raise ValueError(f"rank r={r} exceeds n={n}")
     gen = _generator(seed)
     if kind is SamplerKind.STANDARD_NORMAL:
-        return gen.standard_normal((n, r))
+        return np.asfortranarray(gen.standard_normal((n, r)))
     if kind is SamplerKind.HAAR_SCALED:
         q, d = thin_qr(gen.standard_normal((n, r)))
         s = math.sqrt(n)
-        return np.multiply(q, np.where(d >= 0.0, s, -s), order="C")
+        return np.multiply(q, np.where(d >= 0.0, s, -s))
     if kind is SamplerKind.RANDOM_COORDINATE:
         idx = gen.choice(n, size=r, replace=False)
-        v = np.zeros((n, r))
+        v = np.zeros((n, r), order="F")
         v[idx, np.arange(r)] = np.sqrt(n)
         return v
     raise ValueError(f"unknown sampler kind {kind!r}")

@@ -1,7 +1,9 @@
 """One SHA-256 over a fixed set of trajectories and draws: the bit-identity check for performance changes.
 
 A change that claims to keep every byte must print the same digest as its
-parent. The digest covers the records (step, loss, |c|, est_norm; not the
+parent. tests/test_digest.py pins the digest under one BLAS thread; a change
+that alters any trajectory or draw updates the pinned value and says so in
+CHANGES.md. The digest covers the records (step, loss, |c|, est_norm; not the
 wall time) and final layers of optimizers.run for zo-sgd, lozo and lozo-m
 under each V sampler, on four problems:
 

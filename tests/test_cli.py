@@ -314,7 +314,12 @@ class TestFieldChecksOnTheDataclasses:
         (ProblemSpec, {"kind": 5}, ValueError, "kind"),
         (ExperimentConfig, {"problem": ProblemSpec(), "optimizer": OptimizerConfig(**_OPTIMIZER_KEYS),
                             "output_path": 5}, TypeError, "output_path"),
-    ], ids=["alpha-True", "beta-False", "v_kind-str", "noise_scale-True", "noise_scale-inf", "kind-5", "output_path-5"])
+        (ExperimentConfig, {"problem": {"kind": "quadratic"}, "optimizer": OptimizerConfig(**_OPTIMIZER_KEYS)},
+         TypeError, "problem must be of type ProblemSpec"),
+        (ExperimentConfig, {"problem": ProblemSpec(), "optimizer": _OPTIMIZER_KEYS},
+         TypeError, "optimizer must be of type OptimizerConfig"),
+    ], ids=["alpha-True", "beta-False", "v_kind-str", "noise_scale-True", "noise_scale-inf", "kind-5", "output_path-5",
+            "problem-dict", "optimizer-dict"])
     def test_python_caller_is_checked(self, cls, kwargs, error, field):
         with pytest.raises(error, match=field):
             cls(**kwargs)
@@ -418,6 +423,12 @@ class TestCompareAlgorithms:
         table = compare_algorithms([a, b], target_loss=1e9)
         assert [row[0] for row in table] == ["lozo", "lozo-m"]
         assert table[0][2] != table[1][2]  # rank 2 and rank 1 take different paths
+
+    @pytest.mark.parametrize("target", ["1.5", True, float("nan")])
+    def test_target_loss_checked_before_any_run(self, tmp_path, monkeypatch, target):
+        monkeypatch.setattr("lozo.cli._execute", lambda *args: pytest.fail("a run started"))
+        with pytest.raises(ConfigError, match="target_loss"):
+            compare_algorithms([small_config(tmp_path, steps=2)], target)
 
     def test_mismatched_problems_rejected(self, tmp_path):
         a = small_config(tmp_path)

@@ -16,6 +16,7 @@ from lozo.estimators import (
     cge,
     lge,
     lge_scalar,
+    low_rank_operands,
     rge,
 )
 from lozo.linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
@@ -285,7 +286,7 @@ class TestPerturbInPlace:
         sk = factors_at(42, x, 0)
         eps = 1e-3
         for scale in (eps, -2.0 * eps, eps):
-            add_low_rank(x, sk, scale)
+            add_low_rank(x, low_rank_operands(x, sk), scale)
         per_entry = np.abs(x.layers[0] - before.layers[0])
         assert np.max(per_entry / np.maximum(np.spacing(np.abs(before.layers[0])), np.finfo(float).tiny)) <= 4.0
 
@@ -294,7 +295,7 @@ class TestPerturbInPlace:
         x = ParamSet([sample_gaussian(43, 4, 4)], shapes)
         before = x.copy()
         sk = factors_at(44, x, 0)
-        add_low_rank(x, sk, 0.0)
+        add_low_rank(x, low_rank_operands(x, sk), 0.0)
         np.testing.assert_array_equal(x.layers[0], before.layers[0])
 
     def test_round_trip_drift(self):
@@ -302,8 +303,8 @@ class TestPerturbInPlace:
         x = ParamSet([sample_gaussian(45, 16, 16)], shapes)
         before = x.copy()
         sk = factors_at(46, x, 0)
-        add_low_rank(x, sk, 1e-3)
-        add_low_rank(x, sk, -1e-3)
+        add_low_rank(x, low_rank_operands(x, sk), 1e-3)
+        add_low_rank(x, low_rank_operands(x, sk), -1e-3)
         drift = np.max(np.abs(x.layers[0] - before.layers[0]))
         assert drift <= 1e-12 * before.norm()
 
@@ -332,7 +333,7 @@ class TestAddLowRank:
         pointers = [a.ctypes.data for a in layers]
         tracemalloc.start()
         try:
-            add_low_rank(x, factors, scale)
+            add_low_rank(x, low_rank_operands(x, factors), scale)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -346,8 +347,8 @@ class TestAddLowRank:
     def test_probe_restores_large_layers(self, shapes):
         x, factors = self._layers(shapes, seed=61)
         before = x.copy()
-        _central_difference(half_sqnorm_oracle(), x, 0, 1e-3, add_low_rank, factors)
-        add_low_rank(x, factors, 1e-3)  # the probe leaves X - eps P; the caller adds eps P back
+        _central_difference(half_sqnorm_oracle(), x, 0, 1e-3, add_low_rank, low_rank_operands(x, factors))
+        add_low_rank(x, low_rank_operands(x, factors), 1e-3)  # the probe leaves X - eps P; the caller adds eps P back
         drift = np.sqrt(sum(frobenius_norm(a - b) ** 2 for a, b in zip(x.layers, before.layers)))
         assert drift <= 1e-12 * (1.0 + before.norm())
 
@@ -369,7 +370,7 @@ class TestAddLowRank:
         x.layers[index] = spoil(x.layers[index])
         before = [a.copy() for a in x.layers]
         with pytest.raises(ValueError, match=f"layer {index} must be a writeable C-contiguous float64 array"):
-            add_low_rank(x, factors, 1e-3)
+            add_low_rank(x, low_rank_operands(x, factors), 1e-3)
         for a, b in zip(x.layers, before):
             np.testing.assert_array_equal(a, b)
 
@@ -386,7 +387,7 @@ class TestAddLowRank:
         shapes = [LayerShape(6, 5, 2), LayerShape(4, 7, 3)]
         x, factors = self._layers(shapes, seed=65)
         for scale in (1e-3, [-2e-3, 5e-4]):
-            add_low_rank(x, factors, scale)
+            add_low_rank(x, low_rank_operands(x, factors), scale)
         assert len(calls) == 2 * len(shapes)
         for (args, kwargs), (a, (u, _)) in zip(calls, 2 * list(zip(x.layers, factors))):
             assert kwargs == {}
@@ -403,7 +404,7 @@ class TestAddLowRank:
         x, factors = self._layers(shapes, seed=66)
         expected = [a.copy() for a in x.layers]
         for scale in (1e-3, -2.7e-2):
-            add_low_rank(x, factors, scale)
+            add_low_rank(x, low_rank_operands(x, factors), scale)
             reference_add_low_rank(expected, factors, scale)
             assert [a.tobytes() for a in x.layers] == [e.tobytes() for e in expected]
 

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lozo import optimizers
-from lozo.estimators import _central_difference, add_low_rank
+from lozo import estimators, optimizers
+from lozo.estimators import _central_difference, add_low_rank, low_rank_operands
 from lozo.linalg import LayerShape, ParamSet, frobenius_norm
 from lozo.optimizers import (
     LozoState,
@@ -136,7 +136,7 @@ class TestLozoStep:
             # eager path: build the same factors once, store, and reuse
             u, v = step_factors(config, x_eager, t)[1][0]
             eps = config.epsilon
-            c = _central_difference(oracle, x_eager, sample_index(t, 3), eps, add_low_rank, [(u, v)])
+            c = _central_difference(oracle, x_eager, sample_index(t, 3), eps, add_low_rank, low_rank_operands(x_eager, [(u, v)]))
             # the probe left x at X - eps U V^T; one pass restores and updates
             x_eager.layers[0] += (eps - config.alpha * c / 2) * (u @ v.T)
             np.testing.assert_array_equal(x_replay.layers[0], x_eager.layers[0])
@@ -535,6 +535,37 @@ class TestPeriodV:
             lozo_step(x, state, oracle, config, mom)
         assert calls["n"] == len(shapes) * periods
 
+    @pytest.mark.parametrize("kind", list(SamplerKind))
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_every_pass_hands_dgemm_the_cached_v_in_fortran_order(self, algo, kind, monkeypatch):
+        # V is drawn in the layout dgemm reads, so no pass copies it
+        seen = []
+        real = estimators.dgemm
+
+        def recording(*args):
+            seen.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(estimators, "dgemm", recording)
+        oracle, config, x, mom = self._setup(algo, kind)
+        state = LozoState()
+        for _ in range(7):  # crosses the boundary at t = 5
+            seen.clear()
+            lozo_step(x, state, oracle, config, mom)
+            assert len(seen) == 3 * len(self.shapes)
+            for i, v in enumerate(seen):
+                assert v.flags.f_contiguous and np.shares_memory(v, state.v_cache.vs[i % len(self.shapes)])
+
+    def test_u_seed_prefixes_are_one_list_across_boundaries(self):
+        oracle, config, x, _ = self._setup("lozo", SamplerKind.HAAR_SCALED)
+        state = LozoState()
+        lozo_step(x, state, oracle, config)
+        keys = state.v_cache.u_keys
+        for _ in range(11):  # boundaries at t = 5 and 10
+            lozo_step(x, state, oracle, config)
+        assert state.v_cache.period == 2 and state.v_cache.u_keys is keys
+        assert keys == [derive_seed(config.base_seed, STREAM_U, i) for i in range(len(x))]
+
     def test_period_holds_only_what_a_step_reads(self):
         # no Gram matrices: run's est_norm forms V^T V from the cached V at each record
         assert optimizers.Period._fields == ("period", "vs", "u_keys")
@@ -555,6 +586,10 @@ class TestPeriodV:
 
 class TestFoldedStep:
     """A step is +eps, -2eps and one pass that restores and updates at once."""
+
+    def test_step_allocates_no_cells(self):
+        # a local that a comprehension in the step reads would become a cell, allocated on every call
+        assert lozo_step.__code__.co_cellvars == ()
 
     shapes = [LayerShape(6, 5, 2), LayerShape(4, 6, 3)]
 

@@ -54,14 +54,16 @@ class TestSampleV:
             err = np.linalg.norm(gram - n * np.eye(gram.shape[0]))
             assert err <= 1e-12 * n
 
+    @pytest.mark.parametrize("kind", list(SamplerKind))
     @pytest.mark.parametrize("n, r", [(32, 2), (256, 4), (16, 4), (1024, 4), (4, 4), (1, 1)])
-    def test_haar_matches_numpy_qr_reference_bytes(self, n, r):
-        # the reference draws through np.linalg.qr; sample_v calls LAPACK directly
+    def test_fortran_order_with_the_reference_bytes(self, n, r, kind):
+        # the Haar reference draws through np.linalg.qr, while sample_v calls LAPACK directly;
+        # V comes in dgemm's Fortran order with the values of the C-order reference
         for i in range(25):
             seed = derive_seed(n, r, i)
-            v = sample_v(seed, n, r, SamplerKind.HAAR_SCALED)
-            assert v.flags.c_contiguous
-            assert v.tobytes() == fresh_sample_v(seed, n, r, SamplerKind.HAAR_SCALED).tobytes()
+            v = sample_v(seed, n, r, kind)
+            assert v.flags.f_contiguous
+            assert v.tobytes() == fresh_sample_v(seed, n, r, kind).tobytes()
 
     def test_coordinate_gram_exact(self):
         for seed in range(10):
