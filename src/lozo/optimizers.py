@@ -252,9 +252,8 @@ def lozo_step(
     period's V is built once, at its boundary, and kept in state.v_cache
     with U's seed prefixes; a state resumed from t alone rebuilds it, and
     the old V it projects from. One list of operands serves all three
-    passes. Returns the
-    finite-difference scalar c and does no telemetry work: run computes
-    est_norm on the steps it records.
+    passes. Returns the finite-difference scalar c and does no telemetry
+    work: run computes est_norm on the steps it records.
     """
     t, shapes, cache = state.t, x.shapes, state.v_cache
     cur, operands = step_operands(config, x, t, cache)

@@ -18,6 +18,11 @@ from .linalg import LayerShape, ParamSet, as_float, as_int, thin_qr, top_singula
 from .sampling import STREAM_DATA, derive_seed, sample_gaussian
 
 
+def _check_count(num_samples: int) -> None:
+    if num_samples < 1:
+        raise ValueError("num_samples must be positive")
+
+
 class LossOracle:
     """Scalar loss F(X; xi) over a finite sample set.
 
@@ -34,8 +39,7 @@ class LossOracle:
         expected_fn: Optional[Callable[[ParamSet], float]] = None,
         optimal_loss: Optional[float] = None,
     ):
-        if num_samples < 1:
-            raise ValueError("num_samples must be positive")
+        _check_count(num_samples)
         self.name = name
         self.num_samples = num_samples
         self._eval_fn = eval_fn
@@ -67,7 +71,13 @@ class LossOracle:
         return float(self._expected_fn(x))
 
     def eval_metric(self, x: ParamSet) -> float:
-        """Evaluation-time loss: the exact finite average when defined."""
+        """Evaluation-time loss: the exact finite average when defined.
+
+        One call's cost is the family's: the quadratic forms X - A once per
+        layer, about one evaluate; the planted family makes one matmul over
+        all its pairs; the logistic and MLP families evaluate every sample,
+        so a call costs num_samples evaluations.
+        """
         if self._expected_fn is not None:
             return float(self._expected_fn(x))
         return self.evaluate(x, 0)
@@ -79,12 +89,13 @@ class ProblemSpec:
 
     kind is one of PROBLEM_KINDS; its builder in make_problem's table reads
     the other fields. Every kind reads data_seed and num_samples, where 0
-    means the family default that the table gives. "quadratic" takes any
-    number of layers; "planted" and "logistic" take one, "mlp" two. Only
-    "planted" reads true_rank. noise_scale must be finite and nonnegative
-    for every kind; "logistic" ignores it, and "planted" turns the default 0
-    into 1.0. The "mlp" noise default here is 0.0, while make_tiny_mlp's own
-    default is 0.05. No kind reads the layer ranks.
+    means the family default that the table gives and a negative count is
+    rejected. "quadratic" takes any number of layers; "planted" and
+    "logistic" take one, "mlp" two. Only "planted" reads true_rank.
+    noise_scale must be finite and nonnegative for every kind; "logistic"
+    ignores it, and "planted" turns the default 0 into 1.0. The "mlp" noise
+    default here is 0.0, while make_tiny_mlp's own default is 0.05. No kind
+    reads the layer ranks.
     """
 
     kind: str = "quadratic"
@@ -104,6 +115,8 @@ class ProblemSpec:
             raise ValueError("a problem needs at least one layer shape")
         if self.noise_scale < 0.0:
             raise ValueError(f"noise_scale must be nonnegative, got {self.noise_scale!r}")
+        if self.num_samples < 0:
+            raise ValueError(f"num_samples must be nonnegative, got {self.num_samples}")
 
 
 def _normalize_shapes(shape) -> list[LayerShape]:
@@ -125,6 +138,7 @@ def make_quadratic(shape, data_seed: int, noise_scale: float = 0.0, num_samples:
     The noise matrices sum to zero over the sample set, so the expected loss
     is exactly 1/2 ||X - A||^2, minimized at X = A with value 0.
     """
+    _check_count(num_samples)
     shapes = _normalize_shapes(shape)
     targets = [sample_gaussian(derive_seed(data_seed, STREAM_DATA, li), s.m, s.n) for li, s in enumerate(shapes)]
     noise = [
@@ -150,7 +164,11 @@ def make_quadratic(shape, data_seed: int, noise_scale: float = 0.0, num_samples:
         return ParamSet([a - t + g for a, t, g in zip(x.layers, targets, noise[xi])], x.shapes)
 
     def expected_fn(x: ParamSet) -> float:
-        return sum(0.5 * float(np.vdot(a - t, a - t)) for a, t in zip(x.layers, targets))
+        total = 0.0
+        for a, t in zip(x.layers, targets):
+            diff = a - t  # one m x n temporary per layer, as in eval_fn
+            total += 0.5 * float(np.vdot(diff, diff))
+        return total
 
     oracle = LossOracle("quadratic", num_samples, eval_fn, grad_fn, expected_fn, optimal_loss=0.0)
     oracle.targets = targets
@@ -174,6 +192,7 @@ def make_planted_low_rank(
     is known in closed form while every per-batch gradient stays rank
     <= true_rank.
     """
+    _check_count(num_batches)
     (s,) = _fixed_layers(shape, "planted", 1)
     m, n, p = s.m, s.n, true_rank
     if not (1 <= p <= min(m, n)):
@@ -234,6 +253,7 @@ def make_logistic(
     a weight matrix X on a feature is the Frobenius inner product <X, Phi>.
     Each batch is exactly class-balanced.
     """
+    _check_count(num_batches)
     (s,) = _fixed_layers(shape, "logistic", 1)
     if batch_size % 2 != 0:
         raise ValueError("batch_size must be even so batches are class-balanced")
@@ -279,6 +299,7 @@ def make_tiny_mlp(
     analytic gradient is provided, so gradient checks on this problem use
     central differences.
     """
+    _check_count(num_batches)
     s1, s2 = _fixed_layers(shapes, "mlp", 2)
     if s2.n != s1.m:
         raise ValueError(f"layer shapes do not compose: {s1.m}x{s1.n} then {s2.m}x{s2.n}")

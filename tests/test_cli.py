@@ -504,7 +504,7 @@ class TestMainExitCodes:
             (["--problem", "logistic", "--shape", "4x4", "--shape", "3x3"],
              {"problem": {"kind": "logistic", "shapes": [[4, 4, 2], [3, 3, 2]]}},
              "the logistic problem takes 1 layer shape, got 2"),
-            (["--num-samples", "-1"], {"problem": {"num_samples": -1}}, "num_samples must be positive"),
+            (["--num-samples", "-1"], {"problem": {"num_samples": -1}}, "num_samples must be nonnegative, got -1"),
             (["--problem", "planted", "--shape", "4x4", "--noise", "-1"],
              {"problem": {"kind": "planted", "shapes": [[4, 4, 2]], "noise_scale": -1.0}},
              "noise_scale must be nonnegative"),
@@ -526,6 +526,28 @@ class TestMainExitCodes:
         assert len(errors) == 2 and all(line.startswith("error: ") and message in line for line in errors)
         assert captured.out == ""
         assert not out.exists()
+
+    KIND_SHAPES = {"quadratic": ["4x4"], "planted": ["4x4"], "logistic": ["4x4"], "mlp": ["6x5", "4x6"]}
+
+    def _run_kind(self, kind, out, *flags):
+        shapes = [arg for shape in self.KIND_SHAPES[kind] for arg in ("--shape", shape)]
+        return main(["run", "--problem", kind, *shapes, "--lr", "1e-3", "--steps", "2", *flags, "--out", str(out)])
+
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_negative_num_samples_is_named(self, tmp_path, capsys, kind):
+        # planted, logistic and mlp said only "negative dimensions are not allowed"
+        assert self._run_kind(kind, tmp_path / "never", "--num-samples", "-3") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: num_samples must be nonnegative, got -3\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_num_samples_0_is_the_family_default(self, tmp_path, kind):
+        assert self._run_kind(kind, tmp_path / "zero", "--num-samples", "0") == 0
+        assert self._run_kind(kind, tmp_path / "unset") == 0
+        for suffix in (".csv", ".json"):
+            assert (tmp_path / f"zero{suffix}").read_bytes() == (tmp_path / f"unset{suffix}").read_bytes()
 
     def test_diverged_compare_is_a_failure(self, tmp_path, capsys):
         stall = {"problem": {"kind": "quadratic", "shapes": [[8, 8, 2]], "data_seed": 0},

@@ -1,5 +1,7 @@
 """Loss oracle contracts: analytic gradients, planted structure, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lozo import problems
 from lozo.linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
 from lozo.optimizers import OptimizerConfig, run
 from lozo.problems import (
+    PROBLEM_KINDS,
     ProblemSpec,
     gradient_rank_profile,
     make_logistic,
@@ -46,6 +49,60 @@ class TestQuadratic:
         x = ParamSet([sample_gaussian(9, 5, 4)], self.shapes)
         mean_grad = sum(oracle.analytic_grad(x, xi).layers[0] for xi in range(5)) / 5
         np.testing.assert_allclose(mean_grad, x.layers[0] - oracle.targets[0], atol=1e-12)
+
+
+class TestQuadraticEvalMetric:
+    def test_peak_is_one_layer_temporary(self):
+        # the population loss forms X - A once per layer: two at once measured 2.0 x the layer
+        shape = LayerShape(256, 256, 2)
+        oracle = make_quadratic([shape], data_seed=3, noise_scale=0.5, num_samples=4)
+        x = ParamSet([sample_gaussian(4, shape.m, shape.n)], [shape])
+        layer_bytes = shape.m * shape.n * 8
+        tracemalloc.start()
+        try:
+            oracle.eval_metric(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * layer_bytes, f"peak {peak} B is {peak / layer_bytes:.2f} x the layer"
+
+    def test_value_is_the_two_difference_sum_bit_for_bit(self):
+        shapes = [LayerShape(33, 17, 2), LayerShape(8, 40, 3)]
+        oracle = make_quadratic(shapes, data_seed=5, noise_scale=0.3, num_samples=3)
+        x = ParamSet([sample_gaussian(6 + i, s.m, s.n) for i, s in enumerate(shapes)], shapes)
+        reference = sum(0.5 * float(np.vdot(a - t, a - t)) for a, t in zip(x.layers, oracle.targets))
+        assert oracle.eval_metric(x) == reference
+        assert oracle.expected_loss(x) == reference
+
+
+class TestSampleCount:
+    BUILDERS = {
+        "quadratic": lambda count: make_quadratic([LayerShape(4, 3, 1)], 1, num_samples=count),
+        "planted": lambda count: make_planted_low_rank(LayerShape(4, 3, 1), 1, 1, num_batches=count),
+        "logistic": lambda count: make_logistic(LayerShape(4, 3, 1), 1, num_batches=count),
+        "mlp": lambda count: make_tiny_mlp([LayerShape(4, 3, 1), LayerShape(2, 4, 1)], 1, num_batches=count),
+    }
+
+    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_builder_rejects_a_count_below_one_before_drawing(self, monkeypatch, kind, count):
+        # at count 0 the quadratic divided by zero and the planted family failed in its QR
+        def no_draw(*args):
+            raise AssertionError("data drawn before the count was checked")
+
+        monkeypatch.setattr(problems, "sample_gaussian", no_draw)
+        with pytest.raises(ValueError, match="^num_samples must be positive$"):
+            self.BUILDERS[kind](count)
+
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_spec_rejects_a_negative_count_by_name(self, kind):
+        with pytest.raises(ValueError, match="^num_samples must be nonnegative, got -3$"):
+            ProblemSpec(kind, num_samples=-3)
+
+    @pytest.mark.parametrize("kind, default", [("quadratic", 8), ("planted", 128), ("logistic", 16), ("mlp", 8)])
+    def test_spec_count_0_is_the_family_default(self, kind, default):
+        shapes = (LayerShape(6, 5, 2), LayerShape(3, 6, 2)) if kind == "mlp" else (LayerShape(6, 5, 2),)
+        assert make_problem(ProblemSpec(kind, shapes, num_samples=0)).num_samples == default
 
 
 class TestPlantedLowRank:
