@@ -53,6 +53,7 @@ from .sampling import (
     STREAM_Z,
     SamplerKind,
     Seed,
+    as_seed,
     derive_seed,
     sample_gaussian,
     sample_v,
@@ -81,8 +82,9 @@ class OptimizerConfig:
     v_kind: SamplerKind = SamplerKind.STANDARD_NORMAL
 
     def __post_init__(self):
-        for name in ("total_steps", "base_seed", "nu"):
+        for name in ("total_steps", "nu"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        object.__setattr__(self, "base_seed", as_seed("base_seed", self.base_seed))
         for name in ("alpha", "epsilon", "beta"):
             object.__setattr__(self, name, as_float(name, getattr(self, name)))
         if not isinstance(self.v_kind, SamplerKind):

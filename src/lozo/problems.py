@@ -15,7 +15,7 @@ import numpy as np
 
 from . import estimators
 from .linalg import LayerShape, ParamSet, as_float, as_int, thin_qr, top_singular_values
-from .sampling import STREAM_DATA, derive_seed, sample_gaussian
+from .sampling import STREAM_DATA, as_seed, derive_seed, sample_gaussian
 
 
 def _check_count(num_samples: int) -> None:
@@ -88,10 +88,12 @@ class ProblemSpec:
     """Description of a test problem; the CLI reads and writes its fields as JSON.
 
     kind is one of PROBLEM_KINDS; its builder in make_problem's table reads
-    the other fields. Every kind reads data_seed and num_samples, where 0
-    means the family default that the table gives and a negative count is
-    rejected. "quadratic" takes any number of layers; "planted" and
-    "logistic" take one, "mlp" two. Only "planted" reads true_rank.
+    the other fields. Every kind reads data_seed, which must lie in
+    [0, 2**64), and num_samples, where 0 means the family default that the
+    table gives and a negative count is rejected. "quadratic" takes any
+    number of layers; "planted" and "logistic" take one; "mlp" takes two or
+    more layers that compose (each layer's n is the previous layer's m).
+    Only "planted" reads true_rank.
     noise_scale must be finite and nonnegative for every kind; "logistic"
     ignores it, and "planted" turns the default 0 into 1.0. The "mlp" noise
     default here is 0.0, while make_tiny_mlp's own default is 0.05. No kind
@@ -108,8 +110,9 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}")
-        for name in ("data_seed", "num_samples", "true_rank"):
+        for name in ("num_samples", "true_rank"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        object.__setattr__(self, "data_seed", as_seed("data_seed", self.data_seed))
         object.__setattr__(self, "noise_scale", as_float("noise_scale", self.noise_scale))
         if not self.shapes:
             raise ValueError("a problem needs at least one layer shape")
@@ -125,11 +128,11 @@ def _normalize_shapes(shape) -> list[LayerShape]:
     return list(shape)
 
 
-def _fixed_layers(shape, family: str, count: int) -> list[LayerShape]:
+def _one_layer(shape, family: str) -> LayerShape:
     shapes = _normalize_shapes(shape)
-    if len(shapes) != count:
-        raise ValueError(f"the {family} problem takes {count} layer shape{'s' * (count > 1)}, got {len(shapes)}")
-    return shapes
+    if len(shapes) != 1:
+        raise ValueError(f"the {family} problem takes 1 layer shape, got {len(shapes)}")
+    return shapes[0]
 
 
 def make_quadratic(shape, data_seed: int, noise_scale: float = 0.0, num_samples: int = 8) -> LossOracle:
@@ -193,7 +196,7 @@ def make_planted_low_rank(
     <= true_rank.
     """
     _check_count(num_batches)
-    (s,) = _fixed_layers(shape, "planted", 1)
+    s = _one_layer(shape, "planted")
     m, n, p = s.m, s.n, true_rank
     if not (1 <= p <= min(m, n)):
         raise ValueError(f"true_rank must be in [1, min(m, n)], got {p}")
@@ -245,16 +248,16 @@ def make_logistic(
     data_seed: int,
     num_batches: int = 16,
     batch_size: int = 16,
-    feature_noise: float = 0.8,
 ) -> LossOracle:
     """Binary cross-entropy on a synthetic Gaussian mixture of matrix features.
 
-    Features are Phi = y * M + noise with a fixed mean pattern M; the score of
-    a weight matrix X on a feature is the Frobenius inner product <X, Phi>.
-    Each batch is exactly class-balanced.
+    Features are Phi = y * M + 0.8 * G / sqrt(m n) with a fixed unit-norm
+    mean pattern M and standard Gaussian G; the score of a weight matrix X on
+    a feature is the Frobenius inner product <X, Phi>. Each batch is exactly
+    class-balanced.
     """
     _check_count(num_batches)
-    (s,) = _fixed_layers(shape, "logistic", 1)
+    s = _one_layer(shape, "logistic")
     if batch_size % 2 != 0:
         raise ValueError("batch_size must be even so batches are class-balanced")
     root = derive_seed(data_seed, STREAM_DATA, 0xC1)
@@ -264,7 +267,7 @@ def make_logistic(
     feats = np.empty((num_batches, batch_size, s.m, s.n))
     for bi in range(num_batches):
         g = sample_gaussian(derive_seed(root, 1, bi), batch_size * s.m, s.n).reshape(batch_size, s.m, s.n)
-        feats[bi] = labels[:, None, None] * mean + feature_noise * g / np.sqrt(s.m * s.n)
+        feats[bi] = labels[:, None, None] * mean + 0.8 * g / np.sqrt(s.m * s.n)
 
     def _scores(xm: np.ndarray, bi: int) -> np.ndarray:
         return np.tensordot(feats[bi], xm, axes=([1, 2], [0, 1]))
@@ -291,33 +294,54 @@ def make_tiny_mlp(
     num_batches: int = 8,
     batch_size: int = 16,
     noise_scale: float = 0.05,
-    teacher_scale: float = 1.0,
 ) -> LossOracle:
-    """Two-layer tanh network with squared-error head, forward pass only.
+    """A tanh network of two or more layers with a linear squared-error head, forward pass only.
 
-    Targets come from a random teacher network of the same architecture; no
-    analytic gradient is provided, so gradient checks on this problem use
-    central differences.
+    Layer l is an m_l x n_l matrix W_l that maps h to h W_l^T, so each
+    layer's n equals the previous layer's m; tanh follows every layer but the
+    last. Targets come from a random teacher network of the same
+    architecture plus noise_scale times Gaussian noise; no analytic gradient
+    is provided, so gradient checks on this problem use central differences.
+
+    Every draw comes from root = derive_seed(data_seed, STREAM_DATA, 0xD1).
+    Teacher layer l is N(0, 1) / sqrt(n_l), drawn from derive_seed(root, l)
+    for l = 0 and 1 and from derive_seed(root, 4, l) for l >= 2. Batch bi's
+    inputs come from derive_seed(root, 2, bi) and its target noise from
+    derive_seed(root, 3, bi).
     """
     _check_count(num_batches)
-    s1, s2 = _fixed_layers(shapes, "mlp", 2)
-    if s2.n != s1.m:
-        raise ValueError(f"layer shapes do not compose: {s1.m}x{s1.n} then {s2.m}x{s2.n}")
-    hidden, d_in, d_out = s1.m, s1.n, s2.m
+    shapes = _normalize_shapes(shapes)
+    if len(shapes) < 2:
+        raise ValueError(f"the mlp problem takes at least 2 layer shapes, got {len(shapes)}")
+    for prev, s in zip(shapes, shapes[1:]):
+        if s.n != prev.m:
+            raise ValueError(f"layer shapes do not compose: {prev.m}x{prev.n} then {s.m}x{s.n}")
+    d_in, d_out = shapes[0].n, shapes[-1].m
     root = derive_seed(data_seed, STREAM_DATA, 0xD1)
-    w1_t = teacher_scale * sample_gaussian(derive_seed(root, 0), hidden, d_in) / np.sqrt(d_in)
-    w2_t = teacher_scale * sample_gaussian(derive_seed(root, 1), d_out, hidden) / np.sqrt(hidden)
+    teacher = [
+        sample_gaussian(derive_seed(root, li) if li < 2 else derive_seed(root, 4, li), s.m, s.n) / np.sqrt(s.n)
+        for li, s in enumerate(shapes)
+    ]
+
+    def forward(h: np.ndarray, ws: list[np.ndarray]) -> np.ndarray:
+        # a while loop allocates no iterator, and rebinding h drops the input view before tanh, so an
+        # evaluation's peak holds one layer's pre-activation and its tanh and no Python object more
+        i = 0
+        while i < len(ws) - 1:
+            h = h @ ws[i].T
+            h = np.tanh(h)
+            i += 1
+        return h @ ws[-1].T
+
     xs = np.empty((num_batches, batch_size, d_in))
     ys = np.empty((num_batches, batch_size, d_out))
     for bi in range(num_batches):
-        xb = sample_gaussian(derive_seed(root, 2, bi), batch_size, d_in)
+        xs[bi] = sample_gaussian(derive_seed(root, 2, bi), batch_size, d_in)
         noise = noise_scale * sample_gaussian(derive_seed(root, 3, bi), batch_size, d_out)
-        xs[bi] = xb
-        ys[bi] = np.tanh(xb @ w1_t.T) @ w2_t.T + teacher_scale * noise
+        ys[bi] = forward(xs[bi], teacher) + noise
 
     def eval_fn(x: ParamSet, xi: int) -> float:
-        w1, w2 = x.layers
-        resid = np.tanh(xs[xi] @ w1.T) @ w2.T - ys[xi]
+        resid = forward(xs[xi], x.layers) - ys[xi]
         return 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
 
     def expected_fn(x: ParamSet) -> float:

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import LayerShape, Matrix, thin_qr
+from .linalg import LayerShape, Matrix, as_int, thin_qr
 
 Seed = int
 
@@ -53,6 +53,19 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
+
+
+def as_seed(name: str, value) -> Seed:
+    """value as a Python int in [0, 2**64), the seeds derive_seed tells apart.
+
+    as_int checks the type; a value outside the range raises ValueError naming
+    the field, since derive_seed would mask it onto the seed in range that
+    shares its low 64 bits.
+    """
+    seed = as_int(name, value)
+    if not (0 <= seed <= _MASK64):
+        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def derive_seed(base: Seed, *words: int) -> Seed:

@@ -1,11 +1,12 @@
 """One SHA-256 over a fixed set of trajectories and draws: the bit-identity check for performance changes.
 
 A change that claims to keep every byte must print the same digest as its
-parent. tests/test_digest.py pins the digest under one BLAS thread; a change
-that alters any trajectory or draw updates the pinned value and says so in
-CHANGES.md. The digest covers the records (step, loss, |c|, est_norm; not the
-wall time) and final layers of optimizers.run for zo-sgd, lozo and lozo-m
-under each V sampler, on four problems:
+parent. tests/test_digest.py pins the digest under one and under two BLAS
+threads, and skips the two-thread pin on a machine with fewer than two CPUs;
+a change that alters any trajectory or draw updates the pinned values and
+says so in CHANGES.md. The digest covers the records (step, loss, |c|,
+est_norm; not the wall time) and final layers of optimizers.run for zo-sgd,
+lozo and lozo-m under each V sampler, on four problems:
 
 - a two-layer tanh MLP at nu = 1, every step a resample boundary;
 - a two-layer quadratic at nu = 7 with beta = 0.5;
@@ -26,7 +27,12 @@ Compare digests under one OPENBLAS_NUM_THREADS: the 256 x 256 quadratic's
 loss is a whole-layer dot product that OpenBLAS splits across threads. The
 CLI part keeps every shape at 32 or below, where it does not.
 
+parts() maps each part (a problem block, a run_experiment output or the
+compare rows) to the SHA-256 of the bytes the digest takes from it, so a
+change that moves the digest can name the parts that moved.
+
 Run as: PYTHONPATH=src python tests/digest.py
+Parts:  PYTHONPATH=src:tests python -c "import digest; [print(*p) for p in digest.parts().items()]"
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import struct
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -113,40 +120,57 @@ def _race() -> tuple[list[ExperimentConfig], float]:
     return configs, 1.2 * make_problem(spec).optimal_loss
 
 
-def _update(h, a: np.ndarray) -> None:
-    h.update(struct.pack("<q", a.ndim) + struct.pack(f"<{a.ndim}q", *a.shape))
-    h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+def _array_bytes(a: np.ndarray) -> bytes:
+    """a's rank, shape and float64 values, in C order."""
+    head = struct.pack("<q", a.ndim) + struct.pack(f"<{a.ndim}q", *a.shape)
+    return head + np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
-def digest() -> str:
-    """The hex SHA-256 of every covered trajectory, problem datum, V draw and CLI output."""
-    h = hashlib.sha256()
+def _parts() -> Iterator[tuple[str, bytes]]:
+    """(name, bytes) of each covered part, in the order digest() hashes them."""
     for p, (name, oracle, shapes, nu, alpha, beta, data) in enumerate(_problems()):
-        h.update(name.encode())
+        out = bytearray(name.encode())
         for a in data:
-            _update(h, a)
+            out += _array_bytes(a)
         for kind in SamplerKind:
             for i, s in enumerate(shapes):
                 for k in range(8):
-                    _update(h, sample_v(derive_seed(0xD16, p, i, k), s.n, s.r, kind))
+                    out += _array_bytes(sample_v(derive_seed(0xD16, p, i, k), s.n, s.r, kind))
             for algo in ALGORITHMS:
                 config = OptimizerConfig(
                     alpha=alpha, total_steps=STEPS, base_seed=derive_seed(0xD16, p), nu=nu, beta=beta, v_kind=kind
                 )
                 x = _start(shapes, derive_seed(0xD16, p, 0x57))
                 for r in run(oracle, x, config, algo):
-                    h.update(struct.pack("<qddd", r.step, r.loss, r.fd_scalar_abs, r.est_norm))
+                    out += struct.pack("<qddd", r.step, r.loss, r.fd_scalar_abs, r.est_norm)
                 for a in x.layers:
-                    _update(h, a)
+                    out += _array_bytes(a)
+        yield f"problem:{name}", bytes(out)
     with tempfile.TemporaryDirectory() as td:
         for name, config in _experiments():
             stem = Path(td) / name
             run_experiment(replace(config, output_path=str(stem)))
-            h.update(name.encode())
-            h.update(stem.with_suffix(".csv").read_bytes())
-            h.update(stem.with_suffix(".json").read_bytes())
-    for algo, e2t, final in compare_algorithms(*_race()):
-        h.update(f"{algo},{e2t},{final!r}\n".encode())
+            outputs = stem.with_suffix(".csv").read_bytes() + stem.with_suffix(".json").read_bytes()
+            yield f"cli:{name}", name.encode() + outputs
+    rows = compare_algorithms(*_race())
+    yield "compare", b"".join(f"{algo},{e2t},{final!r}\n".encode() for algo, e2t, final in rows)
+
+
+def parts() -> dict[str, str]:
+    """Part name -> the hex SHA-256 of exactly the bytes digest() hashes for that part.
+
+    The names are problem:<name> for the four problem blocks, cli:<name> for
+    the nine run_experiment outputs and compare for the compare rows. Two
+    runs' maps name the parts that moved between them.
+    """
+    return {name: hashlib.sha256(data).hexdigest() for name, data in _parts()}
+
+
+def digest() -> str:
+    """The hex SHA-256 of every covered trajectory, problem datum, V draw and CLI output."""
+    h = hashlib.sha256()
+    for _, data in _parts():
+        h.update(data)
     return h.hexdigest()
 
 

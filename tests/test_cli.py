@@ -498,7 +498,7 @@ class TestMainExitCodes:
         [
             (["--eval-every", "0"], {"eval_every": 0}, "eval_every must be at least 1"),
             (["--problem", "mlp", "--shape", "4x4"], {"problem": {"kind": "mlp", "shapes": [[4, 4, 2]]}},
-             "the mlp problem takes 2 layer shapes, got 1"),
+             "the mlp problem takes at least 2 layer shapes, got 1"),
             (["--problem", "planted", "--shape", "4x4", "--true-rank", "9"],
              {"problem": {"kind": "planted", "shapes": [[4, 4, 2]], "true_rank": 9}}, "true_rank must be in"),
             (["--problem", "logistic", "--shape", "4x4", "--shape", "3x3"],
@@ -526,6 +526,47 @@ class TestMainExitCodes:
         assert len(errors) == 2 and all(line.startswith("error: ") and message in line for line in errors)
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, section, key, value",
+        [
+            ("--seed", "optimizer", "base_seed", 2**64),
+            ("--seed", "optimizer", "base_seed", -1),
+            ("--data-seed", "problem", "data_seed", 2**64),
+            ("--data-seed", "problem", "data_seed", -1),
+        ],
+        ids=["seed-2**64", "seed-minus-1", "data-seed-2**64", "data-seed-minus-1"],
+    )
+    def test_seed_outside_64_bits_is_a_usage_error(self, tmp_path, capsys, flag, section, key, value):
+        # each ran as the in-range seed that shares its low 64 bits: 2**64 as 0 and -1 as 2**64 - 1
+        out = tmp_path / "out"
+        run_code = main(["run", "--lr", "1e-3", "--steps", "2", flag, str(value), "--out", str(out / "run")])
+        config = {"problem": dict(self._PROBLEM), "optimizer": dict(self._OPTIMIZER)}
+        config[section][key] = value
+        compare_code = main(["compare", "--config", write_compare_file(tmp_path, [config]),
+                             "--out", str(out / "table.csv")])
+        assert (run_code, compare_code) == (2, 2)
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {key} must lie in [0, 2**64), got {value}\n" * 2
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--seed", "--data-seed"])
+    def test_largest_seed_runs_as_itself(self, tmp_path, flag):
+        top = 2**64 - 1
+        for seed in (top, 0):
+            out = str(tmp_path / str(seed))
+            assert main(["run", "--lr", "1e-2", "--steps", "20", flag, str(seed), "--out", out]) == 0
+        assert (tmp_path / f"{top}.csv").read_bytes() != (tmp_path / "0.csv").read_bytes()
+        if flag == "--seed":
+            assert json.loads((tmp_path / f"{top}.json").read_text())["seed"] == top
+
+    def test_24_layer_mlp_runs(self, tmp_path, capsys):
+        shapes = ["--shape", "64x64"] * 24
+        out = tmp_path / "deep"
+        assert main(["run", "--problem", "mlp", *shapes, "--lr", "1e-3", "--steps", "2", "--out", str(out)]) == 0
+        assert len(out.with_suffix(".csv").read_text().splitlines()) == 3
+        assert json.loads(out.with_suffix(".json").read_text())["total_evals"] == 4
 
     KIND_SHAPES = {"quadratic": ["4x4"], "planted": ["4x4"], "logistic": ["4x4"], "mlp": ["6x5", "4x6"]}
 

@@ -40,6 +40,14 @@ def test_two_thread_digest_is_pinned():
     assert digest_under(2) == PINNED_TWO_THREADS
 
 
+def test_parts_name_every_block_the_digest_hashes():
+    problems = [f"problem:{name}" for name in ("mlp", "quadratic", "planted", "quadratic-256")]
+    cli = [f"cli:{p}-{a}" for p in ("planted", "mlp", "quadratic") for a in ("zo-sgd", "lozo", "lozo-m")]
+    parts = digest.parts()
+    assert list(parts) == [*problems, *cli, "compare"]
+    assert len(set(parts.values())) == len(parts)
+
+
 def test_planted_runs_parse_readmes_run_example():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     command = readme.split("```\nlozo-bench run ", 1)[1].split("\n\n", 1)[0]

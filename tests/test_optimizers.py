@@ -397,6 +397,16 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match=f"{key} must be an integer"):
             OptimizerConfig(**{"alpha": 1e-3, "total_steps": 3, "base_seed": 0, key: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**63)])
+    def test_base_seed_outside_64_bits_is_rejected(self, seed):
+        # the seed hash masks to 64 bits, so 2**64 ran seed 0's trajectory and -1 ran 2**64 - 1's
+        with pytest.raises(ValueError, match=rf"base_seed must lie in \[0, 2\*\*64\), got {seed}"):
+            OptimizerConfig(alpha=1e-3, total_steps=1, base_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_base_seed_range_ends_are_kept(self, seed):
+        assert OptimizerConfig(alpha=1e-3, total_steps=1, base_seed=seed).base_seed == int(seed)
+
     @pytest.mark.parametrize("algo", ["zo-sgd", "lozo", "lozo-m"])
     def test_numpy_integers_run_as_python_ints(self, algo):
         shapes = [LayerShape(4, 3, 2)]

@@ -18,7 +18,7 @@ from lozo.problems import (
     make_problem,
     make_tiny_mlp,
 )
-from lozo.sampling import sample_gaussian
+from lozo.sampling import STREAM_DATA, derive_seed, sample_gaussian
 
 from oracles import finite_difference_grad
 
@@ -185,21 +185,78 @@ class TestLogistic:
 
     def test_separable_data_low_loss(self):
         shape = LayerShape(5, 6, 2)
-        oracle = make_logistic(shape, data_seed=10, num_batches=2, batch_size=8, feature_noise=0.02)
-        # features are y * M + tiny noise, so a large multiple of M separates them
+        oracle = make_logistic(shape, data_seed=10, num_batches=2, batch_size=8)
+        # features are y * M + noise, and a large multiple of M separates these 16
         mean = oracle.analytic_grad(ParamSet.zeros([shape]), 0)  # gradient at 0 is -mean-ish direction
         w = ParamSet([-60.0 * mean.layers[0] / frobenius_norm(mean.layers[0])], [shape])
         assert oracle.expected_loss(w) <= 1e-3
 
 
+def reference_mlp_losses(shapes, data_seed, num_batches, batch_size, noise_scale, layers):
+    """Per-batch losses of make_tiny_mlp's documented network, rebuilt with a plain loop from its streams."""
+    root = derive_seed(data_seed, STREAM_DATA, 0xD1)
+    keys = [derive_seed(root, 0), derive_seed(root, 1)] + [derive_seed(root, 4, li) for li in range(2, len(shapes))]
+    teacher = [sample_gaussian(k, s.m, s.n) / np.sqrt(s.n) for k, s in zip(keys, shapes)]
+
+    def net(ws, h):
+        for li, w in enumerate(ws):
+            h = h @ w.T
+            if li < len(ws) - 1:
+                h = np.tanh(h)
+        return h
+
+    losses = []
+    for bi in range(num_batches):
+        inputs = sample_gaussian(derive_seed(root, 2, bi), batch_size, shapes[0].n)
+        noise = sample_gaussian(derive_seed(root, 3, bi), batch_size, shapes[-1].m)
+        targets = net(teacher, inputs) + noise_scale * noise
+        resid = net(layers, inputs) - targets
+        losses.append(0.5 * np.mean(np.sum(resid**2, axis=1)))
+    return losses
+
+
 class TestTinyMLP:
     shapes = [LayerShape(6, 5, 2), LayerShape(3, 6, 2)]
+    DEEP = {
+        2: shapes,
+        3: [LayerShape(6, 5, 2), LayerShape(4, 6, 2), LayerShape(3, 4, 2)],
+        4: [LayerShape(6, 5, 2), LayerShape(7, 6, 2), LayerShape(5, 7, 2), LayerShape(3, 5, 2)],
+    }
 
-    def test_zero_weights_zero_targets(self):
-        oracle = make_tiny_mlp(self.shapes, data_seed=11, num_batches=2, batch_size=4,
-                               noise_scale=0.0, teacher_scale=0.0)
-        x = ParamSet.zeros(self.shapes)
-        assert oracle.evaluate(x, 0) == 0.0
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("start", ["gaussian", "zeros"])
+    def test_value_matches_a_plain_loop(self, depth, start):
+        # zero weights predict 0, so the loss there is half the targets' mean squared norm
+        shapes = self.DEEP[depth]
+        oracle = make_tiny_mlp(shapes, data_seed=11, num_batches=3, batch_size=4)
+        layers = [
+            0.5 * sample_gaussian(50 + li, s.m, s.n) if start == "gaussian" else np.zeros((s.m, s.n))
+            for li, s in enumerate(shapes)
+        ]
+        expected = reference_mlp_losses(shapes, 11, 3, 4, 0.05, layers)
+        x = ParamSet(layers, shapes)
+        assert [oracle.evaluate(x, bi) for bi in range(3)] == pytest.approx(expected, rel=1e-12)
+        assert oracle.eval_metric(x) == pytest.approx(np.mean(expected), rel=1e-12)
+        assert min(expected) > 0.0
+
+    def test_one_layer_is_rejected(self):
+        with pytest.raises(ValueError, match="the mlp problem takes at least 2 layer shapes, got 1"):
+            make_tiny_mlp([LayerShape(4, 4, 2)], data_seed=1)
+
+    def test_shapes_that_do_not_compose_are_named(self):
+        shapes = [LayerShape(8, 6, 2), LayerShape(8, 8, 2), LayerShape(3, 5, 2)]
+        with pytest.raises(ValueError, match="layer shapes do not compose: 8x8 then 3x5"):
+            make_tiny_mlp(shapes, data_seed=1)
+
+    def test_lozo_lowers_a_four_layer_loss(self):
+        shapes = self.DEEP[4]
+        oracle = make_tiny_mlp(shapes, data_seed=40, num_batches=4, batch_size=8, noise_scale=0.02)
+        layers = [sample_gaussian(derive_seed(41, li), s.m, s.n) / np.sqrt(s.n) for li, s in enumerate(shapes)]
+        x = ParamSet(layers, shapes)
+        start = oracle.eval_metric(x)
+        config = OptimizerConfig(alpha=1e-2, total_steps=400, base_seed=41, nu=20)
+        records = run(oracle, x, config, "lozo", eval_every=50)
+        assert records[-1].loss < 0.5 * start
 
     def test_hidden_unit_permutation_invariance(self):
         oracle = make_tiny_mlp(self.shapes, data_seed=12, num_batches=2, batch_size=4)
@@ -303,6 +360,16 @@ class TestProblemSpecValidation:
         x = ParamSet([sample_gaussian(36, 6, 5)], list(self.shapes))
         a, b = make_problem(numpy), make_problem(plain)
         assert [a.evaluate(x, xi) for xi in range(4)] == [b.evaluate(x, xi) for xi in range(4)]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, -(2**64)])
+    def test_data_seed_outside_64_bits_is_rejected(self, seed):
+        # the seed hash masks to 64 bits, so -1 built 2**64 - 1's problem and 2**64 built seed 0's
+        with pytest.raises(ValueError, match=rf"data_seed must lie in \[0, 2\*\*64\), got {seed}"):
+            ProblemSpec("quadratic", self.shapes, data_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_data_seed_range_ends_are_kept(self, seed):
+        assert ProblemSpec("quadratic", self.shapes, data_seed=seed).data_seed == int(seed)
 
     def test_numpy_int64_data_seed_builds(self):
         # np.int64 overflowed the 64-bit mask of the seed hash
