@@ -23,11 +23,19 @@ def _check_count(num_samples: int) -> None:
         raise ValueError("num_samples must be positive")
 
 
+def _batch_size(value) -> int:
+    batch_size = as_int("batch_size", value)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    return batch_size
+
+
 class LossOracle:
     """Scalar loss F(X; xi) over a finite sample set.
 
-    analytic_grad and expected_loss are optional; problems without them (the
-    tiny MLP) fall back to finite differences in tests and diagnostics.
+    analytic_grad and expected_loss are optional; a problem without
+    analytic_grad (the tiny MLP) falls back to finite differences in tests
+    and diagnostics.
     """
 
     def __init__(
@@ -258,6 +266,7 @@ def make_logistic(
     """
     _check_count(num_batches)
     s = _one_layer(shape, "logistic")
+    batch_size = _batch_size(batch_size)
     if batch_size % 2 != 0:
         raise ValueError("batch_size must be even so batches are class-balanced")
     root = derive_seed(data_seed, STREAM_DATA, 0xC1)
@@ -310,6 +319,7 @@ def make_tiny_mlp(
     derive_seed(root, 3, bi).
     """
     _check_count(num_batches)
+    batch_size = _batch_size(batch_size)
     shapes = _normalize_shapes(shapes)
     if len(shapes) < 2:
         raise ValueError(f"the mlp problem takes at least 2 layer shapes, got {len(shapes)}")
@@ -324,12 +334,12 @@ def make_tiny_mlp(
     ]
 
     def forward(h: np.ndarray, ws: list[np.ndarray]) -> np.ndarray:
-        # a while loop allocates no iterator, and rebinding h drops the input view before tanh, so an
-        # evaluation's peak holds one layer's pre-activation and its tanh and no Python object more
+        # tanh overwrites the activation the matmul just allocated, and rebinding h frees the one before,
+        # so an evaluation holds at most two adjacent activations; a while loop allocates no iterator
         i = 0
         while i < len(ws) - 1:
             h = h @ ws[i].T
-            h = np.tanh(h)
+            np.tanh(h, out=h)
             i += 1
         return h @ ws[-1].T
 
@@ -341,8 +351,11 @@ def make_tiny_mlp(
         ys[bi] = forward(xs[bi], teacher) + noise
 
     def eval_fn(x: ParamSet, xi: int) -> float:
-        resid = forward(xs[xi], x.layers) - ys[xi]
-        return 0.5 * float(np.mean(np.sum(resid * resid, axis=1)))
+        # the residual and its square overwrite the head's output, which no one else holds
+        resid = forward(xs[xi], x.layers)
+        resid -= ys[xi]
+        resid *= resid
+        return 0.5 * float(np.mean(np.sum(resid, axis=1)))
 
     def expected_fn(x: ParamSet) -> float:
         return sum(eval_fn(x, bi) for bi in range(num_batches)) / num_batches

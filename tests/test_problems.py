@@ -105,6 +105,43 @@ class TestSampleCount:
         assert make_problem(ProblemSpec(kind, shapes, num_samples=0)).num_samples == default
 
 
+class TestBatchSize:
+    BUILDERS = {
+        "logistic": lambda size: make_logistic(LayerShape(4, 3, 1), 1, num_batches=2, batch_size=size),
+        "mlp": lambda size: make_tiny_mlp([LayerShape(4, 3, 1), LayerShape(2, 4, 1)], 1, num_batches=2, batch_size=size),
+    }
+
+    @pytest.fixture
+    def no_draw(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("data drawn before batch_size was checked")
+
+        monkeypatch.setattr(problems, "sample_gaussian", fail)
+
+    @pytest.mark.parametrize("size", [0, -2])
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_below_one_is_named_before_drawing(self, no_draw, kind, size):
+        # 0 failed in sample_gaussian and -2 in numpy, neither naming the field
+        with pytest.raises(ValueError, match=f"^batch_size must be positive, got {size}$"):
+            self.BUILDERS[kind](size)
+
+    @pytest.mark.parametrize("size", [2.5, True, "4"])
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_non_integer_is_named_before_drawing(self, no_draw, kind, size):
+        # 2.5 raised an unnamed TypeError for the mlp and the evenness message for the logistic problem
+        with pytest.raises(TypeError, match="^batch_size must be an integer, got "):
+            self.BUILDERS[kind](size)
+
+    def test_odd_logistic_batch_keeps_its_message(self, no_draw):
+        with pytest.raises(ValueError, match="^batch_size must be even so batches are class-balanced$"):
+            self.BUILDERS["logistic"](3)
+
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_numpy_integer_is_accepted(self, kind):
+        x = ParamSet.zeros([LayerShape(4, 3, 1)] if kind == "logistic" else [LayerShape(4, 3, 1), LayerShape(2, 4, 1)])
+        assert self.BUILDERS[kind](np.int64(4)).evaluate(x, 0) == self.BUILDERS[kind](4).evaluate(x, 0)
+
+
 class TestPlantedLowRank:
     def test_zero_residuals_zero_gradient(self):
         oracle = make_planted_low_rank(LayerShape(10, 8, 2), 2, data_seed=3, num_batches=6)
@@ -225,19 +262,46 @@ class TestTinyMLP:
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     @pytest.mark.parametrize("start", ["gaussian", "zeros"])
-    def test_value_matches_a_plain_loop(self, depth, start):
-        # zero weights predict 0, so the loss there is half the targets' mean squared norm
+    @pytest.mark.parametrize("batch_size", [4, 256])
+    def test_value_matches_a_plain_loop(self, depth, start, batch_size):
+        # zero weights predict 0, so the loss there is half the targets' mean squared norm; each batch's
+        # value is exact, the metric only close, since the oracle divides the batch sum and not np.mean
         shapes = self.DEEP[depth]
-        oracle = make_tiny_mlp(shapes, data_seed=11, num_batches=3, batch_size=4)
+        oracle = make_tiny_mlp(shapes, data_seed=11, num_batches=3, batch_size=batch_size)
         layers = [
             0.5 * sample_gaussian(50 + li, s.m, s.n) if start == "gaussian" else np.zeros((s.m, s.n))
             for li, s in enumerate(shapes)
         ]
-        expected = reference_mlp_losses(shapes, 11, 3, 4, 0.05, layers)
+        expected = reference_mlp_losses(shapes, 11, 3, batch_size, 0.05, layers)
         x = ParamSet(layers, shapes)
-        assert [oracle.evaluate(x, bi) for bi in range(3)] == pytest.approx(expected, rel=1e-12)
+        assert [oracle.evaluate(x, bi) for bi in range(3)] == expected
         assert oracle.eval_metric(x) == pytest.approx(np.mean(expected), rel=1e-12)
         assert min(expected) > 0.0
+
+    @pytest.mark.parametrize(
+        "widths",
+        [(256, 256, 16), (64, 128, 256, 16)],
+        ids=["mlp-nu1", "depth-3"],
+    )
+    @pytest.mark.parametrize("call", ["evaluate", "eval_metric"])
+    def test_peak_is_two_adjacent_activations(self, widths, call):
+        # tanh and the residual run in place, so an evaluation holds layer l-1's activation and layer l's
+        # at most; the input is stored batch data, not allocated. A forward pass that keeps a
+        # pre-activation beside its tanh peaks at 1,048,768 B on both nets, past either bound.
+        batch = 256
+        shapes = [LayerShape(m, n, 4) for n, m in zip(widths, widths[1:])]
+        oracle = make_tiny_mlp(shapes, data_seed=256, num_batches=2, batch_size=batch)
+        x = ParamSet([sample_gaussian(60 + li, s.m, s.n) / np.sqrt(s.n) for li, s in enumerate(shapes)], shapes)
+        acts = (0,) + widths[1:]
+        bound = batch * 8 * max(a + b for a, b in zip(acts, acts[1:])) + 4096
+        fn = (lambda: oracle.evaluate(x, 1)) if call == "evaluate" else (lambda: oracle.eval_metric(x))
+        tracemalloc.start()
+        try:
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak} B is past {bound} B"
 
     def test_one_layer_is_rejected(self):
         with pytest.raises(ValueError, match="the mlp problem takes at least 2 layer shapes, got 1"):
