@@ -275,15 +275,20 @@ def _execute(config: ExperimentConfig, oracle) -> tuple[list[optimizers.RunRecor
 
 
 def _check_divergence(records: Sequence[optimizers.RunRecord], initial: float) -> None:
-    """Raise DivergenceError on a non-finite loss, or on a run that ends stalled above its start.
+    """Raise DivergenceError on a non-finite loss, a loss past the growth bound, or a stall above the start.
 
-    Stalled: the last record's F+ - F- is exactly 0.0 (the loss is so large
-    that the two probes round to the same value) while its loss is above the
-    starting loss. The reported step is where that run of zero records began.
+    The growth bound is 1e6 * max(1, starting loss); the first record whose
+    loss is non-finite or above it is reported. Stalled: the last record's
+    F+ - F- is exactly 0.0 (the loss is so large that the two probes round to
+    the same value) while its loss is above the starting loss. The reported
+    step is where that run of zero records began.
     """
+    bound = 1e6 * max(1.0, initial)
     for rec in records:
         if not math.isfinite(rec.loss):
             raise DivergenceError(f"non-finite loss {rec.loss!r}", rec.step)
+        if rec.loss > bound:
+            raise DivergenceError(f"loss {rec.loss!r} is above 1e6 * max(1, starting loss {initial!r})", rec.step)
     if records and records[-1].fd_scalar_abs == 0.0 and records[-1].loss > initial:
         k = len(records) - 1
         while k > 0 and records[k - 1].fd_scalar_abs == 0.0:

@@ -165,7 +165,7 @@ def sample_index(t: int, num_samples: int) -> int:
 
 def _outer_norm(u: np.ndarray, gram: np.ndarray) -> float:
     """Frobenius norm of U V^T from U and V's Gram matrix V^T V."""
-    return math.sqrt(max(float(np.vdot(u.T @ u, gram)), 0.0))
+    return math.sqrt(max(float(np.einsum("ij,ij->", u.T @ u, gram)), 0.0))
 
 
 def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, float]:
@@ -187,7 +187,7 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
     add_dense(x, zs, config.epsilon - config.alpha * c)
     sq = 0.0
     for z in zs:
-        sq += float(np.vdot(z, z))
+        sq += float(np.einsum("ij,ij->", z, z))
     return c, abs(c) * math.sqrt(sq)
 
 

@@ -150,6 +150,9 @@ def make_quadratic(shape, data_seed: int, noise_scale: float = 0.0, num_samples:
     is exactly 1/2 ||X - A||^2, minimized at X = A with value 0.
     """
     _check_count(num_samples)
+    noise_scale = as_float("noise_scale", noise_scale)
+    if noise_scale < 0.0:
+        raise ValueError(f"noise_scale must be nonnegative, got {noise_scale!r}")
     shapes = _normalize_shapes(shape)
     targets = [sample_gaussian(derive_seed(data_seed, STREAM_DATA, li), s.m, s.n) for li, s in enumerate(shapes)]
     noise = [
@@ -168,7 +171,7 @@ def make_quadratic(shape, data_seed: int, noise_scale: float = 0.0, num_samples:
         total = 0.0
         for a, t, g in zip(x.layers, targets, noise[xi]):
             diff = a - t
-            total += 0.5 * float(np.vdot(diff, diff)) + float(np.vdot(g, a))
+            total += 0.5 * float(np.einsum("ij,ij->", diff, diff)) + float(np.einsum("ij,ij->", g, a))
         return total
 
     def grad_fn(x: ParamSet, xi: int) -> ParamSet:
@@ -178,7 +181,7 @@ def make_quadratic(shape, data_seed: int, noise_scale: float = 0.0, num_samples:
         total = 0.0
         for a, t in zip(x.layers, targets):
             diff = a - t  # one m x n temporary per layer, as in eval_fn
-            total += 0.5 * float(np.vdot(diff, diff))
+            total += 0.5 * float(np.einsum("ij,ij->", diff, diff))
         return total
 
     oracle = LossOracle("quadratic", num_samples, eval_fn, grad_fn, expected_fn, optimal_loss=0.0)
@@ -204,8 +207,11 @@ def make_planted_low_rank(
     <= true_rank.
     """
     _check_count(num_batches)
+    noise_scale = as_float("noise_scale", noise_scale)
+    if noise_scale < 0.0:
+        raise ValueError(f"noise_scale must be nonnegative, got {noise_scale!r}")
     s = _one_layer(shape, "planted")
-    m, n, p = s.m, s.n, true_rank
+    m, n, p = s.m, s.n, as_int("true_rank", true_rank)
     if not (1 <= p <= min(m, n)):
         raise ValueError(f"true_rank must be in [1, min(m, n)], got {p}")
     root = derive_seed(data_seed, STREAM_DATA, 0xB1)
@@ -243,7 +249,7 @@ def make_planted_low_rank(
 
     def expected_fn(x: ParamSet) -> float:
         v = ((a_flat @ x.layers[0]) * b_flat).sum(axis=1) - y_flat
-        return (float(np.dot(v, v)) + offsets_sq_total) / num_batches
+        return (float(np.einsum("i,i->", v, v)) + offsets_sq_total) / num_batches
 
     oracle = LossOracle("planted_low_rank", num_batches, eval_fn, grad_fn, expected_fn, optimal_loss=f_star)
     oracle.planted = x_star
@@ -271,7 +277,7 @@ def make_logistic(
         raise ValueError("batch_size must be even so batches are class-balanced")
     root = derive_seed(data_seed, STREAM_DATA, 0xC1)
     mean = sample_gaussian(derive_seed(root, 0), s.m, s.n)
-    mean /= np.sqrt(float(np.vdot(mean, mean)))
+    mean /= np.sqrt(float(np.einsum("ij,ij->", mean, mean)))
     labels = np.tile(np.array([1.0, -1.0]), batch_size // 2)
     feats = np.empty((num_batches, batch_size, s.m, s.n))
     for bi in range(num_batches):
@@ -320,6 +326,9 @@ def make_tiny_mlp(
     """
     _check_count(num_batches)
     batch_size = _batch_size(batch_size)
+    noise_scale = as_float("noise_scale", noise_scale)
+    if noise_scale < 0.0:
+        raise ValueError(f"noise_scale must be nonnegative, got {noise_scale!r}")
     shapes = _normalize_shapes(shapes)
     if len(shapes) < 2:
         raise ValueError(f"the mlp problem takes at least 2 layer shapes, got {len(shapes)}")

@@ -1,12 +1,12 @@
 """One SHA-256 over a fixed set of trajectories and draws: the bit-identity check for performance changes.
 
 A change that claims to keep every byte must print the same digest as its
-parent. tests/test_digest.py pins the digest under one and under two BLAS
-threads, and skips the two-thread pin on a machine with fewer than two CPUs;
-a change that alters any trajectory or draw updates the pinned values and
-says so in CHANGES.md. The digest covers the records (step, loss, |c|,
-est_norm; not the wall time) and final layers of optimizers.run for zo-sgd,
-lozo and lozo-m under each V sampler, on four problems:
+parent. tests/test_digest.py pins one digest and checks it under one and
+under two BLAS threads; a change that alters any trajectory or draw updates
+the pinned value and says so in CHANGES.md. The digest covers the records
+(step, loss, |c|, est_norm; not the wall time) and final layers of
+optimizers.run for zo-sgd, lozo and lozo-m under each V sampler, on four
+problems:
 
 - a two-layer tanh MLP at nu = 1, every step a resample boundary;
 - a two-layer quadratic at nu = 7 with beta = 0.5;
@@ -22,10 +22,6 @@ shapes, and the CLI's output bytes:
   quadratic at nu = 7 with beta = 0.5;
 - the rows of cli.compare_algorithms on AC7's seed-0 planted race, one
   config per algorithm, as `lozo-bench compare --out` writes them.
-
-Compare digests under one OPENBLAS_NUM_THREADS: the 256 x 256 quadratic's
-loss is a whole-layer dot product that OpenBLAS splits across threads. The
-CLI part keeps every shape at 32 or below, where it does not.
 
 parts() maps each part (a problem block, a run_experiment output or the
 compare rows) to the SHA-256 of the bytes the digest takes from it, so a

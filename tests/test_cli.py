@@ -18,6 +18,7 @@ from lozo.cli import (
     ConfigError,
     DivergenceError,
     ExperimentConfig,
+    _check_divergence,
     _experiment_parser,
     _load_compare_file,
     compare_algorithms,
@@ -343,7 +344,7 @@ class TestRunExperiment:
                             "--out", str(tmp_path / "stall")])
         with pytest.raises(DivergenceError) as err:
             run_experiment(cfg)
-        assert err.value.step == 4
+        assert err.value.step == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_total_evals_contract(self, tmp_path):
@@ -395,6 +396,39 @@ class TestRunExperiment:
         assert summary["footprint_elements"] == 5 * 2
         assert summary["seed"] == 9
         assert summary["best_loss"] <= summary["final_loss"] + 1e-12
+
+
+def records(*rows):
+    """RunRecords at steps 1, 2, ... from (loss, fd_scalar_abs) rows."""
+    return [optimizers.RunRecord(k, loss, fd, 0.0, 0.0) for k, (loss, fd) in enumerate(rows, 1)]
+
+
+class TestCheckDivergence:
+    def test_stall_above_the_start_reports_its_first_zero_record(self):
+        with pytest.raises(DivergenceError, match="^run diverged at step 2: F\\+ - F- is 0.0 from here on") as err:
+            _check_divergence(records((5.0, 1.0), (7.0, 0.0), (7.0, 0.0)), 0.0)
+        assert err.value.step == 2
+
+    @pytest.mark.parametrize("rows, initial", [
+        (((0.0, 0.0), (0.0, 0.0)), 0.0),  # F+ - F- is 0.0 from step 1 at the start: a saddle (ROADMAP M's open half)
+        (((0.5, 0.0), (0.5, 0.0)), 0.5),
+        (((7.0, 0.0), (6.0, 1e-3)), 0.0),  # zero records that end nonzero
+    ], ids=["saddle-at-0", "saddle-at-0.5", "ends-nonzero"])
+    def test_no_verdict(self, rows, initial):
+        _check_divergence(records(*rows), initial)
+
+    @pytest.mark.parametrize("initial, bound", [(0.0, 1e6), (0.5, 1e6), (42.0, 4.2e7)])
+    def test_growth_bound_is_1e6_times_max_1_and_the_start(self, initial, bound):
+        _check_divergence(records((bound, 1.0)), initial)
+        with pytest.raises(DivergenceError, match="is above 1e6") as err:
+            _check_divergence(records((1.0, 1.0), (np.nextafter(bound, math.inf), 1.0)), initial)
+        assert err.value.step == 2
+
+    def test_first_offending_record_is_reported(self):
+        with pytest.raises(DivergenceError, match="^run diverged at step 1: non-finite loss nan$"):
+            _check_divergence(records((math.nan, 1.0), (1e300, 1.0)), 1.0)
+        with pytest.raises(DivergenceError, match="^run diverged at step 1: loss 1e\\+300 is above"):
+            _check_divergence(records((1e300, 1.0), (math.inf, 1.0)), 1.0)
 
 
 class TestCompareAlgorithms:
@@ -454,12 +488,24 @@ class TestMainExitCodes:
         assert json.loads(out.strip())["total_evals"] == 10
 
     def test_stalled_run_is_a_failure(self, tmp_path, capsys):
-        # the loss reaches 4e41 by step 3; from step 4 on F+ - F- cancels to exactly 0.0
+        # the first record's loss, 3.7e14, is past the growth bound of 1e6 times the starting loss, 42.9
         code = main(["run", "--problem", "quadratic", "--shape", "8x8", "--lr", "1e6", "--steps", "6",
                      "--out", str(tmp_path / "stall")])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: run diverged at step 4: ")
+        assert captured.err.startswith("error: run diverged at step 1: loss 374721270024004.")
+        assert "is above 1e6 * max(1, starting loss 42.88134135182195)" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_growth_past_the_bound_is_a_failure(self, tmp_path, capsys):
+        # its F+ - F- never cancels to exactly 0.0, so only the growth bound catches it
+        code = main(["run", "--problem", "quadratic", "--shape", "8x8", "--lr", "1e8", "--steps", "2",
+                     "--out", str(tmp_path / "grown")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: run diverged at step 1: loss ")
+        assert "is above 1e6 * max(1, starting loss 42.88134135182195)" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -597,7 +643,7 @@ class TestMainExitCodes:
         code = main(["compare", "--config", path, "--out", str(tmp_path / "table.csv")])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: run diverged at step 4: ")
+        assert captured.err.startswith("error: run diverged at step 1: ")
         assert captured.out == ""
         assert not (tmp_path / "table.csv").exists()
 

@@ -1,4 +1,4 @@
-"""The bit-identity digest that performance changes compare against their parent's."""
+"""The bit-identity digest that performance changes compare with their parent's, and reruns under two thread counts."""
 
 import os
 import shlex
@@ -6,17 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import digest
+import reruns
 
-# tests/digest.py under one and under two BLAS threads; a change that alters any trajectory or draw updates
-# both and says so. Whole-layer np.vdot calls split across threads, which is why the two differ.
-PINNED_ONE_THREAD = "e9c024c1fd436b7ca490006b2f28f28827c7e0d29f622856f47a012bb234b375"
-PINNED_TWO_THREADS = "809195ae643825f4223ed70193589d625ca619e57a595b86fe05dfc9b8e6f61b"
+# tests/digest.py's value, the same under any BLAS thread count; a change that alters any trajectory or draw
+# updates it and says so
+PINNED = "6ce6e62e0897ded392d12de343b66650acc4b1a3d75120523f417c7383f3d0d1"
 
 
-def digest_under(threads: int) -> str:
+def python_under(threads: int, script: str) -> str:
     # a fresh interpreter, so the thread count is set before OpenBLAS loads
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {
@@ -24,20 +22,24 @@ def digest_under(threads: int) -> str:
         "OPENBLAS_NUM_THREADS": str(threads),
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     }
-    out = subprocess.run(
-        [sys.executable, digest.__file__], capture_output=True, text=True, env=env, timeout=300
-    )
+    out = subprocess.run([sys.executable, script], capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
+    return out.stdout
 
 
 def test_one_thread_digest_is_pinned():
-    assert digest_under(1) == PINNED_ONE_THREAD
+    assert python_under(1, digest.__file__).strip() == PINNED
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
 def test_two_thread_digest_is_pinned():
-    assert digest_under(2) == PINNED_TWO_THREADS
+    assert python_under(2, digest.__file__).strip() == PINNED
+
+
+def test_reruns_do_not_depend_on_the_thread_count():
+    # one line per run: its name and the hash of its output; tests/reruns.py says which sums each run covers
+    one, two = (python_under(threads, reruns.__file__).splitlines() for threads in (1, 2))
+    assert len(one) == 18
+    assert one == two
 
 
 def test_parts_name_every_block_the_digest_hashes():

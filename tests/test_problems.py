@@ -23,6 +23,16 @@ from lozo.sampling import STREAM_DATA, derive_seed, sample_gaussian
 from oracles import finite_difference_grad
 
 
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Make any data draw fail, so a builder's argument check must come first."""
+
+    def fail(*args):
+        raise AssertionError("data drawn before the arguments were checked")
+
+    monkeypatch.setattr(problems, "sample_gaussian", fail)
+
+
 def rel_grad_error(analytic, fd):
     num = np.sqrt(sum(float(np.vdot(a - b, a - b)) for a, b in zip(analytic, fd)))
     den = np.sqrt(sum(float(np.vdot(b, b)) for b in fd))
@@ -70,7 +80,7 @@ class TestQuadraticEvalMetric:
         shapes = [LayerShape(33, 17, 2), LayerShape(8, 40, 3)]
         oracle = make_quadratic(shapes, data_seed=5, noise_scale=0.3, num_samples=3)
         x = ParamSet([sample_gaussian(6 + i, s.m, s.n) for i, s in enumerate(shapes)], shapes)
-        reference = sum(0.5 * float(np.vdot(a - t, a - t)) for a, t in zip(x.layers, oracle.targets))
+        reference = sum(0.5 * float(np.einsum("ij,ij->", a - t, a - t)) for a, t in zip(x.layers, oracle.targets))
         assert oracle.eval_metric(x) == reference
         assert oracle.expected_loss(x) == reference
 
@@ -111,13 +121,6 @@ class TestBatchSize:
         "mlp": lambda size: make_tiny_mlp([LayerShape(4, 3, 1), LayerShape(2, 4, 1)], 1, num_batches=2, batch_size=size),
     }
 
-    @pytest.fixture
-    def no_draw(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("data drawn before batch_size was checked")
-
-        monkeypatch.setattr(problems, "sample_gaussian", fail)
-
     @pytest.mark.parametrize("size", [0, -2])
     @pytest.mark.parametrize("kind", list(BUILDERS))
     def test_below_one_is_named_before_drawing(self, no_draw, kind, size):
@@ -140,6 +143,50 @@ class TestBatchSize:
     def test_numpy_integer_is_accepted(self, kind):
         x = ParamSet.zeros([LayerShape(4, 3, 1)] if kind == "logistic" else [LayerShape(4, 3, 1), LayerShape(2, 4, 1)])
         assert self.BUILDERS[kind](np.int64(4)).evaluate(x, 0) == self.BUILDERS[kind](4).evaluate(x, 0)
+
+
+class TestNoiseScaleAndTrueRank:
+    BUILDERS = {
+        "quadratic": lambda **kw: make_quadratic([LayerShape(4, 3, 1)], 1, num_samples=2, **kw),
+        "planted": lambda rank=1, **kw: make_planted_low_rank(LayerShape(4, 3, 1), rank, 1, num_batches=2, **kw),
+        "mlp": lambda **kw: make_tiny_mlp([LayerShape(4, 3, 1), LayerShape(2, 4, 1)], 1, num_batches=2, **kw),
+    }
+
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_negative_noise_is_named_before_drawing(self, no_draw, kind):
+        with pytest.raises(ValueError, match="^noise_scale must be nonnegative, got -0.5$"):
+            self.BUILDERS[kind](noise_scale=-0.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_non_finite_noise_is_named_before_drawing(self, no_draw, kind, value):
+        # nan built an mlp oracle whose every evaluate returned nan
+        with pytest.raises(ValueError, match="^noise_scale must be finite, got "):
+            self.BUILDERS[kind](noise_scale=value)
+
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_non_number_noise_is_named_before_drawing(self, no_draw, kind, value):
+        with pytest.raises(TypeError, match="^noise_scale must be a number, got "):
+            self.BUILDERS[kind](noise_scale=value)
+
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_non_integer_true_rank_is_named_before_drawing(self, no_draw, value):
+        # 2.5 raised numpy's unnamed TypeError
+        with pytest.raises(TypeError, match="^true_rank must be an integer, got "):
+            self.BUILDERS["planted"](rank=value)
+
+    def test_out_of_range_true_rank_keeps_its_message(self, no_draw):
+        with pytest.raises(ValueError, match=r"^true_rank must be in \[1, min\(m, n\)\], got 4$"):
+            self.BUILDERS["planted"](rank=4)
+
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_numpy_numbers_are_accepted(self, kind):
+        shapes = [LayerShape(4, 3, 1), LayerShape(2, 4, 1)] if kind == "mlp" else [LayerShape(4, 3, 1)]
+        x = ParamSet([sample_gaussian(3 + i, s.m, s.n) for i, s in enumerate(shapes)], shapes)
+        rank = {"rank": np.int64(1)} if kind == "planted" else {}
+        numpy_built = self.BUILDERS[kind](noise_scale=np.float32(0.25), **rank)
+        assert numpy_built.evaluate(x, 1) == self.BUILDERS[kind](noise_scale=0.25).evaluate(x, 1)
 
 
 class TestPlantedLowRank:
