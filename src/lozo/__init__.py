@@ -27,7 +27,6 @@ from .optimizers import (
     OptimizerConfig,
     RunRecord,
     StepError,
-    lozo_m_step,
     lozo_step,
     project_momentum,
     run,
@@ -49,7 +48,6 @@ from .problems import (
 from .sampling import (
     SamplerKind,
     derive_seed,
-    make_sketch,
     sample_gaussian,
     sample_v,
 )

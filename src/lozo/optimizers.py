@@ -277,12 +277,12 @@ def lozo_step(
             old = cache if cache is not None and cache.period == prev else _build_period(config, x, prev, cur.u_keys)
             n_factors = [project_momentum(nf, vo, vn, s.n) for nf, s, vo, vn in zip(n_factors, shapes, old.vs, cur.vs)]
         lefts = []
-        for nf, (_, ut, _) in zip(n_factors, operands):
-            lefts.append(mom.beta * nf + (1.0 - mom.beta) * c * ut.T)
-        # W_l^T = eps U_l^T - (alpha / r_l) N_l^T, entry for entry W_l's arithmetic, in U_l's buffer
-        for (_, ut, _), nf, s in zip(operands, lefts, shapes):
+        for nf, (_, ut, _), s in zip(n_factors, operands, shapes):
+            left = mom.beta * nf + (1.0 - mom.beta) * c * ut.T
+            lefts.append(left)
+            # W_l^T = eps U_l^T - (alpha / r_l) N_l^T, entry for entry W_l's arithmetic, in U_l's buffer
             ut *= eps
-            ut -= (alpha / s.r) * nf.T
+            ut -= (alpha / s.r) * left.T
         add_low_rank(x, operands, 1.0)
         mom.n_factors = lefts
     state.v_cache, state.t = cur, t + 1

@@ -18,9 +18,19 @@ from .linalg import LayerShape, ParamSet, as_float, as_int, thin_qr, top_singula
 from .sampling import STREAM_DATA, as_seed, derive_seed, sample_gaussian
 
 
-def _check_count(num_samples: int) -> None:
-    if num_samples < 1:
+def _count(value) -> int:
+    """A sample count: an integer of 1 or more, named num_samples whatever the builder calls it."""
+    count = as_int("num_samples", value)
+    if count < 1:
         raise ValueError("num_samples must be positive")
+    return count
+
+
+def _noise(value) -> float:
+    noise_scale = as_float("noise_scale", value)
+    if noise_scale < 0.0:
+        raise ValueError(f"noise_scale must be nonnegative, got {noise_scale!r}")
+    return noise_scale
 
 
 def _batch_size(value) -> int:
@@ -33,10 +43,13 @@ def _batch_size(value) -> int:
 class LossOracle:
     """Scalar loss F(X; xi) over a finite sample set.
 
-    analytic_grad and expected_loss are optional; a problem without
-    analytic_grad (the tiny MLP) falls back to finite differences in tests
-    and diagnostics.
+    analytic_grad is optional; a problem without it (the tiny MLP) falls
+    back to finite differences in tests and diagnostics. expected_fn is
+    optional too: without it the population loss is the exact mean of eval_fn
+    over the sample set.
     """
+
+    has_expected_loss = True  # every oracle has a population loss; perfbench reads this
 
     def __init__(
         self,
@@ -47,9 +60,8 @@ class LossOracle:
         expected_fn: Optional[Callable[[ParamSet], float]] = None,
         optimal_loss: Optional[float] = None,
     ):
-        _check_count(num_samples)
         self.name = name
-        self.num_samples = num_samples
+        self.num_samples = _count(num_samples)
         self._eval_fn = eval_fn
         self._grad_fn = grad_fn
         self._expected_fn = expected_fn
@@ -69,49 +81,45 @@ class LossOracle:
             raise ValueError(f"problem {self.name!r} has no analytic gradient")
         return self._grad_fn(x, xi)
 
-    @property
-    def has_expected_loss(self) -> bool:
-        return self._expected_fn is not None
-
     def expected_loss(self, x: ParamSet) -> float:
-        if self._expected_fn is None:
-            raise ValueError(f"problem {self.name!r} has no expected loss")
-        return float(self._expected_fn(x))
+        """The population loss: expected_fn's value, or the exact mean of eval_fn over the sample set.
+
+        The mean calls eval_fn, not evaluate, so a subclass counting evaluate calls counts none here.
+        """
+        if self._expected_fn is not None:
+            return float(self._expected_fn(x))
+        return float(sum(self._eval_fn(x, xi) for xi in range(self.num_samples)) / self.num_samples)
 
     def eval_metric(self, x: ParamSet) -> float:
-        """Evaluation-time loss: the exact finite average when defined.
+        """Evaluation-time loss: the population loss, expected_loss.
 
         One call's cost is the family's: the quadratic forms X - A once per
         layer, about one evaluate; the planted family makes one matmul over
         all its pairs; the logistic and MLP families evaluate every sample,
         so a call costs num_samples evaluations.
         """
-        if self._expected_fn is not None:
-            return float(self._expected_fn(x))
-        return self.evaluate(x, 0)
+        return self.expected_loss(x)
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """Description of a test problem; the CLI reads and writes its fields as JSON.
 
-    kind is one of PROBLEM_KINDS; its builder in make_problem's table reads
-    the other fields. Every kind reads data_seed, which must lie in
-    [0, 2**64), and num_samples, where 0 means the family default that the
-    table gives and a negative count is rejected. "quadratic" takes any
-    number of layers; "planted" and "logistic" take one; "mlp" takes two or
-    more layers that compose (each layer's n is the previous layer's m).
-    Only "planted" reads true_rank.
-    noise_scale must be finite and nonnegative for every kind; "logistic"
-    ignores it, and "planted" turns the default 0 into 1.0. The "mlp" noise
-    default here is 0.0, while make_tiny_mlp's own default is 0.05. No kind
-    reads the layer ranks.
+    kind is one of PROBLEM_KINDS. make_problem passes its builder the fields
+    the spec sets, so a field left unset takes the builder's default:
+    num_samples 0 and noise_scale None are unset. Every kind reads data_seed,
+    which must lie in [0, 2**64), and num_samples, which must not be
+    negative. "quadratic" takes any number of layers; "planted" and
+    "logistic" take one; "mlp" takes two or more layers that compose (each
+    layer's n is the previous layer's m). Only "planted" reads true_rank.
+    A set noise_scale must be finite and nonnegative for every kind;
+    "logistic" ignores it. No kind reads the layer ranks.
     """
 
     kind: str = "quadratic"
     shapes: tuple[LayerShape, ...] = (LayerShape(16, 16, 2),)
     data_seed: int = 0
-    noise_scale: float = 0.0
+    noise_scale: Optional[float] = None  # None means the problem family default
     num_samples: int = 0  # 0 means the problem family default
     true_rank: int = 2
 
@@ -121,11 +129,10 @@ class ProblemSpec:
         for name in ("num_samples", "true_rank"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
         object.__setattr__(self, "data_seed", as_seed("data_seed", self.data_seed))
-        object.__setattr__(self, "noise_scale", as_float("noise_scale", self.noise_scale))
+        if self.noise_scale is not None:
+            object.__setattr__(self, "noise_scale", _noise(self.noise_scale))
         if not self.shapes:
             raise ValueError("a problem needs at least one layer shape")
-        if self.noise_scale < 0.0:
-            raise ValueError(f"noise_scale must be nonnegative, got {self.noise_scale!r}")
         if self.num_samples < 0:
             raise ValueError(f"num_samples must be nonnegative, got {self.num_samples}")
 
@@ -149,10 +156,7 @@ def make_quadratic(shape, data_seed: int, noise_scale: float = 0.0, num_samples:
     The noise matrices sum to zero over the sample set, so the expected loss
     is exactly 1/2 ||X - A||^2, minimized at X = A with value 0.
     """
-    _check_count(num_samples)
-    noise_scale = as_float("noise_scale", noise_scale)
-    if noise_scale < 0.0:
-        raise ValueError(f"noise_scale must be nonnegative, got {noise_scale!r}")
+    data_seed, noise_scale, num_samples = as_seed("data_seed", data_seed), _noise(noise_scale), _count(num_samples)
     shapes = _normalize_shapes(shape)
     targets = [sample_gaussian(derive_seed(data_seed, STREAM_DATA, li), s.m, s.n) for li, s in enumerate(shapes)]
     noise = [
@@ -206,10 +210,7 @@ def make_planted_low_rank(
     is known in closed form while every per-batch gradient stays rank
     <= true_rank.
     """
-    _check_count(num_batches)
-    noise_scale = as_float("noise_scale", noise_scale)
-    if noise_scale < 0.0:
-        raise ValueError(f"noise_scale must be nonnegative, got {noise_scale!r}")
+    data_seed, noise_scale, num_batches = as_seed("data_seed", data_seed), _noise(noise_scale), _count(num_batches)
     s = _one_layer(shape, "planted")
     m, n, p = s.m, s.n, as_int("true_rank", true_rank)
     if not (1 <= p <= min(m, n)):
@@ -270,7 +271,7 @@ def make_logistic(
     a feature is the Frobenius inner product <X, Phi>. Each batch is exactly
     class-balanced.
     """
-    _check_count(num_batches)
+    data_seed, num_batches = as_seed("data_seed", data_seed), _count(num_batches)
     s = _one_layer(shape, "logistic")
     batch_size = _batch_size(batch_size)
     if batch_size % 2 != 0:
@@ -297,10 +298,7 @@ def make_logistic(
         g = np.tensordot(coef, feats[xi], axes=(0, 0)) / batch_size
         return ParamSet([g], x.shapes)
 
-    def expected_fn(x: ParamSet) -> float:
-        return sum(eval_fn(x, bi) for bi in range(num_batches)) / num_batches
-
-    return LossOracle("logistic", num_batches, eval_fn, grad_fn, expected_fn)
+    return LossOracle("logistic", num_batches, eval_fn, grad_fn)
 
 
 def make_tiny_mlp(
@@ -324,11 +322,8 @@ def make_tiny_mlp(
     inputs come from derive_seed(root, 2, bi) and its target noise from
     derive_seed(root, 3, bi).
     """
-    _check_count(num_batches)
+    data_seed, noise_scale, num_batches = as_seed("data_seed", data_seed), _noise(noise_scale), _count(num_batches)
     batch_size = _batch_size(batch_size)
-    noise_scale = as_float("noise_scale", noise_scale)
-    if noise_scale < 0.0:
-        raise ValueError(f"noise_scale must be nonnegative, got {noise_scale!r}")
     shapes = _normalize_shapes(shapes)
     if len(shapes) < 2:
         raise ValueError(f"the mlp problem takes at least 2 layer shapes, got {len(shapes)}")
@@ -366,10 +361,7 @@ def make_tiny_mlp(
         resid *= resid
         return 0.5 * float(np.mean(np.sum(resid, axis=1)))
 
-    def expected_fn(x: ParamSet) -> float:
-        return sum(eval_fn(x, bi) for bi in range(num_batches)) / num_batches
-
-    return LossOracle("tiny_mlp", num_batches, eval_fn, expected_fn=expected_fn)
+    return LossOracle("tiny_mlp", num_batches, eval_fn)
 
 
 def gradient_rank_profile(oracle: LossOracle, x: ParamSet, xi: int, k: int) -> list[list[float]]:
@@ -385,14 +377,20 @@ def gradient_rank_profile(oracle: LossOracle, x: ParamSet, xi: int, k: int) -> l
     return [top_singular_values(g, min(k, min(g.shape))) for g in grad.layers]
 
 
-# kind -> the builder of its oracle from a ProblemSpec; "or" gives the family's num_samples default
+def _set(spec: ProblemSpec, count: str, noise: bool = True) -> dict:
+    """The fields spec sets, as keywords of a builder that calls num_samples count."""
+    kwargs = {count: spec.num_samples} if spec.num_samples else {}
+    if noise and spec.noise_scale is not None:
+        kwargs["noise_scale"] = spec.noise_scale
+    return kwargs
+
+
+# kind -> the builder of its oracle from a ProblemSpec; a field the spec leaves unset takes the builder's default
 _BUILDERS: dict[str, Callable[[ProblemSpec], LossOracle]] = {
-    "quadratic": lambda spec: make_quadratic(spec.shapes, spec.data_seed, spec.noise_scale, spec.num_samples or 8),
-    "planted": lambda spec: make_planted_low_rank(
-        spec.shapes, spec.true_rank, spec.data_seed, spec.noise_scale or 1.0, spec.num_samples or 128
-    ),
-    "logistic": lambda spec: make_logistic(spec.shapes, spec.data_seed, spec.num_samples or 16),
-    "mlp": lambda spec: make_tiny_mlp(spec.shapes, spec.data_seed, spec.num_samples or 8, noise_scale=spec.noise_scale),
+    "quadratic": lambda spec: make_quadratic(spec.shapes, spec.data_seed, **_set(spec, "num_samples")),
+    "planted": lambda spec: make_planted_low_rank(spec.shapes, spec.true_rank, spec.data_seed, **_set(spec, "num_batches")),
+    "logistic": lambda spec: make_logistic(spec.shapes, spec.data_seed, **_set(spec, "num_batches", noise=False)),
+    "mlp": lambda spec: make_tiny_mlp(spec.shapes, spec.data_seed, **_set(spec, "num_batches")),
 }
 PROBLEM_KINDS = tuple(_BUILDERS)
 

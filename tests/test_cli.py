@@ -7,7 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +131,16 @@ class TestParseConfig:
         path.write_text(json.dumps(original.to_dict()))
         parsed = parse_config(["--config", str(path)])
         assert parsed == original
+
+    @pytest.mark.parametrize("noise", [None, 0.0], ids=["unset", "zero"])
+    def test_noise_scale_round_trips(self, tmp_path, noise):
+        problem = ProblemSpec("planted", (LayerShape(8, 8, 2),), noise_scale=noise)
+        original = replace(small_config(tmp_path), problem=problem)
+        text = json.dumps(original.to_dict())
+        assert f'"noise_scale": {json.dumps(noise)}' in text  # null, or 0.0
+        parsed = ExperimentConfig.from_dict(json.loads(text))
+        assert parsed == original
+        assert type(parsed.problem.noise_scale) is type(noise)
 
     def test_unknown_json_key_named(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -635,6 +645,14 @@ class TestMainExitCodes:
         assert self._run_kind(kind, tmp_path / "unset") == 0
         for suffix in (".csv", ".json"):
             assert (tmp_path / f"zero{suffix}").read_bytes() == (tmp_path / f"unset{suffix}").read_bytes()
+
+    def test_noise_0_is_not_the_planted_default(self, tmp_path):
+        # planted's --noise 0 wrote --noise 1's bytes, while its config recorded 0
+        for name, flags in [("zero", ["--noise", "0"]), ("one", ["--noise", "1"]), ("unset", [])]:
+            assert self._run_kind("planted", tmp_path / name, *flags) == 0
+        csv = {name: (tmp_path / f"{name}.csv").read_bytes() for name in ("zero", "one", "unset")}
+        assert csv["zero"] != csv["unset"]
+        assert csv["one"] == csv["unset"]
 
     def test_diverged_compare_is_a_failure(self, tmp_path, capsys):
         stall = {"problem": {"kind": "quadratic", "shapes": [[8, 8, 2]], "data_seed": 0},

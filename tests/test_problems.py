@@ -87,22 +87,48 @@ class TestQuadraticEvalMetric:
 
 class TestSampleCount:
     BUILDERS = {
-        "quadratic": lambda count: make_quadratic([LayerShape(4, 3, 1)], 1, num_samples=count),
-        "planted": lambda count: make_planted_low_rank(LayerShape(4, 3, 1), 1, 1, num_batches=count),
-        "logistic": lambda count: make_logistic(LayerShape(4, 3, 1), 1, num_batches=count),
-        "mlp": lambda count: make_tiny_mlp([LayerShape(4, 3, 1), LayerShape(2, 4, 1)], 1, num_batches=count),
+        "quadratic": lambda count=2, seed=1: make_quadratic([LayerShape(4, 3, 1)], seed, num_samples=count),
+        "planted": lambda count=2, seed=1: make_planted_low_rank(LayerShape(4, 3, 1), 1, seed, num_batches=count),
+        "logistic": lambda count=2, seed=1: make_logistic(LayerShape(4, 3, 1), seed, num_batches=count),
+        "mlp": lambda count=2, seed=1: make_tiny_mlp([LayerShape(4, 3, 1), LayerShape(2, 4, 1)], seed, num_batches=count),
     }
 
     @pytest.mark.parametrize("count", [0, -3])
     @pytest.mark.parametrize("kind", list(BUILDERS))
-    def test_builder_rejects_a_count_below_one_before_drawing(self, monkeypatch, kind, count):
+    def test_builder_rejects_a_count_below_one_before_drawing(self, no_draw, kind, count):
         # at count 0 the quadratic divided by zero and the planted family failed in its QR
-        def no_draw(*args):
-            raise AssertionError("data drawn before the count was checked")
-
-        monkeypatch.setattr(problems, "sample_gaussian", no_draw)
         with pytest.raises(ValueError, match="^num_samples must be positive$"):
             self.BUILDERS[kind](count)
+
+    @pytest.mark.parametrize("count", [True, 2.5])
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_builder_names_a_non_integer_count_before_drawing(self, no_draw, kind, count):
+        # True built an oracle whose num_samples was True, and 2.5 died unnamed in range()
+        with pytest.raises(TypeError, match="^num_samples must be an integer, got "):
+            self.BUILDERS[kind](count)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_builder_rejects_a_data_seed_outside_64_bits_before_drawing(self, no_draw, kind, seed):
+        # the seed hash masks to 64 bits, so 2**64 built seed 0's problem
+        with pytest.raises(ValueError, match=rf"^data_seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            self.BUILDERS[kind](seed=seed)
+
+    @pytest.mark.parametrize("seed", [True, 1.5])
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_builder_names_a_non_integer_data_seed_before_drawing(self, no_draw, kind, seed):
+        # True ran as seed 1, and 1.5 died unnamed in the seed hash
+        with pytest.raises(TypeError, match="^data_seed must be an integer, got "):
+            self.BUILDERS[kind](seed=seed)
+
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_builder_takes_numpy_seed_and_count_as_python_ints(self, kind):
+        shapes = [LayerShape(4, 3, 1), LayerShape(2, 4, 1)] if kind == "mlp" else [LayerShape(4, 3, 1)]
+        x = ParamSet([sample_gaussian(5 + i, s.m, s.n) for i, s in enumerate(shapes)], shapes)
+        numpy_built = self.BUILDERS[kind](np.int64(2), np.uint64(2**64 - 1))
+        plain = self.BUILDERS[kind](2, 2**64 - 1)
+        assert type(numpy_built.num_samples) is int
+        assert [numpy_built.evaluate(x, xi) for xi in range(2)] == [plain.evaluate(x, xi) for xi in range(2)]
 
     @pytest.mark.parametrize("kind", PROBLEM_KINDS)
     def test_spec_rejects_a_negative_count_by_name(self, kind):
@@ -187,6 +213,68 @@ class TestNoiseScaleAndTrueRank:
         rank = {"rank": np.int64(1)} if kind == "planted" else {}
         numpy_built = self.BUILDERS[kind](noise_scale=np.float32(0.25), **rank)
         assert numpy_built.evaluate(x, 1) == self.BUILDERS[kind](noise_scale=0.25).evaluate(x, 1)
+
+
+class TestMakeProblemDefaults:
+    SHAPES = {"mlp": (LayerShape(6, 5, 2), LayerShape(3, 6, 2))}
+    # each builder called with only the shapes and the seed; planted's true_rank has no builder default,
+    # so it gets ProblemSpec's 2
+    BUILDERS = {
+        "quadratic": lambda shapes, seed: make_quadratic(shapes, seed),
+        "planted": lambda shapes, seed: make_planted_low_rank(shapes, 2, seed),
+        "logistic": lambda shapes, seed: make_logistic(shapes, seed),
+        "mlp": lambda shapes, seed: make_tiny_mlp(shapes, seed),
+    }
+
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_an_unset_field_takes_the_builder_default(self, kind):
+        # --problem mlp without --noise took 0.0, where make_tiny_mlp takes 0.05
+        shapes = self.SHAPES.get(kind, (LayerShape(6, 5, 2),))
+        spec_built = make_problem(ProblemSpec(kind, shapes, data_seed=21))
+        built = self.BUILDERS[kind](shapes, 21)
+        x = ParamSet([sample_gaussian(22 + i, s.m, s.n) for i, s in enumerate(shapes)], list(shapes))
+        assert spec_built.num_samples == built.num_samples
+        assert [spec_built.evaluate(x, xi) for xi in range(built.num_samples)] == [
+            built.evaluate(x, xi) for xi in range(built.num_samples)
+        ]
+        assert spec_built.eval_metric(x) == built.eval_metric(x)
+
+    def test_planted_noise_0_is_kept(self):
+        # make_problem turned a planted noise_scale of 0 into 1.0
+        shapes = [LayerShape(6, 5, 2)]
+        oracle = make_problem(ProblemSpec("planted", tuple(shapes), noise_scale=0.0))
+        assert oracle.optimal_loss == 0.0
+        assert oracle.expected_loss(ParamSet([oracle.planted.copy()], shapes)) == pytest.approx(0.0, abs=1e-20)
+
+
+class TestOracleContract:
+    class Counting(problems.LossOracle):
+        """Counts its evaluate calls, as perfbench's BenchOracle does."""
+
+        evals = 0
+
+        def evaluate(self, x, xi):
+            self.evals += 1
+            return super().evaluate(x, xi)
+
+    def test_mean_is_exact_without_expected_fn(self):
+        # eval_metric returned sample 0's loss, and expected_loss raised
+        oracle = problems.LossOracle("three", 3, lambda x, xi: (1.0, 2.0, 6.0)[xi])
+        x = ParamSet.zeros([LayerShape(2, 2, 1)])
+        assert oracle.has_expected_loss
+        assert oracle.expected_loss(x) == oracle.eval_metric(x) == 3.0
+
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_eval_metric_counts_no_evaluate_call(self, kind):
+        # perfbench's races count evaluate calls, and a counted eval_metric would move their evals_to_target
+        shapes = (LayerShape(6, 5, 2), LayerShape(3, 6, 2)) if kind == "mlp" else (LayerShape(6, 5, 2),)
+        base = make_problem(ProblemSpec(kind, shapes, data_seed=23, num_samples=4))
+        x = ParamSet([sample_gaussian(24 + i, s.m, s.n) for i, s in enumerate(shapes)], list(shapes))
+        wrapped = self.Counting(base.name, 4, base.evaluate, expected_fn=base.expected_loss)  # BenchOracle's form
+        bare = self.Counting("bare", 4, base.evaluate)
+        assert wrapped.eval_metric(x) == base.eval_metric(x)
+        assert bare.eval_metric(x) == sum(base.evaluate(x, xi) for xi in range(4)) / 4
+        assert wrapped.evals == bare.evals == 0
 
 
 class TestPlantedLowRank:
