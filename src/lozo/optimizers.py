@@ -22,12 +22,14 @@ boundary, so each period's V matrices are drawn once and cached in
 LozoState, in the Fortran order dgemm reads (project_momentum forms its
 product from C-ordered copies, whose bytes do not depend on that choice).
 U's per-layer seed prefixes, which no period changes, are derived once per
-state; U is drawn every step. A low-rank step returns only
-its finite-difference scalar c and does no telemetry work: run computes the
-estimator norm on the steps it records, from U regenerated from its seed
-(lozo) or the momentum factors (lozo-m), against V^T V formed from the
-cached period's V at that record. zo_sgd_step still returns its norm,
-since redrawing a full-size Z at a record costs more than its in-step sum.
+state; U is drawn every step. Z's prefixes are derived once per base seed
+and layer count, and cached. No step does telemetry work: run computes the
+estimator norm on the steps it records. A low-rank step returns only its
+finite-difference scalar c, and run regenerates U from its seed (lozo) or
+reads the momentum factors (lozo-m), against V^T V formed from the cached
+period's V at that record. zo_sgd_step hands its Z back with c, so no
+record redraws it, and run sums ||Z||^2 only at a record and drops Z before
+the record's eval_metric and before the next step.
 The rank of layer l is x.shapes[l].r, nowhere else. Persistent optimizer
 state is the counter t plus the momentum factors: the period cache is
 derived state, rebuilt from t when absent, and is not counted by
@@ -37,6 +39,7 @@ loss).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -168,27 +171,35 @@ def _outer_norm(u: np.ndarray, gram: np.ndarray) -> float:
     return math.sqrt(max(float(np.einsum("ij,ij->", u.T @ u, gram)), 0.0))
 
 
-def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, float]:
+@functools.lru_cache(maxsize=64)
+def _z_keys(base_seed: Seed, num_layers: int) -> tuple[Seed, ...]:
+    """derive_seed(base_seed, STREAM_Z, l) per layer; Z_l's seed at step t is derive_seed(key, t).
+
+    Memoized, since a zo-sgd step takes no state to keep them in; the value is a pure function of its arguments.
+    """
+    return tuple(derive_seed(base_seed, STREAM_Z, i) for i in range(num_layers))
+
+
+def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, list[np.ndarray]]:
     """MeZO-style step: RGE along a seeded full-size Gaussian Z, seed replay.
 
-    Z is regenerated from (base_seed, layer, t) for the duration of the step
-    and discarded afterwards; only seeds persist. After the probe, one pass
-    with scale eps - alpha c restores X and moves it by -alpha c Z. Returns
-    (finite-difference scalar, estimator norm).
+    Z is regenerated from (base_seed, layer, t); only seeds persist. After
+    the probe, one pass with scale eps - alpha c restores X and moves it by
+    -alpha c Z. Returns the finite-difference scalar c and the step's Z_l,
+    from which run forms est_norm at a record; a caller that keeps no
+    record drops them.
     """
-    zs = [
-        sample_gaussian(derive_seed(config.base_seed, STREAM_Z, i, t), a.shape[0], a.shape[1])
-        for i, a in enumerate(x.layers)
-    ]
+    # plain loop, not a comprehension: a local a comprehension reads becomes a cell allocated on entry
+    zs = []
+    for key, a in zip(_z_keys(config.base_seed, len(x.layers)), x.layers):
+        # Z_l's seed derive_seed(key, t), written as its one splitmix64 round
+        zs.append(sample_gaussian(splitmix64(key + GAMMA + t), a.shape[0], a.shape[1]))
     try:  # sample index t % num_samples: sample_index's round-robin schedule
         c = _central_difference(loss, x, t % loss.num_samples, config.epsilon, add_dense, zs)
     except EvaluationError as e:
         raise StepError(f"zo-sgd step {t} aborted: {e}", step=t) from e
     add_dense(x, zs, config.epsilon - config.alpha * c)
-    sq = 0.0
-    for z in zs:
-        sq += float(np.einsum("ij,ij->", z, z))
-    return c, abs(c) * math.sqrt(sq)
+    return c, zs
 
 
 def _build_period(config: OptimizerConfig, x: ParamSet, period: int, u_keys: Optional[list[Seed]] = None) -> Period:
@@ -331,13 +342,22 @@ def _est_norm(x: ParamSet, state: LozoState, config: OptimizerConfig, c: float, 
     return abs(gain) * math.sqrt(sq)
 
 
+def _z_norm(c: float, zs: Sequence[np.ndarray]) -> float:
+    """Norm of the zo-sgd step just taken, |c| ||Z||_F, its squares summed layer by layer."""
+    sq = 0.0
+    for z in zs:
+        sq += float(np.einsum("ij,ij->", z, z))
+    return abs(c) * math.sqrt(sq)
+
+
 def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int = 1) -> list[RunRecord]:
     """Execute total_steps optimizer steps on x in place, recording telemetry.
 
     A record is appended every eval_every steps (and at the final step); its
     loss field is the oracle's evaluation metric, the exact finite-sample
-    average where the problem defines one. A low-rank run computes est_norm
-    only for these records, after the step's timed wall_ms.
+    average where the problem defines one. est_norm is computed only for
+    these records, after the step's timed wall_ms; a zo-sgd step's Z is
+    dropped before the record's eval_metric and before the next step.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
@@ -350,16 +370,19 @@ def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int =
     for t in range(config.total_steps):
         t0 = time.perf_counter()
         if algo == "zo-sgd":
-            c, est_norm = zo_sgd_step(x, loss, config, t)
+            c, zs = zo_sgd_step(x, loss, config, t)
         else:
             c = lozo_step(x, state, loss, config, mom)
         wall_ms = (time.perf_counter() - t0) * 1e3
         if t % eval_every == 0 or t == config.total_steps - 1:
-            if algo != "zo-sgd":
+            if algo == "zo-sgd":
+                est_norm, zs = _z_norm(c, zs), None  # Z is not held through eval_metric
+            else:
                 est_norm = _est_norm(x, state, config, c, mom)
             records.append(
                 RunRecord(step=t + 1, loss=loss.eval_metric(x), fd_scalar_abs=abs(c), est_norm=est_norm, wall_ms=wall_ms)
             )
+        zs = None  # nor into the next step
     return records
 
 

@@ -68,6 +68,8 @@ class LossOracle:
         self.optimal_loss = optimal_loss
 
     def evaluate(self, x: ParamSet, xi: int) -> float:
+        if type(xi) is not int:  # one class check on the common path; a numpy integer is converted
+            xi = as_int("sample index", xi)
         if not (0 <= xi < self.num_samples):
             raise ValueError(f"sample index {xi} out of range [0, {self.num_samples})")
         return float(self._eval_fn(x, xi))
@@ -227,8 +229,10 @@ def make_planted_low_rank(
         b_vecs[bi] = (w @ qb).T
     unif = sample_gaussian(derive_seed(root, 4), num_batches, p)
     offsets = noise_scale * (1.0 + 0.5 * np.tanh(unif))  # in noise_scale * (0.5, 1.5)
+    # batch bi's offset energy sum_k d_k^2, formed once: equal bit for bit to np.sum(offsets[bi] * offsets[bi])
+    offsets_sq = (offsets * offsets).sum(axis=1)
     y_base = np.einsum("spm,mn,spn->sp", a_vecs, x_star, b_vecs)
-    f_star = float(np.mean(np.sum(offsets * offsets, axis=1)))
+    f_star = float(np.mean(offsets_sq))
 
     a_flat = a_vecs.reshape(num_batches * p, m)
     b_flat = b_vecs.reshape(num_batches * p, n)
@@ -241,7 +245,7 @@ def make_planted_low_rank(
     def eval_fn(x: ParamSet, xi: int) -> float:
         v = _residual_means(x.layers[0], xi)
         # pair residuals (v - d), (v + d): 1/2 sum of squares = v^2 + d^2
-        return float(np.sum(v * v) + np.sum(offsets[xi] * offsets[xi]))
+        return float(np.sum(v * v) + offsets_sq[xi])
 
     def grad_fn(x: ParamSet, xi: int) -> ParamSet:
         v = _residual_means(x.layers[0], xi)

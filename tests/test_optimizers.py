@@ -63,6 +63,21 @@ class TestZoSgdStep:
         drift = frobenius_norm(x.layers[0] - before.layers[0])
         assert drift <= 1e-12 * (1.0 + before.norm())
 
+    def test_directions_are_each_configs_own_seeds(self):
+        # Z's seed prefixes are cached per base seed: stepping two configs alternately, and far out in t,
+        # must draw each config's own derive_seed(base_seed, STREAM_Z, l, t)
+        shapes = [LayerShape(4, 3, 2), LayerShape(2, 4, 1)]
+        oracle = make_quadratic(shapes, data_seed=3, noise_scale=0.2, num_samples=3)
+        configs = [OptimizerConfig(alpha=1e-2, total_steps=1, base_seed=seed) for seed in (6, 2**64 - 1)]
+        x = ParamSet([sample_gaussian(4 + i, s.m, s.n) for i, s in enumerate(shapes)], shapes)
+        for t in (0, 1, 2, 2**40):
+            for config in configs:
+                c, zs = zo_sgd_step(x, oracle, config, t)
+                assert isinstance(c, float) and len(zs) == len(shapes)
+                for i, (z, s) in enumerate(zip(zs, shapes)):
+                    expected = sample_gaussian(derive_seed(config.base_seed, STREAM_Z, i, t), s.m, s.n)
+                    assert z.tobytes() == expected.tobytes(), f"base seed {config.base_seed}, layer {i}, t {t}"
+
     def test_same_seed_bit_identical(self):
         shapes = [LayerShape(4, 3, 2)]
         oracle = make_quadratic(shapes, data_seed=3, noise_scale=0.2, num_samples=3)
@@ -372,6 +387,44 @@ class TestStepMemory:
         assert peak <= bound, f"peak {peak} B is {peak / (bound / 4):.2f} x sum (m + n) r 8 B"
 
 
+class TestZoSgdRunMemory:
+    """run holds a zo-sgd step's Z neither through its record's eval_metric nor into the next step.
+
+    The bounds are these runs' tracemalloc peaks when zo_sgd_step still
+    summed ||Z||^2 itself and returned only the norm, measured once.
+    One 512 x 512 array is 2 MiB. On the quadratic the peak is Z and one
+    evaluation's X - A; with a one-entry evaluate it is Z and add_dense's
+    512 KiB block buffer, so a Z kept through the record's eval_metric (the
+    quadratic's X - A) reads 4 MiB there. Records every third step, a Z kept
+    into the next step reads 2 MiB more on both.
+    """
+
+    PEAK_BEFORE = {
+        ("quadratic", 1): 4197484,
+        ("one-entry", 1): 2623412,
+        ("quadratic", 3): 4196772,
+        ("one-entry", 3): 2622876,
+    }
+
+    @pytest.mark.parametrize("oracle_kind, eval_every", list(PEAK_BEFORE))
+    def test_peak_is_no_higher_than_before(self, oracle_kind, eval_every):
+        shapes = [LayerShape(512, 512, 4)]
+        quadratic = make_quadratic(shapes, data_seed=90, noise_scale=0.1, num_samples=4)
+        one_entry = LossOracle("one-entry", 4, lambda x, xi: float(x.layers[0][0, 0]), expected_fn=quadratic.eval_metric)
+        oracle = quadratic if oracle_kind == "quadratic" else one_entry
+        config = OptimizerConfig(alpha=1e-3, total_steps=4, base_seed=91)
+        run(oracle, ParamSet.zeros(shapes), config, "zo-sgd", eval_every=eval_every)  # warm every cache first
+        x = ParamSet.zeros(shapes)
+        tracemalloc.start()
+        try:
+            run(oracle, x, config, "zo-sgd", eval_every=eval_every)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = self.PEAK_BEFORE[oracle_kind, eval_every]
+        assert peak <= bound, f"peak {peak} B is {(peak - bound) / 2**20:.2f} MiB above the {bound} B before"
+
+
 class TestConfigValidation:
     def test_nu_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -597,9 +650,10 @@ class TestPeriodV:
 class TestFoldedStep:
     """A step is +eps, -2eps and one pass that restores and updates at once."""
 
-    def test_step_allocates_no_cells(self):
+    @pytest.mark.parametrize("step", [lozo_step, zo_sgd_step], ids=lambda f: f.__name__)
+    def test_step_allocates_no_cells(self, step):
         # a local that a comprehension in the step reads would become a cell, allocated on every call
-        assert lozo_step.__code__.co_cellvars == ()
+        assert step.__code__.co_cellvars == ()
 
     shapes = [LayerShape(6, 5, 2), LayerShape(4, 6, 3)]
 
@@ -633,6 +687,21 @@ class TestFoldedStep:
             assert [r.step for r in records] == [t + 1 for t in range(last + 1) if t % eval_every == 0 or t == last]
             for r in records:
                 assert r.est_norm == pytest.approx(expected[r.step], rel=1e-12, abs=0.0), f"step {r.step}"
+
+    def test_zo_sgd_est_norm_is_the_records_own_z(self):
+        # zo_sgd_step hands its Z back and run sums ||Z||^2 at a record: the value is |c| ||Z||_F of that
+        # record's step, with Z regenerated from its seed and summed in the same order
+        oracle, config, x0, _ = self._setup("zo-sgd")
+        last = config.total_steps - 1
+        for eval_every in (1, 3):
+            records = run(oracle, x0.copy(), config, "zo-sgd", eval_every=eval_every)
+            assert [r.step for r in records] == [t + 1 for t in range(last + 1) if t % eval_every == 0 or t == last]
+            for r in records:
+                sq = 0.0
+                for i, s in enumerate(self.shapes):
+                    z = sample_gaussian(derive_seed(config.base_seed, STREAM_Z, i, r.step - 1), s.m, s.n)
+                    sq += float(np.einsum("ij,ij->", z, z))
+                assert r.est_norm == r.fd_scalar_abs * np.sqrt(sq), f"step {r.step}"
 
     @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
     def test_est_norm_is_computed_only_at_records(self, algo, monkeypatch):

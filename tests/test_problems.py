@@ -277,7 +277,50 @@ class TestOracleContract:
         assert wrapped.evals == bare.evals == 0
 
 
+class TestSampleIndex:
+    SHAPES = {"mlp": (LayerShape(6, 5, 2), LayerShape(3, 6, 2))}
+
+    @classmethod
+    def _oracle_and_point(cls, kind):
+        shapes = cls.SHAPES.get(kind, (LayerShape(6, 5, 2),))
+        oracle = make_problem(ProblemSpec(kind, shapes, data_seed=25, num_samples=3))
+        return oracle, ParamSet([sample_gaussian(26 + i, s.m, s.n) for i, s in enumerate(shapes)], list(shapes))
+
+    @pytest.mark.parametrize("xi", [True, 1.5, "1", None])
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_a_non_integer_index_is_named(self, kind, xi):
+        # True evaluated sample 1, and 1.5 died in the family's own indexing without naming the index
+        oracle, x = self._oracle_and_point(kind)
+        with pytest.raises(TypeError, match="^sample index must be an integer, got "):
+            oracle.evaluate(x, xi)
+
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_numpy_integers_evaluate_their_sample(self, kind):
+        oracle, x = self._oracle_and_point(kind)
+        for xi in range(3):
+            assert oracle.evaluate(x, np.int64(xi)) == oracle.evaluate(x, np.uint8(xi)) == oracle.evaluate(x, xi)
+
+    @pytest.mark.parametrize("xi", [-1, 3, np.int64(3)])
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_out_of_range_keeps_its_message(self, kind, xi):
+        oracle, x = self._oracle_and_point(kind)
+        with pytest.raises(ValueError, match=rf"^sample index {xi} out of range \[0, 3\)$"):
+            oracle.evaluate(x, xi)
+
+
 class TestPlantedLowRank:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 9])  # 9 offsets a batch take numpy's unrolled pairwise sum
+    def test_evaluate_equals_the_per_call_offset_sum_bit_for_bit(self, rank):
+        # each batch's offset energy is summed once at build; the per-call np.sum it replaced is the reference
+        shape = LayerShape(12, 10, 2)
+        oracle = make_planted_low_rank(shape, rank, 43, noise_scale=1.3, num_batches=24)
+        a_vecs, b_vecs, y_base, offsets = oracle.pair_data
+        x = ParamSet([sample_gaussian(44, 12, 10)], [shape])
+        for bi in range(24):
+            v = ((a_vecs[bi] @ x.layers[0]) * b_vecs[bi]).sum(axis=1) - y_base[bi]
+            assert oracle.evaluate(x, bi) == float(np.sum(v * v) + np.sum(offsets[bi] * offsets[bi])), f"batch {bi}"
+        assert oracle.optimal_loss == float(np.mean(np.sum(offsets * offsets, axis=1)))
+
     def test_zero_residuals_zero_gradient(self):
         oracle = make_planted_low_rank(LayerShape(10, 8, 2), 2, data_seed=3, num_batches=6)
         x = ParamSet([oracle.planted.copy()], [LayerShape(10, 8, 2)])
