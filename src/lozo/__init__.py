@@ -1,19 +1,13 @@
 """Zeroth-order optimization toolkit built around low-rank gradient estimation.
 
 Core pieces: dense ParamSet containers (linalg), seed-replay perturbation
-sampling (sampling), the CGE/RGE/low-rank estimators (estimators), the lazy
+sampling (sampling), the perturbation core and CGE (estimators), the lazy
 subspace optimizer and its momentum variant (optimizers), an independent
 subspace-method oracle (subspace), synthetic test problems (problems), and a
 benchmark/verification CLI (cli).
 """
 
-from .estimators import (
-    EvaluationError,
-    cge,
-    lge,
-    lge_scalar,
-    rge,
-)
+from .estimators import EvaluationError, cge, lge_scalar
 from .linalg import (
     LayerShape,
     ParamSet,

@@ -5,8 +5,10 @@ reports can show numbers, not just pass/fail. A check's defaults are its
 acceptance sizes: `verify --level full` and the acceptance test suite call it
 with no arguments. BATTERY lists the eleven checks once, in AC order, with
 their smaller fast-level sizes, or None where the check is left out of the
-fast level. The AC7 race runs through cli.compare_algorithms, the code path of
-`lozo-bench compare`.
+fast level. AC1 and AC2 take each draw as one optimizers.lozo_step at alpha = 0
+and nu = 1 and form its estimate (c / r_l) U_l V_l^T; AC3 and AC5 drive lozo_step
+too; AC10's RGE half forms c Z from one zo_sgd_step at alpha = 0; and the AC7
+race runs through cli.compare_algorithms, the code path of `lozo-bench compare`.
 """
 
 from __future__ import annotations
@@ -49,20 +51,28 @@ def evals_to_target(records: Sequence[RunRecord], target_loss: float) -> Optiona
     return None
 
 
+def _lozo_estimate(x: ParamSet, oracle, config: OptimizerConfig, t: int) -> list[np.ndarray]:
+    """Take step t of config's lozo run on x, whose update pass at alpha = 0 only restores x.
+
+    Returns the step's estimate (c / r_l) U_l V_l^T per layer, with the V_l the step cached."""
+    state = LozoState(t=t)
+    c = optimizers.lozo_step(x, state, oracle, config)
+    _, factors = optimizers.step_factors(config, x, t, state.v_cache)
+    return [(c / s.r) * (u @ v.T) for s, (u, v) in zip(x.shapes, factors)]
+
+
 def lge_unbiasedness(num_sketches: int = 100_000, shape: tuple[int, int] = (8, 6)) -> CheckResult:
-    """Monte Carlo mean of the low-rank estimate vs the analytic gradient; draw i is step i of a nu = 1 run."""
-    seed, epsilon, rank = 2024, 1e-6, 2
+    """Monte Carlo mean of the low-rank estimate vs the analytic gradient; draw i is lozo_step i of a nu = 1 run."""
+    seed, rank = 2024, 2
     m, n = shape
     ls = LayerShape(m, n, rank)
     oracle = problems.make_quadratic(ls, data_seed=seed, noise_scale=0.0, num_samples=2)
     x = ParamSet([sample_gaussian(derive_seed(seed, 0xA), m, n)], [ls])
     truth = oracle.analytic_grad(x, 0).layers[0]
-    config = OptimizerConfig(alpha=0.0, total_steps=num_sketches, base_seed=derive_seed(seed, 0xB), nu=1)
+    config = OptimizerConfig(alpha=0.0, total_steps=num_sketches, base_seed=derive_seed(seed, 0xB), epsilon=1e-6, nu=1)
     acc = np.zeros((m, n))
     for i in range(num_sketches):
-        _, factors = optimizers.step_factors(config, x, i)
-        est = estimators.lge(oracle, x, factors, epsilon, 0)
-        acc += est.layers[0]
+        acc += _lozo_estimate(x, oracle, config, i)[0]
     mean = (1.0 / num_sketches) * acc
     rel_err = frobenius_norm(mean - truth) / frobenius_norm(truth)
     threshold = max(0.05, 4.0 / math.sqrt(num_sketches))
@@ -95,7 +105,7 @@ def _random_params_like(oracle_index: int, trial: int, seed: int, shapes) -> Par
 
 
 def lge_rank_bound(num_evals: int = 1000) -> CheckResult:
-    """Every per-layer low-rank estimate, each step i of its own nu = 1 run, must have numeric rank <= its r."""
+    """Every per-layer low-rank estimate, each lozo_step i of its own nu = 1 run, must have numeric rank <= its r."""
     seed, rel_tol = 77, 1e-10
     pool = _check_problems(seed)
     kinds = list(SamplerKind)
@@ -104,10 +114,9 @@ def lge_rank_bound(num_evals: int = 1000) -> CheckResult:
         oi = i % len(pool)
         oracle, shapes = pool[oi]
         x = _random_params_like(oi, i, seed, shapes)
-        config = OptimizerConfig(0.0, num_evals, derive_seed(seed, 0xC, i), nu=1, v_kind=kinds[i % len(kinds)])
-        _, factors = optimizers.step_factors(config, x, i)
-        est = estimators.lge(oracle, x, factors, 1e-5, i % oracle.num_samples)
-        for g, s in zip(est.layers, shapes):
+        kind = kinds[i % len(kinds)]
+        config = OptimizerConfig(0.0, num_evals, derive_seed(seed, 0xC, i), epsilon=1e-5, nu=1, v_kind=kind)
+        for g, s in zip(_lozo_estimate(x, oracle, config, i), shapes):
             if numeric_rank(g, rel_tol) > s.r:
                 violations += 1
     return CheckResult(
@@ -269,8 +278,8 @@ def _linear_oracle(c_mats: list[np.ndarray]) -> problems.LossOracle:
 
 def cge_rge_exactness() -> CheckResult:
     """CGE must match analytic gradients on quadratics to 1e-9 relative error
-    for every epsilon <= 1e-2; RGE on a linear loss at X = 0 must equal
-    <C, Z> Z to 8 ulps."""
+    for every epsilon <= 1e-2; RGE, c Z from a zo_sgd_step at alpha = 0 on a
+    linear loss at X = 0, must equal <C, Z> Z for the step's own Z to 8 ulps."""
     seed = 717
     shapes = [LayerShape(6, 4, 2)]
     oracle = problems.make_quadratic(shapes, data_seed=seed, noise_scale=0.0, num_samples=2)
@@ -288,11 +297,11 @@ def cge_rge_exactness() -> CheckResult:
     lin = _linear_oracle([c_mat])
     worst_ulps = 0.0
     for i, eps in enumerate((1.0, 1e-3, 1e-8)):
-        z = sample_gaussian(derive_seed(seed, 6, i), 5, 7)
         x0 = ParamSet.zeros([LayerShape(5, 7, 2)])
-        est = estimators.rge(lin, x0, [z], eps, 0)
+        config = OptimizerConfig(alpha=0.0, total_steps=1, base_seed=derive_seed(seed, 6, i), epsilon=eps)
+        c, (z,) = optimizers.zo_sgd_step(x0, lin, config, 0)
         expected = float(np.vdot(c_mat, z)) * z
-        diff = np.abs(est.layers[0] - expected)
+        diff = np.abs(c * z - expected)
         ulps = float(np.max(diff / np.maximum(np.spacing(np.abs(expected)), np.finfo(float).tiny)))
         worst_ulps = max(worst_ulps, ulps)
     rge_ok = worst_ulps <= 8.0

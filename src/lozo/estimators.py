@@ -1,6 +1,6 @@
-"""Zeroth-order gradient estimators: coordinate-wise, random-direction, low-rank.
+"""The perturbation core of every optimizer step, lge_scalar, and the coordinate-wise estimator cge.
 
-One perturbation core serves every estimator and every optimizer step:
+One perturbation core serves every optimizer step and lge_scalar:
 add_low_rank adds scale_l * U_l V_l^T to each layer, add_dense adds
 scale * Z_l, and _central_difference drives either one through the
 +eps / -2eps phases. add_low_rank takes each layer's dgemm operands
@@ -21,15 +21,15 @@ multiply-then-add per entry.
 The success/failure contract of _central_difference: when both losses are
 finite it returns c and leaves X at X - eps P, so that the caller's next pass
 over X adds eps P back together with its own update (an optimizer step folds
-the restore into its update; lge, lge_scalar and rge add eps P back alone).
+the restore into its update; lge_scalar adds eps P back alone).
 When an evaluation raises or a loss is not finite, X is restored before the
 error propagates, accepting a few ulps of floating-point drift rather than
 checkpointing it. Every pass acts on the layer arrays X held on entry, which
 _central_difference puts back before each pass and on return, so an oracle
 that rebinds a layer of X inside evaluate changes neither the result nor
 the arrays the caller holds, and a probe's operands, views of those arrays,
-stay valid for all its passes. The low-rank estimators take one step's
-per-layer (U_l, V_l) factors, the list optimizers.step_factors draws.
+stay valid for all its passes. lge_scalar takes one step's (U_l, V_l) per
+layer; the acceptance checks form their estimates from the c the steps return.
 """
 
 from __future__ import annotations
@@ -132,13 +132,13 @@ def _central_difference(
     is left at X - eps P and c is returned: the caller adds eps P back, alone
     or folded into its update, in its next pass. When an evaluation raises,
     or a loss is not finite (EvaluationError), x is restored before the error
-    propagates. An epsilon that is not positive raises ValueError before x is
-    touched. Each pass, and the restore, acts on the layer arrays x held on
-    entry: an oracle that rebinds a layer of x inside evaluate has the
-    originals put back before the next pass, and on return.
+    propagates. An epsilon that is not positive and finite raises ValueError
+    before x is touched. Each pass, and the restore, acts on the layer arrays
+    x held on entry: an oracle that rebinds a layer of x inside evaluate has
+    the originals put back before the next pass, and on return.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     layers = x.layers[:]
     add(x, directions, epsilon)
     offset, finite = 1.0, False
@@ -177,33 +177,14 @@ def lge_scalar(loss, x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], epsi
     return c
 
 
-def lge(loss, x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], epsilon: float, xi: int) -> ParamSet:
-    """Low-rank gradient estimate: layer l gets c * U_l V_l^T / r_l, factors as lge_scalar takes them."""
-    c = lge_scalar(loss, x, factors, epsilon, xi)
-    return ParamSet([(c / s.r) * (u @ v.T) for s, (u, v) in zip(x.shapes, factors)], x.shapes)
-
-
-def rge(loss, x: ParamSet, z: Sequence[Matrix], epsilon: float, xi: int) -> ParamSet:
-    """Random-direction estimate c * Z from one central difference along Z, one matrix Z_l per layer."""
-    zs = [np.asarray(m, dtype=np.float64) for m in z]
-    if len(zs) != len(x):
-        raise ValueError("Z must have one matrix per layer")
-    for a, zm in zip(x.layers, zs):
-        if a.shape != zm.shape:
-            raise ValueError(f"Z layer shape {zm.shape} does not match parameters {a.shape}")
-    c = _central_difference(loss, x, xi, epsilon, add_dense, zs)
-    add_dense(x, zs, epsilon)
-    return ParamSet([c * zm for zm in zs], x.shapes)
-
-
 def cge(loss, x: ParamSet, epsilon: float, xi: int) -> ParamSet:
     """Coordinate-wise central differences; exactly 2d loss evaluations.
 
     Refuses to run above CGE_DIMENSION_CAP coordinates to avoid accidental
     2d blowups. Entries are saved and restored exactly around each probe.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     d = x.num_elements()
     if d > CGE_DIMENSION_CAP:
         raise ValueError(f"CGE over {d} coordinates exceeds the cap of {CGE_DIMENSION_CAP}")

@@ -67,11 +67,17 @@ class LossOracle:
         self._expected_fn = expected_fn
         self.optimal_loss = optimal_loss
 
-    def evaluate(self, x: ParamSet, xi: int) -> float:
-        if type(xi) is not int:  # one class check on the common path; a numpy integer is converted
+    def _index(self, xi) -> int:
+        """xi as a sample index: an integer in [0, num_samples), a numpy integer converted; else a named error."""
+        if type(xi) is not int:
             xi = as_int("sample index", xi)
         if not (0 <= xi < self.num_samples):
             raise ValueError(f"sample index {xi} out of range [0, {self.num_samples})")
+        return xi
+
+    def evaluate(self, x: ParamSet, xi: int) -> float:
+        if type(xi) is not int or not (0 <= xi < self.num_samples):  # the common path makes no call
+            xi = self._index(xi)
         return float(self._eval_fn(x, xi))
 
     @property
@@ -81,7 +87,7 @@ class LossOracle:
     def analytic_grad(self, x: ParamSet, xi: int) -> ParamSet:
         if self._grad_fn is None:
             raise ValueError(f"problem {self.name!r} has no analytic gradient")
-        return self._grad_fn(x, xi)
+        return self._grad_fn(x, self._index(xi))
 
     def expected_loss(self, x: ParamSet) -> float:
         """The population loss: expected_fn's value, or the exact mean of eval_fn over the sample set.

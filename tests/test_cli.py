@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lozo import checks, estimators, optimizers
+from lozo import checks, optimizers
 from lozo.cli import (
     ConfigError,
     DivergenceError,
@@ -26,7 +26,7 @@ from lozo.cli import (
     parse_config,
     run_experiment,
 )
-from lozo.linalg import LayerShape, ParamSet
+from lozo.linalg import LayerShape
 from lozo.optimizers import OptimizerConfig
 from lozo.problems import PROBLEM_KINDS, ProblemSpec, make_problem
 from lozo.sampling import SamplerKind
@@ -800,30 +800,49 @@ class TestVerifySuite:
         (checks.lge_rank_bound, {"num_evals": 12}, 12),
     ])
     def test_estimator_checks_draw_through_step_factors(self, monkeypatch, check, size, draws):
-        # AC1 and AC2 measure the perturbation the optimizer step itself draws
-        calls = []
-        step_factors = optimizers.step_factors
+        # AC1 and AC2 measure the optimizer step itself: one lozo_step per draw, and that step's factors
+        calls, steps = [], []
+        step_factors, lozo_step = optimizers.step_factors, optimizers.lozo_step
 
         def counted(*args, **kwargs):
             calls.append(args[2])
             return step_factors(*args, **kwargs)
 
+        def counted_step(x, state, *args):
+            steps.append(state.t)
+            return lozo_step(x, state, *args)
+
         monkeypatch.setattr(optimizers, "step_factors", counted)
+        monkeypatch.setattr(optimizers, "lozo_step", counted_step)
         check(**size)
-        assert calls == list(range(draws))
+        assert calls == steps == list(range(draws))
+
+    def test_estimator_check_values_are_pinned(self):
+        # AC1 and AC2 at small sizes, exactly: a change to the draws or the arithmetic of lozo_step moves them
+        assert checks.lge_unbiasedness(num_sketches=2000, shape=(6, 4)).value == 0.13110417790500992
+        assert checks.lge_rank_bound(num_evals=200).value == 0
 
 
 class TestMutationSensitivity:
     def test_corrupted_rank_scaling_fails_unbiasedness(self, monkeypatch):
-        # corrupting the 1/r factor must be caught by the unbiasedness check
-        lge = estimators.lge
-
-        def lge_without_one_over_r(*args):
-            est = lge(*args)
-            return ParamSet([2.0 * g for g in est.layers], est.shapes)
-
-        monkeypatch.setattr(estimators, "lge", lge_without_one_over_r)
+        # U drawn at twice its scale, in the step and in its factors, makes the estimate 4 (c / r) U V^T
+        sample_gaussian = optimizers.sample_gaussian
+        monkeypatch.setattr(optimizers, "sample_gaussian", lambda *args: 2.0 * sample_gaussian(*args))
         res = checks.lge_unbiasedness(num_sketches=4000, shape=(6, 4))
+        assert not res.passed
+
+    def test_dropped_update_one_over_r_fails_subspace_equivalence(self, monkeypatch):
+        # AC1 runs at alpha = 0, so the 1/r of lozo's update is AC4's to catch
+        add_low_rank = optimizers.add_low_rank
+        eps = optimizers.DEFAULT_EPSILON
+
+        def update_without_one_over_r(x, operands, scale):
+            if isinstance(scale, list):  # lozo's update pass, eps - alpha c / r_l per layer
+                scale = [eps - s.r * (eps - v) for s, v in zip(x.shapes, scale)]
+            add_low_rank(x, operands, scale)
+
+        monkeypatch.setattr(optimizers, "add_low_rank", update_without_one_over_r)
+        res = checks.subspace_equivalence()
         assert not res.passed
 
     def test_clean_scaling_passes(self):

@@ -1,4 +1,4 @@
-"""CGE/RGE/low-rank estimator contracts: exactness, counts, restoration."""
+"""Estimator contracts: CGE, the low-rank scalar, and the RGE and low-rank estimates of the optimizer steps."""
 
 import tracemalloc
 
@@ -14,14 +14,12 @@ from lozo.estimators import (
     add_dense,
     add_low_rank,
     cge,
-    lge,
     lge_scalar,
     low_rank_operands,
-    rge,
 )
-from lozo.linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
+from lozo.linalg import LayerShape, ParamSet, frobenius_norm
 from lozo.problems import LossOracle, make_quadratic
-from lozo.optimizers import OptimizerConfig, step_factors
+from lozo.optimizers import LozoState, OptimizerConfig, lozo_step, step_factors, zo_sgd_step
 from lozo.sampling import derive_seed, sample_gaussian
 
 from oracles import misaligned, reference_add_low_rank
@@ -45,9 +43,9 @@ def linear_oracle(c_mats):
     )
 
 
-def factors_at(base_seed, x, t, nu=1):
-    """Step t's (U_l, V_l) per layer as lozo_step draws them, with a standard-normal V of period t // nu."""
-    return step_factors(OptimizerConfig(alpha=0.0, total_steps=t + 1, base_seed=base_seed, nu=nu), x, t)[1]
+def factors_at(base_seed, x, t):
+    """Step t's (U_l, V_l) per layer as a nu = 1 lozo_step draws them, with a standard-normal V."""
+    return step_factors(OptimizerConfig(alpha=0.0, total_steps=t + 1, base_seed=base_seed, nu=1), x, t)[1]
 
 
 def _read_only(a):
@@ -115,41 +113,35 @@ class TestCGE:
         assert e.value.entry == (1, 2)
 
 
+def rge_config(base_seed, epsilon, trials=1):
+    """A zo-sgd config at alpha = 0: its step's last pass only restores X, so c Z is the step's RGE estimate."""
+    return OptimizerConfig(alpha=0.0, total_steps=trials, base_seed=base_seed, epsilon=epsilon)
+
+
 class TestRGE:
     def test_exact_on_linear(self):
         rng = np.random.default_rng(11)
         c = rng.standard_normal((4, 3))
-        z = rng.standard_normal((4, 3))
         oracle = linear_oracle([c])
-        x = ParamSet.zeros([LayerShape(4, 3, 1)])
-        for eps in (1.0, 1e-3, 1e-8):
-            est = rge(oracle, x, [z], eps, 0)
+        for i, eps in enumerate((1.0, 1e-3, 1e-8)):
+            x = ParamSet.zeros([LayerShape(4, 3, 1)])
+            fd, (z,) = zo_sgd_step(x, oracle, rge_config(11 + i, eps), 0)
             expected = float(np.vdot(c, z)) * z
-            diff = np.abs(est.layers[0] - expected)
+            diff = np.abs(fd * z - expected)
             ulps = diff / np.maximum(np.spacing(np.abs(expected)), np.finfo(float).tiny)
             assert np.max(ulps) <= 8.0
 
     def test_zero_direction(self):
         oracle = half_sqnorm_oracle()
         x = ParamSet([np.ones((2, 2))], [LayerShape(2, 2, 1)])
-        est = rge(oracle, x, [np.zeros((2, 2))], 1e-3, 0)
-        np.testing.assert_array_equal(est.layers[0], np.zeros((2, 2)))
+        assert _central_difference(oracle, x, 0, 1e-3, add_dense, [np.zeros((2, 2))]) == 0.0
+        np.testing.assert_array_equal(x.layers[0], np.ones((2, 2)))
 
     def test_two_evaluations(self):
         oracle = CountingOracle(half_sqnorm_oracle())
         x = ParamSet([np.ones((3, 3))], [LayerShape(3, 3, 1)])
-        rge(oracle, x, [np.ones((3, 3))], 1e-3, 0)
+        zo_sgd_step(x, oracle, rge_config(1, 1e-3), 0)
         assert oracle.calls == 2
-
-    @pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan")])
-    def test_bad_epsilon_rejected_before_x_is_touched(self, eps):
-        oracle = CountingOracle(half_sqnorm_oracle())
-        x = ParamSet([sample_gaussian(4, 3, 3)], [LayerShape(3, 3, 1)])
-        before = x.copy()
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            rge(oracle, x, [np.ones((3, 3))], eps, 0)
-        assert x.layers[0].tobytes() == before.layers[0].tobytes()
-        assert oracle.calls == 0
 
     def test_monte_carlo_unbiased_on_quadratic(self):
         shapes = [LayerShape(4, 3, 1)]
@@ -158,11 +150,33 @@ class TestRGE:
         truth = oracle.analytic_grad(x, 0).layers[0]
         acc = np.zeros((4, 3))
         trials = 100_000
+        config = rge_config(77, 1e-6, trials)
         for i in range(trials):
-            z = sample_gaussian(derive_seed(77, i), 4, 3)
-            acc += rge(oracle, x, [z], 1e-6, 0).layers[0]
+            c, (z,) = zo_sgd_step(x, oracle, config, i)
+            acc += c * z
         rel = frobenius_norm(acc / trials - truth) / frobenius_norm(truth)
         assert rel <= 0.05
+
+
+class TestBadEpsilon:
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda oracle, x, eps: lge_scalar(oracle, x, factors_at(5, x, 0), eps, 0),
+            lambda oracle, x, eps: cge(oracle, x, eps, 0),
+        ],
+        ids=["lge_scalar", "cge"],
+    )
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_bad_epsilon_rejected_before_x_is_touched(self, estimate, eps):
+        # inf left X all NaN and then raised EvaluationError, whose contract says X was restored
+        oracle = CountingOracle(half_sqnorm_oracle())
+        x = ParamSet([sample_gaussian(4, 3, 3)], [LayerShape(3, 3, 1)])
+        before = x.copy()
+        with pytest.raises(ValueError, match="^epsilon must be positive"):
+            estimate(oracle, x, eps)
+        assert x.layers[0].tobytes() == before.layers[0].tobytes()
+        assert oracle.calls == 0
 
 
 class TestLGEScalar:
@@ -217,27 +231,13 @@ class TestLGEScalar:
 
 
 class TestLGE:
-    def test_layers_match_factor_identity(self):
-        shapes = [LayerShape(6, 5, 2), LayerShape(4, 7, 3)]
-        oracle = make_quadratic(shapes, data_seed=2, noise_scale=0.1, num_samples=3)
-        x = ParamSet([sample_gaussian(5, 6, 5), sample_gaussian(6, 4, 7)], shapes)
-        sk = factors_at(31, x, 2, nu=3)
-        # on copies of one X: a probe's round trip moves X by a few ulps, and so the next probe's c
-        c = lge_scalar(oracle, x.copy(), sk, 1e-5, 1)
-        est = lge(oracle, x.copy(), sk, 1e-5, 1)
-        for (u, v), s, g in zip(sk, shapes, est.layers):
-            assert np.array_equal(g, (c / s.r) * (u @ v.T))
-            assert numeric_rank(g, 1e-10) <= s.r
-
     def test_two_evaluations(self):
         shapes = [LayerShape(3, 3, 1)]
         oracle = CountingOracle(make_quadratic(shapes, data_seed=1, num_samples=2))
         x = ParamSet.zeros(shapes)
-        sk = factors_at(1, x, 0)
-        lge(oracle, x, sk, 1e-3, 0)
+        lozo_step(x, LozoState(), oracle, OptimizerConfig(alpha=0.0, total_steps=1, base_seed=1, nu=1))
         assert oracle.calls == 2
 
-    @pytest.mark.parametrize("estimate", [lge, lge_scalar])
     @pytest.mark.parametrize(
         "malform",
         [
@@ -251,14 +251,14 @@ class TestLGE:
         ],
         ids=["pair-short", "pair-extra", "u-row-short", "u-rank-short", "v-row-short", "v-rank-short", "u-v-swapped"],
     )
-    def test_malformed_factors_rejected_before_x_is_touched(self, estimate, malform):
+    def test_malformed_factors_rejected_before_x_is_touched(self, malform):
         shapes = [LayerShape(6, 5, 2), LayerShape(4, 7, 3)]
         oracle = CountingOracle(make_quadratic(shapes, data_seed=3, num_samples=2))
         x = ParamSet([sample_gaussian(7, 6, 5), sample_gaussian(8, 4, 7)], shapes)
         before = x.copy()
         _, factors = step_factors(OptimizerConfig(alpha=0.0, total_steps=1, base_seed=9, nu=1), x, 0)
         with pytest.raises(ValueError, match="factors"):
-            estimate(oracle, x, malform(factors), 1e-3, 0)
+            lge_scalar(oracle, x, malform(factors), 1e-3, 0)
         assert oracle.calls == 0
         for a, b in zip(x.layers, before.layers):
             assert a.tobytes() == b.tobytes()
@@ -271,10 +271,13 @@ class TestLGE:
         truth = oracle.analytic_grad(x, 0).layers[0]
         trials = 20_000
         acc = np.zeros((6, 4))
-        config = OptimizerConfig(alpha=0.0, total_steps=trials, base_seed=99, nu=1)
+        # draw i is lozo_step i of a nu = 1 run at alpha = 0, whose update pass only restores X
+        config = OptimizerConfig(alpha=0.0, total_steps=trials, base_seed=99, epsilon=1e-6, nu=1)
         for i in range(trials):
-            _, sk = step_factors(config, x, i)
-            acc += lge(oracle, x, sk, 1e-6, 0).layers[0]
+            state = LozoState(t=i)
+            c = lozo_step(x, state, oracle, config)
+            _, ((u, v),) = step_factors(config, x, i, state.v_cache)
+            acc += (c / 2) * (u @ v.T)
         rel = frobenius_norm(acc / trials - truth) / frobenius_norm(truth)
         assert rel <= max(0.05, 4.0 / np.sqrt(trials))
 

@@ -307,6 +307,19 @@ class TestSampleIndex:
         with pytest.raises(ValueError, match=rf"^sample index {xi} out of range \[0, 3\)$"):
             oracle.evaluate(x, xi)
 
+    @pytest.mark.parametrize("kind", ["quadratic", "planted", "logistic"])
+    def test_analytic_grad_checks_its_index_as_evaluate_does(self, kind):
+        # True returned sample 1's gradient, -1 sample 2's, and 5 raised an unnamed IndexError
+        oracle, x = self._oracle_and_point(kind)
+        with pytest.raises(TypeError, match="^sample index must be an integer, got True$"):
+            oracle.analytic_grad(x, True)
+        for xi in (-1, 5):
+            with pytest.raises(ValueError, match=rf"^sample index {xi} out of range \[0, 3\)$"):
+                oracle.analytic_grad(x, xi)
+        for xi in range(3):
+            for a, b in zip(oracle.analytic_grad(x, np.int64(xi)).layers, oracle.analytic_grad(x, xi).layers):
+                assert a.tobytes() == b.tobytes()
+
 
 class TestPlantedLowRank:
     @pytest.mark.parametrize("rank", [1, 2, 3, 9])  # 9 offsets a batch take numpy's unrolled pairwise sum
