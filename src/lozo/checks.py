@@ -236,7 +236,7 @@ def perturb_restore_drift(num_calls: int = 10_000) -> CheckResult:
 def footprint_ratio() -> CheckResult:
     """The momentum run allocates, as state_footprint counts it, must be sum(m r) / sum(m n) of a full one."""
     shapes = [LayerShape(2048, 2048, 2)]
-    low = MomentumState.zeros(shapes, beta=0.9).num_elements()
+    low = sum(f.size for f in MomentumState.zeros(shapes, beta=0.9).n_factors)
     full = sum(s.m * s.n for s in shapes)
     ratio = low / full
     ok = low == sum(s.m * s.r for s in shapes) == optimizers.state_footprint("lozo-m", shapes)

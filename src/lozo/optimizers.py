@@ -20,16 +20,16 @@ the dgemm operands of the step's three passes once; step_factors gives the
 estimator checks the same arrays as (U, V) pairs. V changes only at a
 boundary, so each period's V matrices are drawn once and cached in
 LozoState, in the Fortran order dgemm reads (project_momentum forms its
-product from C-ordered copies, whose bytes do not depend on that choice).
-U's per-layer seed prefixes, which no period changes, are derived once per
-state; U is drawn every step. Z's prefixes are derived once per base seed
-and layer count, and cached. No step does telemetry work: run computes the
-estimator norm on the steps it records. A low-rank step returns only its
-finite-difference scalar c, and run regenerates U from its seed (lozo) or
-reads the momentum factors (lozo-m), against V^T V formed from the cached
-period's V at that record. zo_sgd_step hands its Z back with c, so no
-record redraws it, and run sums ||Z||^2 only at a record and drops Z before
-the record's eval_metric and before the next step.
+product from C-ordered copies, whose bytes do not depend on that choice);
+that cache holds only V. U and Z are drawn every step from per-layer seed
+prefixes that no step or period changes: one memo, _keys, derives them once
+per base seed, stream and layer count. No step does telemetry work: run
+computes the estimator norm on the steps it records. A low-rank step
+returns only its finite-difference scalar c, and run regenerates U from its
+seed (lozo) or reads the momentum factors (lozo-m), against V^T V formed
+from the cached period's V at that record. zo_sgd_step hands its Z back
+with c, so no record redraws it, and run sums ||Z||^2 only at a record and
+drops Z before the record's eval_metric and before the next step.
 The rank of layer l is x.shapes[l].r, nowhere else. Persistent optimizer
 state is the counter t plus the momentum factors: the period cache is
 derived state, rebuilt from t when absent, and is not counted by
@@ -109,15 +109,14 @@ class OptimizerConfig:
 
 
 class Period(NamedTuple):
-    """What the steps of one period derive from the config and the period index, computed once.
+    """One period's V matrices, drawn once at its boundary.
 
-    Only what a step reads: run's est_norm forms V_l^T V_l from vs at each record.
+    Only what a step reads: run's est_norm forms V_l^T V_l from vs at each
+    record. U's seed prefixes, which no period changes, are in the _keys memo.
     """
 
     period: int
     vs: list[np.ndarray]  # V_l, n_l x r_l, in Fortran order
-    # derive_seed(base_seed, STREAM_U, l), one list for every period; U_l's seed at step t is derive_seed(u_keys[l], t)
-    u_keys: list[Seed]
 
 
 @dataclass
@@ -126,8 +125,9 @@ class LozoState:
 
     t is the whole persistent state: the V seeds of layer l are
     derive_seed(base_seed, STREAM_V, l, t // nu), so LozoState(t=k) resumes a
-    run at step k bit for bit. v_cache is derived state, a Period; a step
-    whose period it does not hold rebuilds it from t. Like a MomentumState, a
+    run at step k bit for bit. v_cache is derived state, a Period holding
+    only V; a step whose period it does not hold rebuilds it from t. U's seed
+    prefixes are not state: _keys memoizes them. Like a MomentumState, a
     LozoState belongs to one config and one ParamSet.
     """
 
@@ -145,9 +145,6 @@ class MomentumState:
     @classmethod
     def zeros(cls, shapes: Sequence[LayerShape], beta: float) -> "MomentumState":
         return cls([np.zeros((s.m, s.r)) for s in shapes], beta)
-
-    def num_elements(self) -> int:
-        return sum(f.size for f in self.n_factors)
 
 
 @dataclass(frozen=True)
@@ -172,12 +169,13 @@ def _outer_norm(u: np.ndarray, gram: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _z_keys(base_seed: Seed, num_layers: int) -> tuple[Seed, ...]:
-    """derive_seed(base_seed, STREAM_Z, l) per layer; Z_l's seed at step t is derive_seed(key, t).
+def _keys(base_seed: Seed, stream: int, num_layers: int) -> tuple[Seed, ...]:
+    """derive_seed(base_seed, stream, l) per layer; layer l's seed at step t is derive_seed(key, t).
 
-    Memoized, since a zo-sgd step takes no state to keep them in; the value is a pure function of its arguments.
+    The seed prefixes of U (STREAM_U) and Z (STREAM_Z), which no step or period changes. Memoized, since a
+    step keeps no state for them; the value is a pure function of its arguments.
     """
-    return tuple(derive_seed(base_seed, STREAM_Z, i) for i in range(num_layers))
+    return tuple(derive_seed(base_seed, stream, i) for i in range(num_layers))
 
 
 def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, list[np.ndarray]]:
@@ -191,7 +189,7 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
     """
     # plain loop, not a comprehension: a local a comprehension reads becomes a cell allocated on entry
     zs = []
-    for key, a in zip(_z_keys(config.base_seed, len(x.layers)), x.layers):
+    for key, a in zip(_keys(config.base_seed, STREAM_Z, len(x.layers)), x.layers):
         # Z_l's seed derive_seed(key, t), written as its one splitmix64 round
         zs.append(sample_gaussian(splitmix64(key + GAMMA + t), a.shape[0], a.shape[1]))
     try:  # sample index t % num_samples: sample_index's round-robin schedule
@@ -202,15 +200,13 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
     return c, zs
 
 
-def _build_period(config: OptimizerConfig, x: ParamSet, period: int, u_keys: Optional[list[Seed]] = None) -> Period:
-    """One period's cache: V_l keyed by (layer, period), and U's seed prefixes unless given (no period changes them)."""
+def _build_period(config: OptimizerConfig, x: ParamSet, period: int) -> Period:
+    """One period's cache: V_l keyed by (layer, period)."""
     vs = [
         sample_v(derive_seed(config.base_seed, STREAM_V, i, period), s.n, s.r, config.v_kind)
         for i, s in enumerate(x.shapes)
     ]
-    if u_keys is None:
-        u_keys = [derive_seed(config.base_seed, STREAM_U, i) for i in range(len(x))]
-    return Period(period, vs, u_keys)
+    return Period(period, vs)
 
 
 def step_operands(
@@ -223,16 +219,11 @@ def step_operands(
     step t's period; U_l^T and X_l^T are views of U_l and of layer l.
     """
     period = t // config.nu
-    if cache is None:
-        cur = _build_period(config, x, period)
-    elif cache.period != period:
-        cur = _build_period(config, x, period, cache.u_keys)
-    else:
-        cur = cache
+    cur = cache if cache is not None and cache.period == period else _build_period(config, x, period)
     # estimators.low_rank_operands' tuples, built in the draw loop: a second walk over the layers
     # costs about a twentieth of a 32 x 32 step
     operands = []
-    for key, s, v, a in zip(cur.u_keys, x.shapes, cur.vs, x.layers):
+    for key, s, v, a in zip(_keys(config.base_seed, STREAM_U, len(x.layers)), x.shapes, cur.vs, x.layers):
         # U_l's seed derive_seed(key, t), written as its one splitmix64 round
         operands.append((v, sample_gaussian(splitmix64(key + GAMMA + t), s.m, s.r).T, a.T))
     return cur, operands
@@ -262,13 +253,22 @@ def lozo_step(
     boundary after t = 0, lozo-m first projects its momentum factors from
     the old subspace onto the new one; this happens only after the central
     difference succeeds, so a failed step does no momentum work. The
-    period's V is built once, at its boundary, and kept in state.v_cache
-    with U's seed prefixes; a state resumed from t alone rebuilds it, and
-    the old V it projects from. One list of operands serves all three
-    passes. Returns the finite-difference scalar c and does no telemetry
-    work: run computes est_norm on the steps it records.
+    period's V is built once, at its boundary, and kept in state.v_cache;
+    a state resumed from t alone rebuilds it, and the old V it projects
+    from. A mom whose factors do not match x's shapes is rejected, by layer,
+    before anything is drawn. One list of operands serves all three passes.
+    Returns the finite-difference scalar c and does no telemetry work: run
+    computes est_norm on the steps it records.
     """
     t, shapes, cache = state.t, x.shapes, state.v_cache
+    if mom is not None:  # a MomentumState belongs to one ParamSet: check it before anything is drawn or moved
+        n = len(mom.n_factors)
+        if n != len(shapes):
+            raise ValueError(f"momentum has {n} factors for {len(shapes)} layers: layer {min(n, len(shapes))} is unmatched")
+        for i, (nf, s) in enumerate(zip(mom.n_factors, shapes)):
+            if getattr(nf, "shape", None) != (s.m, s.r):
+                got = getattr(nf, "shape", type(nf).__name__)
+                raise ValueError(f"momentum factor of layer {i} must be a ({s.m}, {s.r}) array, got {got}")
     cur, operands = step_operands(config, x, t, cache)
     try:  # sample index t % num_samples: sample_index's round-robin schedule
         c = _central_difference(loss, x, t % loss.num_samples, config.epsilon, add_low_rank, operands)
@@ -285,7 +285,7 @@ def lozo_step(
         n_factors = mom.n_factors
         if t > 0 and t % config.nu == 0:
             prev = cur.period - 1
-            old = cache if cache is not None and cache.period == prev else _build_period(config, x, prev, cur.u_keys)
+            old = cache if cache is not None and cache.period == prev else _build_period(config, x, prev)
             n_factors = [project_momentum(nf, vo, vn, s.n) for nf, s, vo, vn in zip(n_factors, shapes, old.vs, cur.vs)]
         lefts = []
         for nf, (_, ut, _), s in zip(n_factors, operands, shapes):

@@ -113,13 +113,14 @@ class LossOracle:
 class ProblemSpec:
     """Description of a test problem; the CLI reads and writes its fields as JSON.
 
-    kind is one of PROBLEM_KINDS. make_problem passes its builder the fields
-    the spec sets, so a field left unset takes the builder's default:
-    num_samples 0 and noise_scale None are unset. Every kind reads data_seed,
-    which must lie in [0, 2**64), and num_samples, which must not be
-    negative. "quadratic" takes any number of layers; "planted" and
-    "logistic" take one; "mlp" takes two or more layers that compose (each
-    layer's n is the previous layer's m). Only "planted" reads true_rank.
+    kind is one of PROBLEM_KINDS, and shapes, any sequence of LayerShape, is
+    stored as a tuple. make_problem passes its builder the fields the spec
+    sets, so a field left unset takes the builder's default: num_samples 0
+    and noise_scale None are unset. Every kind reads data_seed, which must
+    lie in [0, 2**64), and num_samples, which must not be negative.
+    "quadratic" takes one or more layers; "planted" and "logistic" take one;
+    "mlp" takes two or more layers that compose (each layer's n is the
+    previous layer's m). Only "planted" reads true_rank.
     A set noise_scale must be finite and nonnegative for every kind;
     "logistic" ignores it. No kind reads the layer ranks.
     """
@@ -139,6 +140,14 @@ class ProblemSpec:
         object.__setattr__(self, "data_seed", as_seed("data_seed", self.data_seed))
         if self.noise_scale is not None:
             object.__setattr__(self, "noise_scale", _noise(self.noise_scale))
+        try:
+            shapes = tuple(self.shapes)
+        except TypeError:
+            raise TypeError(f"shapes must be a sequence of LayerShape, got {self.shapes!r}") from None
+        for s in shapes:
+            if not isinstance(s, LayerShape):
+                raise TypeError(f"shapes must hold LayerShape values, got {s!r}")
+        object.__setattr__(self, "shapes", shapes)
         if not self.shapes:
             raise ValueError("a problem needs at least one layer shape")
         if self.num_samples < 0:
@@ -166,6 +175,8 @@ def make_quadratic(shape, data_seed: int, noise_scale: float = 0.0, num_samples:
     """
     data_seed, noise_scale, num_samples = as_seed("data_seed", data_seed), _noise(noise_scale), _count(num_samples)
     shapes = _normalize_shapes(shape)
+    if not shapes:
+        raise ValueError("the quadratic problem takes at least 1 layer shape, got 0")
     targets = [sample_gaussian(derive_seed(data_seed, STREAM_DATA, li), s.m, s.n) for li, s in enumerate(shapes)]
     noise = [
         [

@@ -245,6 +245,30 @@ class TestLozoMStep:
         expected = ema_momentum(cs, us, beta=0.8)
         np.testing.assert_allclose(mom.n_factors[0], expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("bad", ["rank", "short", "long"])
+    def test_mismatched_momentum_is_rejected_before_anything_moves(self, bad):
+        # a rank-2 factor on a rank-3 layer raised an unnamed broadcast error after the probe, leaving X at
+        # X - eps P; a list one layer short moved layer 1 by U V^T at scale 1 and dropped its factor
+        shapes = [LayerShape(8, 6, 2), LayerShape(5, 7, 3)]
+        oracle = make_quadratic(shapes, data_seed=3, noise_scale=0.2, num_samples=3)
+        config = OptimizerConfig(alpha=1e-2, total_steps=1, base_seed=3, nu=2)
+        x = ParamSet([sample_gaussian(4 + i, s.m, s.n) for i, s in enumerate(shapes)], shapes)
+        state, mom = LozoState(), MomentumState.zeros(shapes, config.beta)
+        for _ in range(3):
+            lozo_step(x, state, oracle, config, mom)
+        factors, match = {
+            "rank": ([mom.n_factors[0], np.zeros((5, 2))], r"layer 1 must be a \(5, 3\) array, got \(5, 2\)"),
+            "short": (mom.n_factors[:1], "momentum has 1 factors for 2 layers: layer 1 is unmatched"),
+            "long": (mom.n_factors + [np.zeros((5, 3))], "momentum has 3 factors for 2 layers: layer 2 is unmatched"),
+        }[bad]
+        bad_mom = MomentumState(factors, mom.beta)
+        x_bytes, factor_bytes, cache = [a.tobytes() for a in x.layers], [f.tobytes() for f in factors], state.v_cache
+        with pytest.raises(ValueError, match=match):
+            lozo_step(x, state, oracle, config, bad_mom)
+        assert [a.tobytes() for a in x.layers] == x_bytes
+        assert state.t == 3 and state.v_cache is cache
+        assert bad_mom.n_factors is factors and [f.tobytes() for f in factors] == factor_bytes
+
     def test_rerun_on_large_layer_is_byte_identical(self):
         # 512 x 512 takes add_low_rank past OpenBLAS's small-matrix kernel; nu = 2 crosses two boundaries
         shapes = [LayerShape(512, 512, 4)]
@@ -262,7 +286,7 @@ class TestLozoMStep:
 
     def test_momentum_storage_is_low_rank(self):
         mom = MomentumState.zeros([LayerShape(100, 80, 3)], beta=0.9)
-        assert mom.num_elements() == 300
+        assert [f.shape for f in mom.n_factors] == [(100, 3)]
 
 
 class TestRun:
@@ -619,19 +643,29 @@ class TestPeriodV:
             for i, v in enumerate(seen):
                 assert v.flags.f_contiguous and np.shares_memory(v, state.v_cache.vs[i % len(self.shapes)])
 
-    def test_u_seed_prefixes_are_one_list_across_boundaries(self):
+    def test_u_seed_prefixes_are_one_list_across_boundaries(self, monkeypatch):
+        derived = []
+
+        def recording(*words):
+            derived.append(words)
+            return derive_seed(*words)
+
         oracle, config, x, _ = self._setup("lozo", SamplerKind.HAAR_SCALED)
         state = LozoState()
         lozo_step(x, state, oracle, config)
-        keys = state.v_cache.u_keys
+        keys = optimizers._keys(config.base_seed, STREAM_U, len(x))
+        monkeypatch.setattr(optimizers, "derive_seed", recording)
         for _ in range(11):  # boundaries at t = 5 and 10
             lozo_step(x, state, oracle, config)
-        assert state.v_cache.period == 2 and state.v_cache.u_keys is keys
-        assert keys == [derive_seed(config.base_seed, STREAM_U, i) for i in range(len(x))]
+        assert state.v_cache.period == 2
+        # the boundaries derive V's seeds, and no STREAM_U prefix
+        assert [w[1] for w in derived] == [STREAM_V] * 2 * len(x)
+        assert optimizers._keys(config.base_seed, STREAM_U, len(x)) is keys
+        assert keys == tuple(derive_seed(config.base_seed, STREAM_U, i) for i in range(len(x)))
 
     def test_period_holds_only_what_a_step_reads(self):
-        # no Gram matrices: run's est_norm forms V^T V from the cached V at each record
-        assert optimizers.Period._fields == ("period", "vs", "u_keys")
+        # no Gram matrices and no seed prefixes: run's est_norm forms V^T V from the cached V at each record
+        assert optimizers.Period._fields == ("period", "vs")
 
     def test_vanilla_draws_v_every_step(self, monkeypatch):
         calls = {"n": 0}
@@ -645,6 +679,56 @@ class TestPeriodV:
         for t in range(6):
             vanilla_lge_step(x, oracle, config, t)
         assert calls["n"] == len(self.shapes) * 6
+
+
+class TestSeedPrefixMemo:
+    """U's and Z's per-layer seed prefixes come from one memo, keyed by base seed, stream and layer count."""
+
+    shapes = [LayerShape(4, 3, 2), LayerShape(2, 4, 1)]
+    seeds = (6, 2**64 - 1)  # each base seed runs a lozo and a zo-sgd config, so only the stream tells them apart
+
+    def _step_alternately(self, monkeypatch):
+        """Step a lozo and a zo-sgd config per base seed in turn, at t = 0, 1, nu and 2**40; return each U or Z."""
+        probed = []
+
+        def recording(x, operands, scale):
+            probed.append([ut.T.copy() for _, ut, _ in operands])
+            return add_low_rank(x, operands, scale)
+
+        monkeypatch.setattr(optimizers, "add_low_rank", recording)
+        oracle = make_quadratic(self.shapes, data_seed=3, noise_scale=0.2, num_samples=3)
+        x = ParamSet([sample_gaussian(4 + i, s.m, s.n) for i, s in enumerate(self.shapes)], self.shapes)
+        states = {seed: LozoState() for seed in self.seeds}
+        draws = []
+        for t in (0, 1, 3, 2**40):
+            for seed in self.seeds:
+                config = OptimizerConfig(alpha=1e-3, total_steps=1, base_seed=seed, nu=3)
+                probed.clear()
+                states[seed].t = t
+                lozo_step(x, states[seed], oracle, config)
+                draws.append(("lozo", seed, t, probed[0]))  # the +eps probe's U_l
+                _, zs = zo_sgd_step(x, oracle, config, t)
+                draws.append(("zo-sgd", seed, t, zs))
+        return draws
+
+    def test_each_step_draws_its_own_streams_seeds(self, monkeypatch):
+        for algo, seed, t, dirs in self._step_alternately(monkeypatch):
+            stream = STREAM_U if algo == "lozo" else STREAM_Z
+            assert len(dirs) == len(self.shapes)
+            for i, (d, s) in enumerate(zip(dirs, self.shapes)):
+                expected = sample_gaussian(derive_seed(seed, stream, i, t), s.m, s.r if algo == "lozo" else s.n)
+                assert d.tobytes() == expected.tobytes(), f"{algo}, base seed {seed}, layer {i}, t {t}"
+
+    def test_draws_are_byte_equal_after_the_memo_is_flushed(self, monkeypatch):
+        first = self._step_alternately(monkeypatch)
+        for seed in range(100, 165):  # 65 distinct keys evict every entry of the 64-entry memo
+            optimizers._keys(seed, STREAM_U, 1)
+        misses = optimizers._keys.cache_info().misses
+        again = self._step_alternately(monkeypatch)
+        assert optimizers._keys.cache_info().misses == misses + 2 * len(self.seeds)  # each prefix derived afresh, once
+        assert [(a, s, t, [d.tobytes() for d in ds]) for a, s, t, ds in again] == [
+            (a, s, t, [d.tobytes() for d in ds]) for a, s, t, ds in first
+        ]
 
 
 class TestFoldedStep:

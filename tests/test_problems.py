@@ -633,3 +633,27 @@ class TestProblemSpecValidation:
         x = ParamSet([sample_gaussian(37, 6, 5)], list(self.shapes))
         plain = ProblemSpec("quadratic", self.shapes, data_seed=3)
         assert make_problem(spec).evaluate(x, 0) == make_problem(plain).evaluate(x, 0)
+
+    @pytest.mark.parametrize(
+        "shapes", [((4, 4, 2),), (LayerShape(4, 4, 2), [4, 4, 2]), ("4x4",)], ids=["tuple", "list", "str"]
+    )
+    def test_shapes_that_are_not_layer_shapes_are_named(self, shapes):
+        # a tuple of tuples built, and make_problem died with "'tuple' object has no attribute 'm'"
+        with pytest.raises(TypeError, match="^shapes must hold LayerShape values"):
+            ProblemSpec("quadratic", shapes)
+
+    def test_a_lone_layer_shape_is_named(self):
+        with pytest.raises(TypeError, match="^shapes must be a sequence of LayerShape"):
+            ProblemSpec("quadratic", LayerShape(4, 4, 2))
+
+    def test_a_list_of_shapes_is_stored_as_a_hashable_tuple(self):
+        # a list built a frozen spec that hash() rejected
+        spec = ProblemSpec("quadratic", list(self.shapes), data_seed=1)
+        assert spec.shapes == self.shapes and type(spec.shapes) is tuple
+        assert spec == ProblemSpec("quadratic", self.shapes, data_seed=1)
+        assert hash(spec) == hash(ProblemSpec("quadratic", self.shapes, data_seed=1))
+
+    def test_quadratic_with_no_layer_is_rejected(self, no_draw):
+        # it built an oracle with no layers whose loss was 0.0 everywhere
+        with pytest.raises(ValueError, match="^the quadratic problem takes at least 1 layer shape, got 0$"):
+            make_quadratic([], 0)
