@@ -25,7 +25,6 @@ from .optimizers import (
     project_momentum,
     run,
     state_footprint,
-    step_factors,
     vanilla_lge_step,
     zo_sgd_step,
 )

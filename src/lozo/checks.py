@@ -6,7 +6,8 @@ acceptance sizes: `verify --level full` and the acceptance test suite call it
 with no arguments. BATTERY lists the eleven checks once, in AC order, with
 their smaller fast-level sizes, or None where the check is left out of the
 fast level. AC1 and AC2 take each draw as one optimizers.lozo_step at alpha = 0
-and nu = 1 and form its estimate (c / r_l) U_l V_l^T; AC3 and AC5 drive lozo_step
+and nu = 1 and form its estimate (c / r_l) U_l V_l^T from the c and U_l that step
+returns and the V_l it cached, so no draw is made twice; AC3 and AC5 drive lozo_step
 too; AC10's RGE half forms c Z from one zo_sgd_step at alpha = 0; and the AC7
 race runs through cli.compare_algorithms, the code path of `lozo-bench compare`.
 """
@@ -54,11 +55,10 @@ def evals_to_target(records: Sequence[RunRecord], target_loss: float) -> Optiona
 def _lozo_estimate(x: ParamSet, oracle, config: OptimizerConfig, t: int) -> list[np.ndarray]:
     """Take step t of config's lozo run on x, whose update pass at alpha = 0 only restores x.
 
-    Returns the step's estimate (c / r_l) U_l V_l^T per layer, with the V_l the step cached."""
+    Returns the step's estimate (c / r_l) U_l V_l^T per layer, from the U_l the step returns and the V_l it cached."""
     state = LozoState(t=t)
-    c = optimizers.lozo_step(x, state, oracle, config)
-    _, factors = optimizers.step_factors(config, x, t, state.v_cache)
-    return [(c / s.r) * (u @ v.T) for s, (u, v) in zip(x.shapes, factors)]
+    c, us = optimizers.lozo_step(x, state, oracle, config)
+    return [(c / s.r) * (u @ v.T) for s, u, v in zip(x.shapes, us, state.v_cache.vs)]
 
 
 def lge_unbiasedness(num_sketches: int = 100_000, shape: tuple[int, int] = (8, 6)) -> CheckResult:

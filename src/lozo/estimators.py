@@ -29,7 +29,8 @@ _central_difference puts back before each pass and on return, so an oracle
 that rebinds a layer of X inside evaluate changes neither the result nor
 the arrays the caller holds, and a probe's operands, views of those arrays,
 stay valid for all its passes. lge_scalar takes one step's (U_l, V_l) per
-layer; the acceptance checks form their estimates from the c the steps return.
+layer; the acceptance checks form their estimates from what the steps return,
+c with the U_l or Z_l the step drew, and redraw nothing.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def _central_difference(
 def lge_scalar(loss, x: ParamSet, factors: Sequence[tuple[Matrix, Matrix]], epsilon: float, xi: int) -> float:
     """Finite-difference scalar c for the low-rank perturbation {U_l V_l^T}; X is restored.
 
-    factors holds one (U_l, V_l) per layer, U_l m_l x r_l and V_l n_l x r_l;
+    factors holds one (U_l, V_l) per layer, U_l m_l x r_l and V_l n_l x r_l,
+    such as the U_l a lozo step returns with the V_l in its state.v_cache;
     any other count or shape raises ValueError before X is touched. The
     three phases add the same factors, so the round-trip drift stays within
     a few ulps per entry.

@@ -16,23 +16,21 @@ boundary after a successful probe, and the plain low-rank recursion is a
 lozo step at nu = 1 started from t. Every seed is a function of the step
 counter t: U and Z are keyed by (layer, t), and V by (layer, t // nu), the
 outer index of the subspace method. step_operands draws U and V and builds
-the dgemm operands of the step's three passes once; step_factors gives the
-estimator checks the same arrays as (U, V) pairs. V changes only at a
+the dgemm operands of the step's three passes once. V changes only at a
 boundary, so each period's V matrices are drawn once and cached in
 LozoState, in the Fortran order dgemm reads (project_momentum forms its
 product from C-ordered copies, whose bytes do not depend on that choice);
-that cache holds only V. U and Z are drawn every step from per-layer seed
-prefixes that no step or period changes: one memo, _keys, derives them once
-per base seed, stream and layer count. No step does telemetry work: run
-computes the estimator norm on the steps it records. A low-rank step
-returns only its finite-difference scalar c, and run regenerates U from its
-seed (lozo) or reads the momentum factors (lozo-m), against V^T V formed
-from the cached period's V at that record. zo_sgd_step hands its Z back
-with c, so no record redraws it, and run sums ||Z||^2 only at a record and
-drops Z before the record's eval_metric and before the next step.
+that cache holds only V, with the base seed, sampler and layer shapes it was
+drawn under, and a step reuses it only under the same ones. U and Z are
+drawn every step from per-layer seed prefixes that no step or period
+changes: one memo, _keys, derives them once per base seed, stream and layer
+count. Each step returns c and what it drew: zo_sgd_step its Z_l, lozo_step
+the left factors L_l of its direction L_l V_l^T (lozo's own U_l, lozo-m's
+new N_l). run forms est_norm from them only at a record, so no step does
+telemetry work and no record redraws.
 The rank of layer l is x.shapes[l].r, nowhere else. Persistent optimizer
 state is the counter t plus the momentum factors: the period cache is
-derived state, rebuilt from t when absent, and is not counted by
+derived state, rebuilt from t when absent or stale, and is not counted by
 state_footprint. Trajectories are pure functions of (X0, config, base_seed,
 loss).
 """
@@ -109,13 +107,15 @@ class OptimizerConfig:
 
 
 class Period(NamedTuple):
-    """One period's V matrices, drawn once at its boundary.
+    """One period's V matrices, drawn once at its boundary, and what they were drawn under.
 
-    Only what a step reads: run's est_norm forms V_l^T V_l from vs at each
-    record. U's seed prefixes, which no period changes, are in the _keys memo.
+    Only what a step reads: a step reuses vs only for the same period and an
+    equal key, and run's est_norm forms V_l^T V_l from vs at each record.
+    U's seed prefixes, which no period changes, are in the _keys memo.
     """
 
     period: int
+    key: tuple  # (base_seed, v_kind, layer shapes) that vs were drawn under
     vs: list[np.ndarray]  # V_l, n_l x r_l, in Fortran order
 
 
@@ -126,9 +126,9 @@ class LozoState:
     t is the whole persistent state: the V seeds of layer l are
     derive_seed(base_seed, STREAM_V, l, t // nu), so LozoState(t=k) resumes a
     run at step k bit for bit. v_cache is derived state, a Period holding
-    only V; a step whose period it does not hold rebuilds it from t. U's seed
-    prefixes are not state: _keys memoizes them. Like a MomentumState, a
-    LozoState belongs to one config and one ParamSet.
+    only V; a step rebuilds it from t when it holds another period, or V
+    drawn under another base seed, sampler or set of layer shapes. U's seed
+    prefixes are not state: _keys memoizes them.
     """
 
     t: int = 0
@@ -163,11 +163,6 @@ def sample_index(t: int, num_samples: int) -> int:
     return t % num_samples
 
 
-def _outer_norm(u: np.ndarray, gram: np.ndarray) -> float:
-    """Frobenius norm of U V^T from U and V's Gram matrix V^T V."""
-    return math.sqrt(max(float(np.einsum("ij,ij->", u.T @ u, gram)), 0.0))
-
-
 @functools.lru_cache(maxsize=64)
 def _keys(base_seed: Seed, stream: int, num_layers: int) -> tuple[Seed, ...]:
     """derive_seed(base_seed, stream, l) per layer; layer l's seed at step t is derive_seed(key, t).
@@ -200,49 +195,44 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
     return c, zs
 
 
-def _build_period(config: OptimizerConfig, x: ParamSet, period: int) -> Period:
-    """One period's cache: V_l keyed by (layer, period)."""
+def _period(config: OptimizerConfig, x: ParamSet, period: int, cache: Optional[Period]) -> Period:
+    """Period `period`'s V_l, keyed by (layer, period): cache if it was drawn for that period under config's base
+    seed and sampler and x's layer shapes, else drawn afresh."""
+    key = (config.base_seed, config.v_kind, x.shapes)
+    if cache is not None and cache.period == period and cache.key == key:
+        return cache
     vs = [
         sample_v(derive_seed(config.base_seed, STREAM_V, i, period), s.n, s.r, config.v_kind)
         for i, s in enumerate(x.shapes)
     ]
-    return Period(period, vs)
+    # the key holds a copy of the shapes, so a later change to x.shapes leaves it unchanged
+    return Period(period, (config.base_seed, config.v_kind, list(x.shapes)), vs)
 
 
 def step_operands(
     config: OptimizerConfig, x: ParamSet, t: int, cache: Optional[Period] = None
-) -> tuple[Period, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Step t's period and, per layer, the operands (V_l, U_l^T, X_l^T) that add_low_rank takes.
+) -> tuple[Period, list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[np.ndarray]]:
+    """Step t's period, per layer the operands (V_l, U_l^T, X_l^T) that add_low_rank takes, and U_l.
 
     U_l, m_l x r_l, is keyed by (layer, t) and V_l, n_l x r_l, by the period
-    t // nu. V_l is the period's own array, taken from cache when it holds
-    step t's period; U_l^T and X_l^T are views of U_l and of layer l.
+    t // nu. V_l is the period's own array, from _period; U_l^T and X_l^T are
+    views of U_l and of layer l.
     """
-    period = t // config.nu
-    cur = cache if cache is not None and cache.period == period else _build_period(config, x, period)
+    cur = _period(config, x, t // config.nu, cache)
     # estimators.low_rank_operands' tuples, built in the draw loop: a second walk over the layers
     # costs about a twentieth of a 32 x 32 step
-    operands = []
+    operands, us = [], []
     for key, s, v, a in zip(_keys(config.base_seed, STREAM_U, len(x.layers)), x.shapes, cur.vs, x.layers):
         # U_l's seed derive_seed(key, t), written as its one splitmix64 round
-        operands.append((v, sample_gaussian(splitmix64(key + GAMMA + t), s.m, s.r).T, a.T))
-    return cur, operands
-
-
-def step_factors(
-    config: OptimizerConfig, x: ParamSet, t: int, cache: Optional[Period] = None
-) -> tuple[Period, list[tuple[np.ndarray, np.ndarray]]]:
-    """Step t's period and (U_l, V_l) per layer, the arrays of step_operands.
-
-    lozo_step draws through step_operands; AC1, AC2 and run's est_norm draw here.
-    """
-    cur, operands = step_operands(config, x, t, cache)
-    return cur, [(ut.T, v) for v, ut, _ in operands]
+        u = sample_gaussian(splitmix64(key + GAMMA + t), s.m, s.r)
+        us.append(u)
+        operands.append((v, u.T, a.T))
+    return cur, operands, us
 
 
 def lozo_step(
     x: ParamSet, state: LozoState, loss, config: OptimizerConfig, mom: Optional[MomentumState] = None
-) -> float:
+) -> tuple[float, list[np.ndarray]]:
     """One lazy-subspace step: V rotates only when t mod nu == 0, U is drawn every step.
 
     Layer l moves by -(alpha c / r_l) U_l V_l^T, or with mom by
@@ -254,11 +244,14 @@ def lozo_step(
     the old subspace onto the new one; this happens only after the central
     difference succeeds, so a failed step does no momentum work. The
     period's V is built once, at its boundary, and kept in state.v_cache;
-    a state resumed from t alone rebuilds it, and the old V it projects
-    from. A mom whose factors do not match x's shapes is rejected, by layer,
-    before anything is drawn. One list of operands serves all three passes.
-    Returns the finite-difference scalar c and does no telemetry work: run
-    computes est_norm on the steps it records.
+    a step rebuilds it, and the old V it projects from, when the cache does
+    not hold them (see _period). A mom whose factors do not match x's
+    shapes is rejected, by layer, before anything is drawn. One list of
+    operands serves all three passes. Returns c and lefts, per layer the
+    left factor L_l of the step's direction L_l V_l^T, V_l in
+    state.v_cache.vs: lozo's own U_l, which its passes read, or lozo-m's
+    new N_l (mom.n_factors). run forms est_norm from them at a record; a
+    caller that keeps no record drops them.
     """
     t, shapes, cache = state.t, x.shapes, state.v_cache
     if mom is not None:  # a MomentumState belongs to one ParamSet: check it before anything is drawn or moved
@@ -269,7 +262,7 @@ def lozo_step(
             if getattr(nf, "shape", None) != (s.m, s.r):
                 got = getattr(nf, "shape", type(nf).__name__)
                 raise ValueError(f"momentum factor of layer {i} must be a ({s.m}, {s.r}) array, got {got}")
-    cur, operands = step_operands(config, x, t, cache)
+    cur, operands, us = step_operands(config, x, t, cache)
     try:  # sample index t % num_samples: sample_index's round-robin schedule
         c = _central_difference(loss, x, t % loss.num_samples, config.epsilon, add_low_rank, operands)
     except EvaluationError as e:
@@ -281,11 +274,11 @@ def lozo_step(
         for s in shapes:
             scales.append(eps - alpha * c / s.r)
         add_low_rank(x, operands, scales)
+        lefts = us
     else:
         n_factors = mom.n_factors
         if t > 0 and t % config.nu == 0:
-            prev = cur.period - 1
-            old = cache if cache is not None and cache.period == prev else _build_period(config, x, prev)
+            old = _period(config, x, cur.period - 1, cache)
             n_factors = [project_momentum(nf, vo, vn, s.n) for nf, s, vo, vn in zip(n_factors, shapes, old.vs, cur.vs)]
         lefts = []
         for nf, (_, ut, _), s in zip(n_factors, operands, shapes):
@@ -297,10 +290,10 @@ def lozo_step(
         add_low_rank(x, operands, 1.0)
         mom.n_factors = lefts
     state.v_cache, state.t = cur, t + 1
-    return c
+    return c, lefts
 
 
-def vanilla_lge_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> float:
+def vanilla_lge_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[float, list[np.ndarray]]:
     """Plain low-rank recursion, both factors fresh every step: a lazy step at nu = 1 resumed from t."""
     return lozo_step(x, LozoState(t=t), loss, replace(config, nu=1))
 
@@ -317,28 +310,21 @@ def project_momentum(n_factor: np.ndarray, v_old: np.ndarray, v_new: np.ndarray,
 
 def lozo_m_step(
     x: ParamSet, state: LozoState, mom: MomentumState, loss, config: OptimizerConfig
-) -> float:
+) -> tuple[float, list[np.ndarray]]:
     """lozo_step with mom; perfbench/harness.py is the last caller until ROADMAP J, and K deletes it."""
     return lozo_step(x, state, loss, config, mom)
 
 
-def _est_norm(x: ParamSet, state: LozoState, config: OptimizerConfig, c: float, mom: Optional[MomentumState]) -> float:
-    """Norm of the low-rank step just taken, sqrt(sum_l ||L_l V_l^T||^2 / r_l^2) times |c| for lozo.
+def _low_rank_norm(
+    gain: float, lefts: Sequence[np.ndarray], vs: Sequence[np.ndarray], shapes: Sequence[LayerShape]
+) -> float:
+    """Norm of a low-rank step, |gain| sqrt(sum_l ||L_l V_l^T||_F^2 / r_l^2), from L_l^T L_l and V_l^T V_l.
 
-    L_l is U_l for lozo, regenerated from step t - 1's seed against the
-    cached period, so it is the step's own array bit for bit; for lozo-m it
-    is the momentum factor N_l. Both use V_l^T V_l, formed here from the
-    cached period's V_l.
+    lefts are lozo_step's, with gain c for lozo's U_l and 1 for lozo-m's N_l; vs is its cached period's V_l.
     """
-    cur = state.v_cache
-    if mom is None:
-        _, factors = step_factors(config, x, state.t - 1, cur)
-        gain, lefts = c, [u for u, _ in factors]
-    else:
-        gain, lefts = 1.0, mom.n_factors
     sq = 0.0
-    for s, u, v in zip(x.shapes, lefts, cur.vs):
-        sq += (_outer_norm(u, v.T @ v) / s.r) ** 2
+    for s, left, v in zip(shapes, lefts, vs):
+        sq += (math.sqrt(max(float(np.einsum("ij,ij->", left.T @ left, v.T @ v)), 0.0)) / s.r) ** 2
     return abs(gain) * math.sqrt(sq)
 
 
@@ -356,8 +342,10 @@ def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int =
     A record is appended every eval_every steps (and at the final step); its
     loss field is the oracle's evaluation metric, the exact finite-sample
     average where the problem defines one. est_norm is computed only for
-    these records, after the step's timed wall_ms; a zo-sgd step's Z is
-    dropped before the record's eval_metric and before the next step.
+    these records, after the step's timed wall_ms, from what the step
+    returned: zo-sgd's Z, or the low-rank step's left factors against the
+    cached period's V. Those are dropped before the record's eval_metric and
+    before the next step.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
@@ -370,19 +358,20 @@ def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int =
     for t in range(config.total_steps):
         t0 = time.perf_counter()
         if algo == "zo-sgd":
-            c, zs = zo_sgd_step(x, loss, config, t)
+            c, drawn = zo_sgd_step(x, loss, config, t)
         else:
-            c = lozo_step(x, state, loss, config, mom)
+            c, drawn = lozo_step(x, state, loss, config, mom)
         wall_ms = (time.perf_counter() - t0) * 1e3
         if t % eval_every == 0 or t == config.total_steps - 1:
             if algo == "zo-sgd":
-                est_norm, zs = _z_norm(c, zs), None  # Z is not held through eval_metric
+                est_norm = _z_norm(c, drawn)
             else:
-                est_norm = _est_norm(x, state, config, c, mom)
+                est_norm = _low_rank_norm(c if mom is None else 1.0, drawn, state.v_cache.vs, x.shapes)
+            drawn = None  # not held through eval_metric
             records.append(
                 RunRecord(step=t + 1, loss=loss.eval_metric(x), fd_scalar_abs=abs(c), est_norm=est_norm, wall_ms=wall_ms)
             )
-        zs = None  # nor into the next step
+        drawn = None  # nor into the next step
     return records
 
 

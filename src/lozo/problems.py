@@ -140,24 +140,28 @@ class ProblemSpec:
         object.__setattr__(self, "data_seed", as_seed("data_seed", self.data_seed))
         if self.noise_scale is not None:
             object.__setattr__(self, "noise_scale", _noise(self.noise_scale))
-        try:
-            shapes = tuple(self.shapes)
-        except TypeError:
-            raise TypeError(f"shapes must be a sequence of LayerShape, got {self.shapes!r}") from None
-        for s in shapes:
-            if not isinstance(s, LayerShape):
-                raise TypeError(f"shapes must hold LayerShape values, got {s!r}")
-        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "shapes", _layer_shapes(self.shapes))
         if not self.shapes:
             raise ValueError("a problem needs at least one layer shape")
         if self.num_samples < 0:
             raise ValueError(f"num_samples must be nonnegative, got {self.num_samples}")
 
 
-def _normalize_shapes(shape) -> list[LayerShape]:
-    if isinstance(shape, LayerShape):
-        return [shape]
-    return list(shape)
+def _layer_shapes(shapes) -> tuple[LayerShape, ...]:
+    """shapes as a tuple; anything but a sequence of LayerShape values raises TypeError naming shapes."""
+    try:
+        shapes = tuple(shapes)
+    except TypeError:
+        raise TypeError(f"shapes must be a sequence of LayerShape, got {shapes!r}") from None
+    for s in shapes:
+        if not isinstance(s, LayerShape):
+            raise TypeError(f"shapes must hold LayerShape values, got {s!r}")
+    return shapes
+
+
+def _normalize_shapes(shape) -> tuple[LayerShape, ...]:
+    """A builder's shape argument, one LayerShape or a sequence of them, as a checked tuple."""
+    return (shape,) if isinstance(shape, LayerShape) else _layer_shapes(shape)
 
 
 def _one_layer(shape, family: str) -> LayerShape:

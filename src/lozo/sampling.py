@@ -131,9 +131,10 @@ def sample_v(seed: Seed, n: int, r: int, kind: SamplerKind) -> Matrix:
     estimators.add_low_rank hands it to dgemm, so no pass copies it. The
     values are those of a C-order draw: the normal kind copies its draw into
     Fortran order once, and the Haar kind keeps the order of LAPACK's Q.
+    Unless 1 <= r <= n, it raises ValueError naming both before any draw.
     """
-    if r > n:
-        raise ValueError(f"rank r={r} exceeds n={n}")
+    if not 1 <= r <= n:
+        raise ValueError(f"V's dimensions must satisfy 1 <= r <= n, got n={n}, r={r}")
     gen = _generator(seed)
     if kind is SamplerKind.STANDARD_NORMAL:
         return np.asfortranarray(gen.standard_normal((n, r)))
@@ -152,9 +153,10 @@ def sample_v(seed: Seed, n: int, r: int, kind: SamplerKind) -> Matrix:
 def make_sketch(
     base_seed: Seed, shapes: Sequence[LayerShape], v_kind: SamplerKind, step: int, period: int
 ) -> list[tuple[Matrix, Matrix]]:
-    """One step's (U_l, V_l), U keyed by (layer, step) and V by (layer, period): the streams of optimizers.step_factors.
+    """One step's (U_l, V_l), U keyed by (layer, step) and V by (layer, period).
 
-    perfbench/harness.py is the last caller until ROADMAP item J; item K deletes it.
+    Byte for byte the U_l a lozo step returns and the V_l it caches; perfbench/harness.py is the last caller until
+    ROADMAP item J, and item K deletes it.
     """
     return [
         (

@@ -799,23 +799,29 @@ class TestVerifySuite:
         (checks.lge_unbiasedness, {"num_sketches": 40}, 40),
         (checks.lge_rank_bound, {"num_evals": 12}, 12),
     ])
-    def test_estimator_checks_draw_through_step_factors(self, monkeypatch, check, size, draws):
-        # AC1 and AC2 measure the optimizer step itself: one lozo_step per draw, and that step's factors
-        calls, steps = [], []
-        step_factors, lozo_step = optimizers.step_factors, optimizers.lozo_step
+    def test_estimator_checks_take_each_draw_from_its_step(self, monkeypatch, check, size, draws):
+        # AC1 and AC2 measure the optimizer step itself: one lozo_step per draw, whose own U_l the estimate
+        # reads, so the only Gaussian draws are those steps' U_l, one per layer
+        steps, drawn_in, active = [], [], []
+        sample_gaussian, lozo_step = optimizers.sample_gaussian, optimizers.lozo_step
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return step_factors(*args, **kwargs)
+        def counted(*args):
+            drawn_in.append(active[-1] if active else None)  # None: drawn outside every lozo_step
+            return sample_gaussian(*args)
 
         def counted_step(x, state, *args):
-            steps.append(state.t)
-            return lozo_step(x, state, *args)
+            steps.append((state.t, len(x)))
+            active.append(state.t)
+            try:
+                return lozo_step(x, state, *args)
+            finally:
+                active.pop()
 
-        monkeypatch.setattr(optimizers, "step_factors", counted)
+        monkeypatch.setattr(optimizers, "sample_gaussian", counted)
         monkeypatch.setattr(optimizers, "lozo_step", counted_step)
         check(**size)
-        assert calls == steps == list(range(draws))
+        assert [t for t, _ in steps] == list(range(draws))
+        assert drawn_in == [t for t, layers in steps for _ in range(layers)]
 
     def test_estimator_check_values_are_pinned(self):
         # AC1 and AC2 at small sizes, exactly: a change to the draws or the arithmetic of lozo_step moves them

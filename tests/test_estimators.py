@@ -19,8 +19,8 @@ from lozo.estimators import (
 )
 from lozo.linalg import LayerShape, ParamSet, frobenius_norm
 from lozo.problems import LossOracle, make_quadratic
-from lozo.optimizers import LozoState, OptimizerConfig, lozo_step, step_factors, zo_sgd_step
-from lozo.sampling import derive_seed, sample_gaussian
+from lozo.optimizers import LozoState, OptimizerConfig, lozo_step, zo_sgd_step
+from lozo.sampling import STREAM_U, STREAM_V, SamplerKind, derive_seed, sample_gaussian, sample_v
 
 from oracles import misaligned, reference_add_low_rank
 
@@ -45,7 +45,13 @@ def linear_oracle(c_mats):
 
 def factors_at(base_seed, x, t):
     """Step t's (U_l, V_l) per layer as a nu = 1 lozo_step draws them, with a standard-normal V."""
-    return step_factors(OptimizerConfig(alpha=0.0, total_steps=t + 1, base_seed=base_seed, nu=1), x, t)[1]
+    return [
+        (
+            sample_gaussian(derive_seed(base_seed, STREAM_U, i, t), s.m, s.r),
+            sample_v(derive_seed(base_seed, STREAM_V, i, t), s.n, s.r, SamplerKind.STANDARD_NORMAL),
+        )
+        for i, s in enumerate(x.shapes)
+    ]
 
 
 def _read_only(a):
@@ -256,7 +262,7 @@ class TestLGE:
         oracle = CountingOracle(make_quadratic(shapes, data_seed=3, num_samples=2))
         x = ParamSet([sample_gaussian(7, 6, 5), sample_gaussian(8, 4, 7)], shapes)
         before = x.copy()
-        _, factors = step_factors(OptimizerConfig(alpha=0.0, total_steps=1, base_seed=9, nu=1), x, 0)
+        factors = factors_at(9, x, 0)
         with pytest.raises(ValueError, match="factors"):
             lge_scalar(oracle, x, malform(factors), 1e-3, 0)
         assert oracle.calls == 0
@@ -275,9 +281,8 @@ class TestLGE:
         config = OptimizerConfig(alpha=0.0, total_steps=trials, base_seed=99, epsilon=1e-6, nu=1)
         for i in range(trials):
             state = LozoState(t=i)
-            c = lozo_step(x, state, oracle, config)
-            _, ((u, v),) = step_factors(config, x, i, state.v_cache)
-            acc += (c / 2) * (u @ v.T)
+            c, (u,) = lozo_step(x, state, oracle, config)
+            acc += (c / 2) * (u @ state.v_cache.vs[0].T)
         rel = frobenius_norm(acc / trials - truth) / frobenius_norm(truth)
         assert rel <= max(0.05, 4.0 / np.sqrt(trials))
 

@@ -1,6 +1,7 @@
 """Optimizer step semantics, momentum algebra, determinism, footprints."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from lozo.optimizers import (
     run,
     sample_index,
     state_footprint,
-    step_factors,
     vanilla_lge_step,
     zo_sgd_step,
 )
@@ -130,12 +130,12 @@ class TestLozoStep:
             lozo_step(x, state, oracle, config)
             seen.append(state.v_cache)
         for t in range(12):
-            assert seen[t][0] == t // 5
+            assert seen[t].period == t // 5
             if t % 5 == 0 and t > 0:
-                assert seen[t][1] is not seen[t - 1][1]
-                assert not np.array_equal(seen[t][1][0], seen[t - 1][1][0])
+                assert seen[t].vs is not seen[t - 1].vs
+                assert not np.array_equal(seen[t].vs[0], seen[t - 1].vs[0])
             elif t > 0:
-                assert seen[t][1] is seen[t - 1][1]
+                assert seen[t].vs is seen[t - 1].vs
 
     def test_seed_replay_matches_eager_storage(self):
         # regenerating factors from seeds must reproduce the trajectory of a
@@ -149,7 +149,8 @@ class TestLozoStep:
         for t in range(12):
             lozo_step(x_replay, state, oracle, config)
             # eager path: build the same factors once, store, and reuse
-            u, v = step_factors(config, x_eager, t)[1][0]
+            u = sample_gaussian(derive_seed(config.base_seed, STREAM_U, 0, t), 5, 2)
+            v = sample_v(derive_seed(config.base_seed, STREAM_V, 0, t // config.nu), 6, 2, config.v_kind)
             eps = config.epsilon
             c = _central_difference(oracle, x_eager, sample_index(t, 3), eps, add_low_rank, low_rank_operands(x_eager, [(u, v)]))
             # the probe left x at X - eps U V^T; one pass restores and updates
@@ -225,7 +226,7 @@ class TestLozoMStep:
         before = x.copy()
         mom = MomentumState.zeros(self.shapes, beta=0.9)
         state = LozoState()
-        c = lozo_step(x, state, oracle, config, mom)
+        c, _ = lozo_step(x, state, oracle, config, mom)
         u = sample_gaussian(derive_seed(config.base_seed, STREAM_U, 0, 0), 6, 2)
         v = sample_v(derive_seed(config.base_seed, STREAM_V, 0, 0), 5, 2, config.v_kind)
         expected = before.layers[0] - (config.alpha / 2) * ((0.1 * c * u) @ v.T)
@@ -239,7 +240,7 @@ class TestLozoMStep:
         state = LozoState()
         cs, us = [], []
         for t in range(steps):
-            c = lozo_step(x, state, oracle, config, mom)
+            c, _ = lozo_step(x, state, oracle, config, mom)
             cs.append(c)
             us.append(sample_gaussian(derive_seed(config.base_seed, STREAM_U, 0, t), 6, 2))
         expected = ema_momentum(cs, us, beta=0.8)
@@ -528,7 +529,7 @@ class TestRetryAfterStepError:
         while state.t < config.total_steps:
             before = (state.t, [f.copy() for f in mom.n_factors] if mom else [])
             cache = state.v_cache
-            cached_v = [v.copy() for v in cache[1]] if cache else []
+            cached_v = [v.copy() for v in cache.vs] if cache else []
             calls["projections"] = 0
             try:
                 lozo_step(x, state, oracle, config, mom)
@@ -543,8 +544,8 @@ class TestRetryAfterStepError:
                 for f, g in zip(mom.n_factors if mom else [], before[1]):
                     np.testing.assert_array_equal(f, g)
                 # the previous period's V stays cached, unchanged
-                assert state.v_cache is cache and cache[0] == state.t // config.nu - 1
-                for v, w in zip(cache[1], cached_v):
+                assert state.v_cache is cache and cache.period == state.t // config.nu - 1
+                for v, w in zip(cache.vs, cached_v):
                     np.testing.assert_array_equal(v, w)
         return x, failures
 
@@ -664,8 +665,53 @@ class TestPeriodV:
         assert keys == tuple(derive_seed(config.base_seed, STREAM_U, i) for i in range(len(x)))
 
     def test_period_holds_only_what_a_step_reads(self):
-        # no Gram matrices and no seed prefixes: run's est_norm forms V^T V from the cached V at each record
-        assert optimizers.Period._fields == ("period", "vs")
+        # no Gram matrices and no seed prefixes: run's est_norm forms V^T V from the cached V at each record,
+        # and a step reuses vs only under the key they were drawn under
+        assert optimizers.Period._fields == ("period", "key", "vs")
+
+    @pytest.mark.parametrize("t", [1, 4], ids=["same-period", "boundary"])
+    @pytest.mark.parametrize(
+        "change", [{"base_seed": 2}, {"v_kind": SamplerKind.HAAR_SCALED}], ids=["base-seed", "sampler"]
+    )
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_a_period_drawn_under_another_config_is_drawn_afresh(self, algo, change, t):
+        # base seed 2's U was drawn against base seed 1's cached V, with no error; at the boundary t = 4,
+        # lozo-m's projection read the other config's period 0 as its old V
+        oracle, config, x, mom = self._setup(algo, SamplerKind.STANDARD_NORMAL, nu=4)
+        first = replace(config, base_seed=1)
+        second = replace(first, **change)
+        state = LozoState(t=t - 1)
+        lozo_step(x, state, oracle, first, mom)
+        fresh_x, fresh_state = x.copy(), LozoState(t=t)
+        fresh_mom = MomentumState([f.copy() for f in mom.n_factors], mom.beta) if mom else None
+        lozo_step(x, state, oracle, second, mom)
+        lozo_step(fresh_x, fresh_state, oracle, second, fresh_mom)
+        v = sample_v(derive_seed(second.base_seed, STREAM_V, 0, t // 4), 5, 2, second.v_kind)
+        assert state.v_cache.vs[0].tobytes() == v.tobytes()
+        assert x.layers[0].tobytes() == fresh_x.layers[0].tobytes()
+        for f, g in zip(mom.n_factors if mom else [], fresh_mom.n_factors if mom else []):
+            assert f.tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_a_period_drawn_for_other_layer_shapes_is_drawn_afresh(self, algo):
+        # on a ParamSet whose layer 1 is 4 x 7, layer 1's cached 5 x 2 V made dgemm raise an unnamed
+        # ValueError after the +eps pass had moved layer 0, with t unchanged
+        first, second = [LayerShape(6, 5, 2), LayerShape(4, 5, 2)], [LayerShape(6, 5, 2), LayerShape(4, 7, 2)]
+        config = OptimizerConfig(alpha=2e-2, total_steps=2, base_seed=51, nu=4)
+        mom = MomentumState.zeros(first, config.beta) if algo == "lozo-m" else None
+        state = LozoState()
+        lozo_step(ParamSet.zeros(first), state, make_quadratic(first, data_seed=50, num_samples=3), config, mom)
+        oracle = make_quadratic(second, data_seed=50, noise_scale=0.2, num_samples=3)
+        x = ParamSet([sample_gaussian(derive_seed(52, i), s.m, s.n) for i, s in enumerate(second)], second)
+        fresh_x, fresh_state = x.copy(), LozoState(t=1)
+        fresh_mom = MomentumState([f.copy() for f in mom.n_factors], mom.beta) if mom else None
+        lozo_step(x, state, oracle, config, mom)
+        lozo_step(fresh_x, fresh_state, oracle, config, fresh_mom)
+        assert state.t == fresh_state.t == 2
+        for a, b in zip(x.layers + state.v_cache.vs, fresh_x.layers + fresh_state.v_cache.vs):
+            assert a.tobytes() == b.tobytes()
+        for f, g in zip(mom.n_factors if mom else [], fresh_mom.n_factors if mom else []):
+            assert f.tobytes() == g.tobytes()
 
     def test_vanilla_draws_v_every_step(self, monkeypatch):
         calls = {"n": 0}
@@ -756,7 +802,7 @@ class TestFoldedStep:
         expected = {}
         x, state = x0.copy(), LozoState()
         for t in range(config.total_steps):
-            c = lozo_step(x, state, oracle, config, mom)
+            c, _ = lozo_step(x, state, oracle, config, mom)
             sq = 0.0
             for i, s in enumerate(self.shapes):
                 u = sample_gaussian(derive_seed(config.base_seed, STREAM_U, i, t), s.m, s.r)
@@ -790,21 +836,44 @@ class TestFoldedStep:
     @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
     def test_est_norm_is_computed_only_at_records(self, algo, monkeypatch):
         calls = {"n": 0}
-        real = optimizers._outer_norm
+        real = optimizers._low_rank_norm
 
         def counting(*args):
             calls["n"] += 1
             return real(*args)
 
-        monkeypatch.setattr(optimizers, "_outer_norm", counting)
+        monkeypatch.setattr(optimizers, "_low_rank_norm", counting)
         oracle, config, x, mom = self._setup(algo)
         state = LozoState()
         for _ in range(config.total_steps):
-            assert isinstance(lozo_step(x, state, oracle, config, mom), float)
+            c, _ = lozo_step(x, state, oracle, config, mom)
+            assert isinstance(c, float)
         assert calls["n"] == 0
         records = run(oracle, x, config, algo, eval_every=3)
         assert len(records) == 7  # t = 0, 3, ..., 15 and the last step, t = 16
-        assert calls["n"] == len(self.shapes) * len(records)
+        assert calls["n"] == len(records)
+
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_a_record_redraws_nothing(self, algo, monkeypatch):
+        # a record reads the factors its step returned, so with a record at every step across the
+        # boundaries at t = 5 and 10, U is drawn once per layer per step and V once per layer per period
+        calls = {"sample_gaussian": 0, "sample_v": 0}
+
+        def counting(name):
+            real = getattr(optimizers, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(optimizers, name, counting(name))
+        oracle, config, x, _ = self._setup(algo)
+        records = run(oracle, x, replace(config, total_steps=12), algo, eval_every=1)
+        assert len(records) == 12
+        assert calls == {"sample_gaussian": len(self.shapes) * 12, "sample_v": len(self.shapes) * 3}
 
     @staticmethod
     def _step(algo, x, state, oracle, config, mom):
@@ -813,7 +882,7 @@ class TestFoldedStep:
             c, _ = zo_sgd_step(x, oracle, config, state.t)
             state.t += 1
             return c
-        return lozo_step(x, state, oracle, config, mom)
+        return lozo_step(x, state, oracle, config, mom)[0]
 
     @pytest.mark.parametrize("algo", ["zo-sgd", "lozo", "lozo-m"])
     def test_layer_swapped_by_the_oracle_changes_no_byte(self, algo):

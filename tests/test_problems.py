@@ -1,5 +1,6 @@
 """Loss oracle contracts: analytic gradients, planted structure, determinism."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -652,6 +653,22 @@ class TestProblemSpecValidation:
         assert spec.shapes == self.shapes and type(spec.shapes) is tuple
         assert spec == ProblemSpec("quadratic", self.shapes, data_seed=1)
         assert hash(spec) == hash(ProblemSpec("quadratic", self.shapes, data_seed=1))
+
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: make_quadratic([(4, 4, 2)], 0), "(4, 4, 2)"),
+            (lambda: make_planted_low_rank((4, 4, 2), 1, 0), "4"),
+            (lambda: make_logistic([[4, 4, 2]], 0), "[4, 4, 2]"),
+            (lambda: make_tiny_mlp([(4, 3, 1), (2, 4, 1)], 0), "(4, 3, 1)"),
+        ],
+        ids=["quadratic", "planted", "logistic", "mlp"],
+    )
+    def test_a_builder_names_shapes_that_are_not_layer_shapes(self, no_draw, build, bad):
+        # the quadratic and the MLP died with "'tuple' object has no attribute 'm'", and the planted
+        # problem took (4, 4, 2) for three layer shapes; each now says what ProblemSpec says, before any draw
+        with pytest.raises(TypeError, match=rf"^shapes must hold LayerShape values, got {re.escape(bad)}$"):
+            build()
 
     def test_quadratic_with_no_layer_is_rejected(self, no_draw):
         # it built an oracle with no layers whose loss was 0.0 everywhere

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from lozo import sampling
 from lozo.sampling import (
     SamplerKind,
     _generator,
@@ -14,7 +15,8 @@ from lozo.sampling import (
     sample_v,
 )
 from lozo.linalg import LayerShape, ParamSet
-from lozo.optimizers import OptimizerConfig, step_factors
+from lozo.optimizers import LozoState, OptimizerConfig, lozo_step
+from lozo.problems import make_quadratic
 
 from oracles import fresh_generator, fresh_sample_v
 
@@ -94,6 +96,17 @@ class TestSampleV:
         with pytest.raises(ValueError):
             sample_v(0, 3, 4, SamplerKind.STANDARD_NORMAL)
 
+    @pytest.mark.parametrize("kind", list(SamplerKind))
+    def test_dimensions_below_one_are_named_before_any_draw(self, kind, monkeypatch):
+        # r = 0 gave an empty V (the Haar kind died inside LAPACK), and r = -1 numpy's own error; r > n keeps its check
+        def fail(seed):
+            raise AssertionError("drawn before the dimensions were checked")
+
+        monkeypatch.setattr(sampling, "_generator", fail)
+        for n, r in ((5, 0), (0, 0), (5, -1), (-2, 1), (3, 4)):
+            with pytest.raises(ValueError, match=rf"^V's dimensions must satisfy 1 <= r <= n, got n={n}, r={r}$"):
+                sample_v(3, n, r, kind)
+
 
 class TestSketch:
     def test_regenerate_bit_identical(self):
@@ -116,15 +129,17 @@ class TestSketch:
 
     @pytest.mark.parametrize("t", [8, 9], ids=["boundary", "inner"])
     @pytest.mark.parametrize("kind", list(SamplerKind))
-    def test_matches_step_factors(self, kind, t):
-        # the last duplicate derivation of a step's factors draws what the step draws
+    def test_matches_a_steps_own_draws(self, kind, t):
+        # the last duplicate derivation of a step's factors draws the U_l a lozo_step returns and the V_l it caches
         shapes = [LayerShape(5, 6, 2), LayerShape(7, 3, 3)]
         config = OptimizerConfig(alpha=1e-3, total_steps=t + 1, base_seed=derive_seed(11, 12), nu=4, v_kind=kind)
-        _, factors = step_factors(config, ParamSet.zeros(shapes), t)
+        oracle = make_quadratic(shapes, data_seed=13, noise_scale=0.2, num_samples=3)
+        state = LozoState(t=t)
+        _, us = lozo_step(ParamSet.zeros(shapes), state, oracle, config)
         sketch = make_sketch(config.base_seed, shapes, kind, step=t, period=t // config.nu)
-        assert len(sketch) == len(factors)
-        for (u, v), (us, vs) in zip(factors, sketch):
-            assert u.tobytes() == us.tobytes() and v.tobytes() == vs.tobytes()
+        assert len(sketch) == len(us) == len(state.v_cache.vs)
+        for u, v, (u_sk, v_sk) in zip(us, state.v_cache.vs, sketch):
+            assert u.tobytes() == u_sk.tobytes() and v.tobytes() == v_sk.tobytes()
 
     def test_streams_are_distinct(self):
         seeds = {
