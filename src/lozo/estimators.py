@@ -4,9 +4,9 @@ One perturbation core serves every optimizer step and lge_scalar:
 add_low_rank adds scale_l * U_l V_l^T to each layer, add_dense adds
 scale * Z_l, and _central_difference drives either one through the
 +eps / -2eps phases. add_low_rank takes each layer's dgemm operands
-(V_l, U_l^T, X_l^T), which low_rank_operands, or optimizers.step_operands
-for a step, builds once for all the passes of a probe. Each layer takes one
-in-place BLAS dgemm (beta = 1, written through the layer's transpose) on
+(V_l, U_l^T, X_l^T), which low_rank_operands, or optimizers.lozo_step in
+its draw loop, builds once for all the passes of a probe. Each layer takes
+one in-place BLAS dgemm (beta = 1, written through the layer's transpose) on
 views of the arrays themselves: U as its F-contiguous transpose, and V as
 sampling.sample_v returns it, in Fortran order. So no perturb, restore or
 update pass builds an m x n temporary or a copy of U or V. The result

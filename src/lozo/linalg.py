@@ -2,7 +2,9 @@
 
 Matrices are plain 2-D float64 numpy arrays (C order). A ParamSet bundles
 the per-layer weight matrices together with their shapes and perturbation
-ranks; it is the optimization variable everything else operates on.
+ranks; it is the optimization variable everything else operates on. A
+sequence of layer shapes has one form, the tuple of LayerShape that
+layer_shapes checks once and returns.
 """
 
 from __future__ import annotations
@@ -62,6 +64,19 @@ class LayerShape:
             raise ValueError(f"rank must satisfy 1 <= r <= min(m, n), got r={self.r} for {self.m}x{self.n}")
 
 
+def layer_shapes(shapes) -> tuple[LayerShape, ...]:
+    """shapes as a tuple, the same object when it is one; anything but a sequence of LayerShape values raises
+    TypeError naming shapes."""
+    try:
+        shapes = tuple(shapes)
+    except TypeError:
+        raise TypeError(f"shapes must be a sequence of LayerShape, got {shapes!r}") from None
+    for s in shapes:
+        if not isinstance(s, LayerShape):
+            raise TypeError(f"shapes must hold LayerShape values, got {s!r}")
+    return shapes
+
+
 def as_matrix(a) -> Matrix:
     """Coerce to an aligned C-contiguous 2-D float64 array, validating shape and finiteness.
 
@@ -84,15 +99,16 @@ class ParamSet:
     """Ordered collection of per-layer matrices with their shapes.
 
     The layers list is mutable on purpose: estimators and optimizers update
-    parameters in place. Construction validates that every layer matches its
-    declared shape.
+    parameters in place. shapes is the tuple layer_shapes returns, checked
+    before any layer is read and shared by copies. Construction validates
+    that every layer matches its declared shape.
     """
 
     __slots__ = ("layers", "shapes")
 
     def __init__(self, layers: Sequence, shapes: Sequence[LayerShape]):
+        shapes = layer_shapes(shapes)
         layers = [as_matrix(a) for a in layers]
-        shapes = list(shapes)
         if len(layers) != len(shapes):
             raise ValueError(f"{len(layers)} layers but {len(shapes)} shapes")
         for i, (a, s) in enumerate(zip(layers, shapes)):
@@ -103,6 +119,7 @@ class ParamSet:
 
     @classmethod
     def zeros(cls, shapes: Sequence[LayerShape]) -> "ParamSet":
+        shapes = layer_shapes(shapes)
         return cls([np.zeros((s.m, s.n)) for s in shapes], shapes)
 
     def copy(self) -> "ParamSet":

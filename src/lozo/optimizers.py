@@ -15,19 +15,19 @@ m x r factor per layer, projected onto the new subspace at each resample
 boundary after a successful probe, and the plain low-rank recursion is a
 lozo step at nu = 1 started from t. Every seed is a function of the step
 counter t: U and Z are keyed by (layer, t), and V by (layer, t // nu), the
-outer index of the subspace method. step_operands draws U and V and builds
-the dgemm operands of the step's three passes once. V changes only at a
-boundary, so each period's V matrices are drawn once and cached in
+outer index of the subspace method. lozo_step draws U and builds the dgemm
+operands of its three passes once, in one loop over the layers. V changes
+only at a boundary, so each period's V matrices are drawn once and cached in
 LozoState, in the Fortran order dgemm reads (project_momentum forms its
 product from C-ordered copies, whose bytes do not depend on that choice);
 that cache holds only V, with the base seed, sampler and layer shapes it was
-drawn under, and a step reuses it only under the same ones. U and Z are
-drawn every step from per-layer seed prefixes that no step or period
-changes: one memo, _keys, derives them once per base seed, stream and layer
-count. Each step returns c and what it drew: zo_sgd_step its Z_l, lozo_step
-the left factors L_l of its direction L_l V_l^T (lozo's own U_l, lozo-m's
-new N_l). run forms est_norm from them only at a record, so no step does
-telemetry work and no record redraws.
+drawn under (x.shapes itself, an immutable tuple), and a step reuses it
+only under the same ones. U and Z are drawn every step from per-layer seed
+prefixes that no step or period changes: one memo, _keys, derives them once
+per base seed, stream and layer count. Each step returns c and what it
+drew: zo_sgd_step its Z_l, lozo_step the left factors L_l of its direction
+L_l V_l^T (lozo's own U_l, lozo-m's new N_l). run forms est_norm from them
+only at a record, so no step does telemetry work and no record redraws.
 The rank of layer l is x.shapes[l].r, nowhere else. Persistent optimizer
 state is the counter t plus the momentum factors: the period cache is
 derived state, rebuilt from t when absent or stale, and is not counted by
@@ -46,7 +46,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .estimators import DEFAULT_EPSILON, EvaluationError, _central_difference, add_dense, add_low_rank
-from .linalg import LayerShape, ParamSet, as_float, as_int
+from .linalg import LayerShape, ParamSet, as_float, as_int, layer_shapes
 from .sampling import (
     GAMMA,
     STREAM_U,
@@ -115,7 +115,7 @@ class Period(NamedTuple):
     """
 
     period: int
-    key: tuple  # (base_seed, v_kind, layer shapes) that vs were drawn under
+    key: tuple  # (base_seed, v_kind, x.shapes) that vs were drawn under
     vs: list[np.ndarray]  # V_l, n_l x r_l, in Fortran order
 
 
@@ -144,7 +144,7 @@ class MomentumState:
 
     @classmethod
     def zeros(cls, shapes: Sequence[LayerShape], beta: float) -> "MomentumState":
-        return cls([np.zeros((s.m, s.r)) for s in shapes], beta)
+        return cls([np.zeros((s.m, s.r)) for s in layer_shapes(shapes)], beta)
 
 
 @dataclass(frozen=True)
@@ -205,29 +205,7 @@ def _period(config: OptimizerConfig, x: ParamSet, period: int, cache: Optional[P
         sample_v(derive_seed(config.base_seed, STREAM_V, i, period), s.n, s.r, config.v_kind)
         for i, s in enumerate(x.shapes)
     ]
-    # the key holds a copy of the shapes, so a later change to x.shapes leaves it unchanged
-    return Period(period, (config.base_seed, config.v_kind, list(x.shapes)), vs)
-
-
-def step_operands(
-    config: OptimizerConfig, x: ParamSet, t: int, cache: Optional[Period] = None
-) -> tuple[Period, list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[np.ndarray]]:
-    """Step t's period, per layer the operands (V_l, U_l^T, X_l^T) that add_low_rank takes, and U_l.
-
-    U_l, m_l x r_l, is keyed by (layer, t) and V_l, n_l x r_l, by the period
-    t // nu. V_l is the period's own array, from _period; U_l^T and X_l^T are
-    views of U_l and of layer l.
-    """
-    cur = _period(config, x, t // config.nu, cache)
-    # estimators.low_rank_operands' tuples, built in the draw loop: a second walk over the layers
-    # costs about a twentieth of a 32 x 32 step
-    operands, us = [], []
-    for key, s, v, a in zip(_keys(config.base_seed, STREAM_U, len(x.layers)), x.shapes, cur.vs, x.layers):
-        # U_l's seed derive_seed(key, t), written as its one splitmix64 round
-        u = sample_gaussian(splitmix64(key + GAMMA + t), s.m, s.r)
-        us.append(u)
-        operands.append((v, u.T, a.T))
-    return cur, operands, us
+    return Period(period, key, vs)
 
 
 def lozo_step(
@@ -246,15 +224,18 @@ def lozo_step(
     period's V is built once, at its boundary, and kept in state.v_cache;
     a step rebuilds it, and the old V it projects from, when the cache does
     not hold them (see _period). A mom whose factors do not match x's
-    shapes is rejected, by layer, before anything is drawn. One list of
-    operands serves all three passes. Returns c and lefts, per layer the
-    left factor L_l of the step's direction L_l V_l^T, V_l in
-    state.v_cache.vs: lozo's own U_l, which its passes read, or lozo-m's
-    new N_l (mom.n_factors). run forms est_norm from them at a record; a
-    caller that keeps no record drops them.
+    shapes, or whose beta is not config.beta, is rejected by name before
+    anything is drawn. U_l is keyed by (layer, t); one list of operands
+    (V_l, U_l^T, X_l^T), U_l^T and X_l^T as views, serves all three passes.
+    Returns c and lefts, per layer the left factor L_l of the step's
+    direction L_l V_l^T, V_l in state.v_cache.vs: lozo's own U_l, which its
+    passes read, or lozo-m's new N_l (mom.n_factors). run forms est_norm
+    from them at a record; a caller that keeps no record drops them.
     """
     t, shapes, cache = state.t, x.shapes, state.v_cache
-    if mom is not None:  # a MomentumState belongs to one ParamSet: check it before anything is drawn or moved
+    if mom is not None:  # a MomentumState belongs to one ParamSet and one config: check it before anything moves
+        if mom.beta != config.beta:
+            raise ValueError(f"momentum beta {mom.beta!r} does not match config.beta {config.beta!r}")
         n = len(mom.n_factors)
         if n != len(shapes):
             raise ValueError(f"momentum has {n} factors for {len(shapes)} layers: layer {min(n, len(shapes))} is unmatched")
@@ -262,7 +243,14 @@ def lozo_step(
             if getattr(nf, "shape", None) != (s.m, s.r):
                 got = getattr(nf, "shape", type(nf).__name__)
                 raise ValueError(f"momentum factor of layer {i} must be a ({s.m}, {s.r}) array, got {got}")
-    cur, operands, us = step_operands(config, x, t, cache)
+    cur = _period(config, x, t // config.nu, cache)
+    # the operands are built in the draw loop: a second walk over the layers costs about a twentieth of a 32 x 32 step
+    operands, us = [], []
+    for key, s, v, a in zip(_keys(config.base_seed, STREAM_U, len(x.layers)), shapes, cur.vs, x.layers):
+        # U_l's seed derive_seed(key, t), written as its one splitmix64 round
+        u = sample_gaussian(splitmix64(key + GAMMA + t), s.m, s.r)
+        us.append(u)
+        operands.append((v, u.T, a.T))
     try:  # sample index t % num_samples: sample_index's round-robin schedule
         c = _central_difference(loss, x, t % loss.num_samples, config.epsilon, add_low_rank, operands)
     except EvaluationError as e:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import estimators
-from .linalg import LayerShape, ParamSet, as_float, as_int, thin_qr, top_singular_values
+from .linalg import LayerShape, ParamSet, as_float, as_int, layer_shapes, thin_qr, top_singular_values
 from .sampling import STREAM_DATA, as_seed, derive_seed, sample_gaussian
 
 
@@ -114,9 +114,9 @@ class ProblemSpec:
     """Description of a test problem; the CLI reads and writes its fields as JSON.
 
     kind is one of PROBLEM_KINDS, and shapes, any sequence of LayerShape, is
-    stored as a tuple. make_problem passes its builder the fields the spec
-    sets, so a field left unset takes the builder's default: num_samples 0
-    and noise_scale None are unset. Every kind reads data_seed, which must
+    stored as the tuple linalg.layer_shapes returns. make_problem passes its
+    builder the fields the spec sets, so a field left unset takes the
+    builder's default: num_samples 0 and noise_scale None are unset. Every kind reads data_seed, which must
     lie in [0, 2**64), and num_samples, which must not be negative.
     "quadratic" takes one or more layers; "planted" and "logistic" take one;
     "mlp" takes two or more layers that compose (each layer's n is the
@@ -140,28 +140,16 @@ class ProblemSpec:
         object.__setattr__(self, "data_seed", as_seed("data_seed", self.data_seed))
         if self.noise_scale is not None:
             object.__setattr__(self, "noise_scale", _noise(self.noise_scale))
-        object.__setattr__(self, "shapes", _layer_shapes(self.shapes))
+        object.__setattr__(self, "shapes", layer_shapes(self.shapes))
         if not self.shapes:
             raise ValueError("a problem needs at least one layer shape")
         if self.num_samples < 0:
             raise ValueError(f"num_samples must be nonnegative, got {self.num_samples}")
 
 
-def _layer_shapes(shapes) -> tuple[LayerShape, ...]:
-    """shapes as a tuple; anything but a sequence of LayerShape values raises TypeError naming shapes."""
-    try:
-        shapes = tuple(shapes)
-    except TypeError:
-        raise TypeError(f"shapes must be a sequence of LayerShape, got {shapes!r}") from None
-    for s in shapes:
-        if not isinstance(s, LayerShape):
-            raise TypeError(f"shapes must hold LayerShape values, got {s!r}")
-    return shapes
-
-
 def _normalize_shapes(shape) -> tuple[LayerShape, ...]:
     """A builder's shape argument, one LayerShape or a sequence of them, as a checked tuple."""
-    return (shape,) if isinstance(shape, LayerShape) else _layer_shapes(shape)
+    return (shape,) if isinstance(shape, LayerShape) else layer_shapes(shape)
 
 
 def _one_layer(shape, family: str) -> LayerShape:

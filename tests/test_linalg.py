@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lozo import linalg
 from lozo.linalg import (
     LayerShape,
     ParamSet,
@@ -200,3 +201,35 @@ class TestParamSet:
         y = x.copy()
         y.layers[0][0, 0] = 5.0
         assert x.layers[0][0, 0] == 0.0
+
+    @pytest.fixture
+    def no_alloc(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a layer was read or allocated before the shapes were checked")
+
+        monkeypatch.setattr(linalg, "as_matrix", refuse)
+        monkeypatch.setattr(np, "zeros", refuse)
+
+    @pytest.mark.parametrize(
+        "shapes, match",
+        [
+            ([(2, 2, 1)], r"must hold LayerShape values, got \(2, 2, 1\)$"),
+            (LayerShape(2, 2, 1), r"must be a sequence of LayerShape, got LayerShape\(m=2, n=2, r=1\)$"),
+        ],
+        ids=["tuple", "lone"],
+    )
+    @pytest.mark.parametrize(
+        "build", [lambda shapes: ParamSet([np.ones((2, 2))], shapes), ParamSet.zeros], ids=["init", "zeros"]
+    )
+    def test_shapes_that_are_not_layer_shapes_are_named_first(self, no_alloc, build, shapes, match):
+        # a tuple died with "'tuple' object has no attribute 'm'", the constructor after it had read every
+        # layer, and a lone LayerShape with "'LayerShape' object is not iterable"
+        with pytest.raises(TypeError, match="^shapes " + match):
+            build(shapes)
+
+    def test_shapes_are_one_tuple_shared_by_copies(self):
+        shapes = [LayerShape(2, 2, 1), LayerShape(3, 2, 1)]
+        x = ParamSet.zeros(s for s in shapes)
+        assert type(x.shapes) is tuple and x.shapes == tuple(shapes)
+        assert x.copy().shapes is x.shapes
+        assert ParamSet(x.layers, x.shapes).shapes is x.shapes

@@ -246,10 +246,11 @@ class TestLozoMStep:
         expected = ema_momentum(cs, us, beta=0.8)
         np.testing.assert_allclose(mom.n_factors[0], expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("bad", ["rank", "short", "long"])
+    @pytest.mark.parametrize("bad", ["rank", "short", "long", "beta"])
     def test_mismatched_momentum_is_rejected_before_anything_moves(self, bad):
         # a rank-2 factor on a rank-3 layer raised an unnamed broadcast error after the probe, leaving X at
-        # X - eps P; a list one layer short moved layer 1 by U V^T at scale 1 and dropped its factor
+        # X - eps P; a list one layer short moved layer 1 by U V^T at scale 1 and dropped its factor; a beta
+        # other than config.beta stepped at the momentum's own beta
         shapes = [LayerShape(8, 6, 2), LayerShape(5, 7, 3)]
         oracle = make_quadratic(shapes, data_seed=3, noise_scale=0.2, num_samples=3)
         config = OptimizerConfig(alpha=1e-2, total_steps=1, base_seed=3, nu=2)
@@ -261,8 +262,9 @@ class TestLozoMStep:
             "rank": ([mom.n_factors[0], np.zeros((5, 2))], r"layer 1 must be a \(5, 3\) array, got \(5, 2\)"),
             "short": (mom.n_factors[:1], "momentum has 1 factors for 2 layers: layer 1 is unmatched"),
             "long": (mom.n_factors + [np.zeros((5, 3))], "momentum has 3 factors for 2 layers: layer 2 is unmatched"),
+            "beta": (mom.n_factors, r"^momentum beta 0.5 does not match config.beta 0.9$"),
         }[bad]
-        bad_mom = MomentumState(factors, mom.beta)
+        bad_mom = MomentumState(factors, 0.5 if bad == "beta" else mom.beta)
         x_bytes, factor_bytes, cache = [a.tobytes() for a in x.layers], [f.tobytes() for f in factors], state.v_cache
         with pytest.raises(ValueError, match=match):
             lozo_step(x, state, oracle, config, bad_mom)
@@ -288,6 +290,20 @@ class TestLozoMStep:
     def test_momentum_storage_is_low_rank(self):
         mom = MomentumState.zeros([LayerShape(100, 80, 3)], beta=0.9)
         assert [f.shape for f in mom.n_factors] == [(100, 3)]
+
+    @pytest.mark.parametrize(
+        "shapes, match",
+        [([(2, 2, 1)], r"must hold LayerShape values, got \(2, 2, 1\)$"), (LayerShape(2, 2, 1), "must be a sequence")],
+        ids=["tuple", "lone"],
+    )
+    def test_zeros_names_shapes_that_are_not_layer_shapes_before_any_allocation(self, monkeypatch, shapes, match):
+        # a tuple died with "'tuple' object has no attribute 'm'", a lone LayerShape with "object is not iterable"
+        def refuse(*args, **kwargs):
+            raise AssertionError("a factor was allocated before the shapes were checked")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(TypeError, match="^shapes " + match):
+            MomentumState.zeros(shapes, 0.9)
 
 
 class TestRun:
@@ -663,6 +679,16 @@ class TestPeriodV:
         assert [w[1] for w in derived] == [STREAM_V] * 2 * len(x)
         assert optimizers._keys(config.base_seed, STREAM_U, len(x)) is keys
         assert keys == tuple(derive_seed(config.base_seed, STREAM_U, i) for i in range(len(x)))
+
+    @pytest.mark.parametrize("algo", ["lozo", "lozo-m"])
+    def test_a_cached_period_keys_on_x_shapes_itself(self, algo):
+        # the key held a list copy of x.shapes; the tuple cannot change under it
+        oracle, config, x, mom = self._setup(algo, SamplerKind.STANDARD_NORMAL)
+        state = LozoState()
+        for _ in range(2):
+            lozo_step(x, state, oracle, config, mom)
+            assert state.v_cache.key == (config.base_seed, config.v_kind, x.shapes)
+            assert state.v_cache.key[2] is x.shapes
 
     def test_period_holds_only_what_a_step_reads(self):
         # no Gram matrices and no seed prefixes: run's est_norm forms V^T V from the cached V at each record,
