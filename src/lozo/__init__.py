@@ -21,6 +21,7 @@ from .optimizers import (
     OptimizerConfig,
     RunRecord,
     StepError,
+    iter_run,
     lozo_step,
     project_momentum,
     run,

@@ -9,7 +9,8 @@ fast level. AC1 and AC2 take each draw as one optimizers.lozo_step at alpha = 0
 and nu = 1 and form its estimate (c / r_l) U_l V_l^T from the c and U_l that step
 returns and the V_l it cached, so no draw is made twice; AC3 and AC5 drive lozo_step
 too; AC10's RGE half forms c Z from one zo_sgd_step at alpha = 0; and the AC7
-race runs through cli.compare_algorithms, the code path of `lozo-bench compare`.
+race runs through cli.compare_algorithms, the code path of `lozo-bench compare`,
+which stops each run at its first hit.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ import math
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import cli, estimators, optimizers, problems, subspace
 from .linalg import LayerShape, ParamSet, frobenius_norm, numeric_rank
-from .optimizers import LozoState, MomentumState, OptimizerConfig, RunRecord
+from .optimizers import LozoState, MomentumState, OptimizerConfig
 from .sampling import SamplerKind, derive_seed, sample_gaussian, sample_v
 
 
@@ -40,16 +41,6 @@ class CheckResult:
         status = "PASS" if self.passed else "FAIL"
         extra = f"  ({self.detail})" if self.detail else ""
         return f"{status}  {self.name}: measured={self.value:.6g} threshold={self.threshold:.6g}{extra}"
-
-
-def evals_to_target(records: Sequence[RunRecord], target_loss: float) -> Optional[int]:
-    """First cumulative evaluation count, at two per step, whose trailing-10 mean loss meets target."""
-    losses: list[float] = []
-    for rec in records:
-        losses.append(rec.loss)
-        if len(losses) >= 10 and float(np.mean(losses[-10:])) <= target_loss:
-            return rec.step * 2
-    return None
 
 
 def _lozo_estimate(x: ParamSet, oracle, config: OptimizerConfig, t: int) -> list[np.ndarray]:

@@ -5,10 +5,12 @@ Subcommands:
              records and a JSON summary (atomically, LF line endings)
     verify   run the property-check battery at fast or full level
     compare  run several configs on one problem and tabulate evaluations
-             needed to reach a target loss
+             needed to reach a target loss: each run stops at that hit, its
+             stop_loss column is the loss at its last record, and a
+             divergence after the hit is not seen (no AC7 run diverges)
 
-Exit codes: 0 success, 1 check or step failure or a diverged run, 2 usage
-error.
+Exit codes: 0 success, 1 check or step failure or a diverged run (stopped at
+its first bad optimizers.iter_run record), 2 usage error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
+import numpy as np
+
 from . import checks, optimizers
 from .estimators import EvaluationError
 from .linalg import LayerShape, ParamSet, as_float, as_int
@@ -38,7 +42,7 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A run finished, but its telemetry shows that it diverged or stalled."""
+    """A run diverged (seen at its first bad record, as it is made) or stalled (seen once the run stopped)."""
 
     def __init__(self, message: str, step: int):
         super().__init__(f"run diverged at step {step}: {message}")
@@ -262,33 +266,26 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _execute(config: ExperimentConfig, oracle) -> tuple[list[optimizers.RunRecord], float]:
-    """Run the optimizer on oracle from zeros; (records, starting loss).
+def _execute(config: ExperimentConfig, oracle, target_loss: Optional[float] = None) -> tuple[list, float, bool]:
+    """Run the optimizer on oracle from zeros; (records, starting loss, whether target_loss was reached).
 
-    A diverged or stalled run raises DivergenceError.
+    A record whose loss is non-finite or above 1e6 * max(1, starting loss) raises DivergenceError before any
+    further step. With a target_loss the run stops at its first record whose trailing-10 mean loss meets it.
+    Then a stall raises: the last record's F+ - F- is exactly 0.0 above the start, reported where the zeros began.
     """
     x = ParamSet.zeros(config.problem.shapes)
     initial = oracle.eval_metric(x)
-    records = optimizers.run(oracle, x, config.optimizer, config.algo, eval_every=config.eval_every)
-    _check_divergence(records, initial)
-    return records, initial
-
-
-def _check_divergence(records: Sequence[optimizers.RunRecord], initial: float) -> None:
-    """Raise DivergenceError on a non-finite loss, a loss past the growth bound, or a stall above the start.
-
-    The growth bound is 1e6 * max(1, starting loss); the first record whose
-    loss is non-finite or above it is reported. Stalled: the last record's
-    F+ - F- is exactly 0.0 (the loss is so large that the two probes round to
-    the same value) while its loss is above the starting loss. The reported
-    step is where that run of zero records began.
-    """
-    bound = 1e6 * max(1.0, initial)
-    for rec in records:
+    records, reached = [], False
+    for rec in optimizers.iter_run(oracle, x, config.optimizer, config.algo, eval_every=config.eval_every):
         if not math.isfinite(rec.loss):
             raise DivergenceError(f"non-finite loss {rec.loss!r}", rec.step)
-        if rec.loss > bound:
+        if rec.loss > 1e6 * max(1.0, initial):
             raise DivergenceError(f"loss {rec.loss!r} is above 1e6 * max(1, starting loss {initial!r})", rec.step)
+        records.append(rec)
+        if target_loss is not None and len(records) >= 10:
+            reached = float(np.mean([r.loss for r in records[-10:]])) <= target_loss
+            if reached:
+                break
     if records and records[-1].fd_scalar_abs == 0.0 and records[-1].loss > initial:
         k = len(records) - 1
         while k > 0 and records[k - 1].fd_scalar_abs == 0.0:
@@ -297,6 +294,7 @@ def _check_divergence(records: Sequence[optimizers.RunRecord], initial: float) -
             f"F+ - F- is 0.0 from here on, at loss {records[-1].loss!r} above the starting loss {initial!r}",
             records[k].step,
         )
+    return records, initial, reached
 
 
 def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> dict:
@@ -312,7 +310,7 @@ def run_experiment(config: ExperimentConfig, timing: str = "deterministic") -> d
         raise ConfigError(f"unknown timing mode {timing!r}")
     with _usage_errors():
         oracle = make_problem(config.problem)
-    records, initial = _execute(config, oracle)
+    records, initial, _ = _execute(config, oracle)
 
     lines = ["step,loss,fd_scalar_abs,est_norm,wall_ms"]
     for rec in records:
@@ -355,14 +353,12 @@ def _load_compare_file(path: str) -> tuple[list[ExperimentConfig], object]:
 def compare_algorithms(configs: Sequence[ExperimentConfig], target_loss: float) -> list[tuple[str, object, float]]:
     """Run each config on the shared problem; tabulate evaluations to target.
 
-    Rows are (algo, evals_to_target or "not reached", final_loss), where
-    evals_to_target counts two evaluations per step up to the first record
-    whose trailing-10 mean loss meets target_loss. All configs
-    must describe the same problem so the race is meaningful; the layers'
-    ranks may differ, since no problem family reads them. The problem is
-    therefore built once and shared by every run. A diverged or stalled run
-    raises DivergenceError, as in run_experiment. A target_loss that is not a
-    finite number raises ConfigError before any run.
+    Rows are (algo, evals_to_target or "not reached", stop_loss). Each run stops at its hit, its first record
+    whose trailing-10 mean loss meets target_loss; evals_to_target counts two evaluations per step up to it, and
+    stop_loss is the loss at the run's last record. All configs must describe the same problem (the layers' ranks
+    may differ: no problem family reads them), built once and shared. A diverged or stalled run raises
+    DivergenceError, as in run_experiment, on the records it made. A target_loss that is not a finite number
+    raises ConfigError before any run.
     """
     with _usage_errors():
         target_loss = as_float("target_loss", target_loss)
@@ -380,10 +376,9 @@ def compare_algorithms(configs: Sequence[ExperimentConfig], target_loss: float) 
         oracle = make_problem(configs[0].problem)
     table: list[tuple[str, object, float]] = []
     for cfg in configs:
-        records, initial = _execute(cfg, oracle)
-        e2t = checks.evals_to_target(records, target_loss)
-        final = records[-1].loss if records else initial
-        table.append((cfg.algo, e2t if e2t is not None else "not reached", final))
+        records, initial, reached = _execute(cfg, oracle, target_loss)
+        stop_loss = records[-1].loss if records else initial
+        table.append((cfg.algo, 2 * records[-1].step if reached else "not reached", stop_loss))
     return table
 
 
@@ -433,10 +428,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "compare":
             configs, target_loss = _load_compare_file(args.config)
             table = compare_algorithms(configs, target_loss)
-            lines = ["algo,evals_to_target,final_loss"]
-            for algo, e2t, final in table:
-                print(f"{algo:10s} evals_to_target={e2t} final_loss={final:.6g}")
-                lines.append(f"{algo},{e2t},{final!r}")
+            lines = ["algo,evals_to_target,stop_loss"]
+            for algo, e2t, stop in table:
+                print(f"{algo:10s} evals_to_target={e2t} stop_loss={stop:.6g}")
+                lines.append(f"{algo},{e2t},{stop!r}")
             if args.out:
                 _atomic_write(Path(args.out), "\n".join(lines) + "\n")
             return 0

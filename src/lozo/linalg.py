@@ -100,8 +100,8 @@ class ParamSet:
 
     The layers list is mutable on purpose: estimators and optimizers update
     parameters in place. shapes is the tuple layer_shapes returns, checked
-    before any layer is read and shared by copies. Construction validates
-    that every layer matches its declared shape.
+    before any layer is read, shared by copies and read-only once set.
+    Construction validates that every layer matches its declared shape.
     """
 
     __slots__ = ("layers", "shapes")
@@ -116,6 +116,11 @@ class ParamSet:
                 raise ValueError(f"layer {i} has shape {a.shape}, expected ({s.m}, {s.n})")
         self.layers = layers
         self.shapes = shapes
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "shapes" and hasattr(self, "shapes"):
+            raise AttributeError("ParamSet.shapes is read-only; build a new ParamSet for other shapes")
+        object.__setattr__(self, name, value)
 
     @classmethod
     def zeros(cls, shapes: Sequence[LayerShape]) -> "ParamSet":

@@ -26,8 +26,9 @@ only under the same ones. U and Z are drawn every step from per-layer seed
 prefixes that no step or period changes: one memo, _keys, derives them once
 per base seed, stream and layer count. Each step returns c and what it
 drew: zo_sgd_step its Z_l, lozo_step the left factors L_l of its direction
-L_l V_l^T (lozo's own U_l, lozo-m's new N_l). run forms est_norm from them
-only at a record, so no step does telemetry work and no record redraws.
+L_l V_l^T (lozo's own U_l, lozo-m's new N_l). iter_run, which yields each
+record as it is made (run lists them all), forms est_norm from them only at
+a record, so no step does telemetry work and no record redraws.
 The rank of layer l is x.shapes[l].r, nowhere else. Persistent optimizer
 state is the counter t plus the momentum factors: the period cache is
 derived state, rebuilt from t when absent or stale, and is not counted by
@@ -41,7 +42,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -110,7 +111,7 @@ class Period(NamedTuple):
     """One period's V matrices, drawn once at its boundary, and what they were drawn under.
 
     Only what a step reads: a step reuses vs only for the same period and an
-    equal key, and run's est_norm forms V_l^T V_l from vs at each record.
+    equal key, and iter_run's est_norm forms V_l^T V_l from vs at each record.
     U's seed prefixes, which no period changes, are in the _keys memo.
     """
 
@@ -119,7 +120,7 @@ class Period(NamedTuple):
     vs: list[np.ndarray]  # V_l, n_l x r_l, in Fortran order
 
 
-@dataclass
+@dataclass(slots=True)
 class LozoState:
     """Step counter of the lazy optimizer, and the current period's cache.
 
@@ -147,7 +148,7 @@ class MomentumState:
         return cls([np.zeros((s.m, s.r)) for s in layer_shapes(shapes)], beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """One telemetry row of a run."""
 
@@ -179,7 +180,7 @@ def zo_sgd_step(x: ParamSet, loss, config: OptimizerConfig, t: int) -> tuple[flo
     Z is regenerated from (base_seed, layer, t); only seeds persist. After
     the probe, one pass with scale eps - alpha c restores X and moves it by
     -alpha c Z. Returns the finite-difference scalar c and the step's Z_l,
-    from which run forms est_norm at a record; a caller that keeps no
+    from which iter_run forms est_norm at a record; a caller that keeps no
     record drops them.
     """
     # plain loop, not a comprehension: a local a comprehension reads becomes a cell allocated on entry
@@ -229,7 +230,7 @@ def lozo_step(
     (V_l, U_l^T, X_l^T), U_l^T and X_l^T as views, serves all three passes.
     Returns c and lefts, per layer the left factor L_l of the step's
     direction L_l V_l^T, V_l in state.v_cache.vs: lozo's own U_l, which its
-    passes read, or lozo-m's new N_l (mom.n_factors). run forms est_norm
+    passes read, or lozo-m's new N_l (mom.n_factors). iter_run forms est_norm
     from them at a record; a caller that keeps no record drops them.
     """
     t, shapes, cache = state.t, x.shapes, state.v_cache
@@ -324,49 +325,53 @@ def _z_norm(c: float, zs: Sequence[np.ndarray]) -> float:
     return abs(c) * math.sqrt(sq)
 
 
-def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int = 1) -> list[RunRecord]:
-    """Execute total_steps optimizer steps on x in place, recording telemetry.
+def iter_run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int = 1) -> Iterator[RunRecord]:
+    """Step x in place for up to total_steps steps, yielding each telemetry record as it is made.
 
-    A record is appended every eval_every steps (and at the final step); its
+    A record is made every eval_every steps (and at the final step); its
     loss field is the oracle's evaluation metric, the exact finite-sample
     average where the problem defines one. est_norm is computed only for
     these records, after the step's timed wall_ms, from what the step
     returned: zo-sgd's Z, or the low-rank step's left factors against the
     cached period's V. Those are dropped before the record's eval_metric and
-    before the next step.
+    before the next step. The run stops where its caller stops iterating, so
+    a closed iterator takes no further step. A bad algo or eval_every raises
+    at the first next(), before the first step.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     eval_every = as_int("eval_every", eval_every)
     if eval_every < 1:
         raise ValueError("eval_every must be at least 1")
-    state = LozoState()
+    # zo-sgd keeps no LozoState: the generator's frame holds its locals for the whole run
+    state = None if algo == "zo-sgd" else LozoState()
     mom = MomentumState.zeros(x.shapes, config.beta) if algo == "lozo-m" else None
-    records: list[RunRecord] = []
     for t in range(config.total_steps):
         t0 = time.perf_counter()
-        if algo == "zo-sgd":
-            c, drawn = zo_sgd_step(x, loss, config, t)
-        else:
-            c, drawn = lozo_step(x, state, loss, config, mom)
+        c, drawn = zo_sgd_step(x, loss, config, t) if state is None else lozo_step(x, state, loss, config, mom)
         wall_ms = (time.perf_counter() - t0) * 1e3
         if t % eval_every == 0 or t == config.total_steps - 1:
-            if algo == "zo-sgd":
+            if state is None:
                 est_norm = _z_norm(c, drawn)
             else:
                 est_norm = _low_rank_norm(c if mom is None else 1.0, drawn, state.v_cache.vs, x.shapes)
             drawn = None  # not held through eval_metric
-            records.append(
-                RunRecord(step=t + 1, loss=loss.eval_metric(x), fd_scalar_abs=abs(c), est_norm=est_norm, wall_ms=wall_ms)
-            )
+            yield RunRecord(step=t + 1, loss=loss.eval_metric(x), fd_scalar_abs=abs(c), est_norm=est_norm, wall_ms=wall_ms)
         drawn = None  # nor into the next step
+
+
+def run(loss, x: ParamSet, config: OptimizerConfig, algo: str, eval_every: int = 1) -> list[RunRecord]:
+    """Execute total_steps optimizer steps on x in place; the list of iter_run's records."""
+    # an append loop: list() of a generator preallocates slots, and a comprehension holds more through the run
+    records = []
+    for rec in iter_run(loss, x, config, algo, eval_every):
+        records.append(rec)
     return records
 
 
 def state_footprint(algo: str, shapes: Sequence[LayerShape]) -> int:
-    """Optimizer-state element count beyond the parameters and seeds."""
-    if algo in ("zo-sgd", "lozo"):
-        return 0
-    if algo == "lozo-m":
-        return sum(s.m * s.r for s in shapes)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    """Optimizer-state element count beyond the parameters and seeds; shapes are checked as layer_shapes checks them."""
+    shapes = layer_shapes(shapes)
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return sum(s.m * s.r for s in shapes) if algo == "lozo-m" else 0

@@ -149,7 +149,7 @@ def _parts() -> Iterator[tuple[str, bytes]]:
             outputs = stem.with_suffix(".csv").read_bytes() + stem.with_suffix(".json").read_bytes()
             yield f"cli:{name}", name.encode() + outputs
     rows = compare_algorithms(*_race())
-    yield "compare", b"".join(f"{algo},{e2t},{final!r}\n".encode() for algo, e2t, final in rows)
+    yield "compare", b"".join(f"{algo},{e2t},{stop!r}\n".encode() for algo, e2t, stop in rows)
 
 
 def parts() -> dict[str, str]:

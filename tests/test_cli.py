@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from lozo.cli import (
     ConfigError,
     DivergenceError,
     ExperimentConfig,
-    _check_divergence,
+    _execute,
     _experiment_parser,
     _load_compare_file,
     compare_algorithms,
@@ -26,9 +27,9 @@ from lozo.cli import (
     parse_config,
     run_experiment,
 )
-from lozo.linalg import LayerShape
+from lozo.linalg import LayerShape, ParamSet
 from lozo.optimizers import OptimizerConfig
-from lozo.problems import PROBLEM_KINDS, ProblemSpec, make_problem
+from lozo.problems import PROBLEM_KINDS, LossOracle, ProblemSpec, make_problem
 from lozo.sampling import SamplerKind
 
 
@@ -414,31 +415,65 @@ def records(*rows):
 
 
 class TestCheckDivergence:
-    def test_stall_above_the_start_reports_its_first_zero_record(self):
+    """_execute's verdicts on a run whose iter_run yields records(*rows) and whose starting loss is initial.
+
+    The non-finite and growth verdicts come at the first bad record, which is
+    the last one iter_run is asked for; the stall verdict comes once the run
+    stops.
+    """
+
+    @pytest.fixture
+    def execute(self, monkeypatch, tmp_path):
+        """execute(rows, initial) returns _execute's result on that run; execute.yielded lists the records it took."""
+        yielded = []
+
+        def execute(rows, initial):
+            def iter_run(*args, **kwargs):
+                for rec in records(*rows):
+                    yielded.append(rec)
+                    yield rec
+
+            monkeypatch.setattr(optimizers, "iter_run", iter_run)
+            return _execute(small_config(tmp_path), SimpleNamespace(eval_metric=lambda x: initial))
+
+        execute.yielded = yielded
+        return execute
+
+    def test_stall_above_the_start_reports_its_first_zero_record(self, execute):
         with pytest.raises(DivergenceError, match="^run diverged at step 2: F\\+ - F- is 0.0 from here on") as err:
-            _check_divergence(records((5.0, 1.0), (7.0, 0.0), (7.0, 0.0)), 0.0)
+            execute(((5.0, 1.0), (7.0, 0.0), (7.0, 0.0)), 0.0)
         assert err.value.step == 2
+        assert len(execute.yielded) == 3  # the stall verdict waits for the run to stop
 
     @pytest.mark.parametrize("rows, initial", [
         (((0.0, 0.0), (0.0, 0.0)), 0.0),  # F+ - F- is 0.0 from step 1 at the start: a saddle (ROADMAP M's open half)
         (((0.5, 0.0), (0.5, 0.0)), 0.5),
         (((7.0, 0.0), (6.0, 1e-3)), 0.0),  # zero records that end nonzero
     ], ids=["saddle-at-0", "saddle-at-0.5", "ends-nonzero"])
-    def test_no_verdict(self, rows, initial):
-        _check_divergence(records(*rows), initial)
+    def test_no_verdict(self, execute, rows, initial):
+        assert execute(rows, initial) == (records(*rows), initial, False)
 
     @pytest.mark.parametrize("initial, bound", [(0.0, 1e6), (0.5, 1e6), (42.0, 4.2e7)])
-    def test_growth_bound_is_1e6_times_max_1_and_the_start(self, initial, bound):
-        _check_divergence(records((bound, 1.0)), initial)
+    def test_growth_bound_is_1e6_times_max_1_and_the_start(self, execute, initial, bound):
+        execute(((bound, 1.0),), initial)
         with pytest.raises(DivergenceError, match="is above 1e6") as err:
-            _check_divergence(records((1.0, 1.0), (np.nextafter(bound, math.inf), 1.0)), initial)
+            execute(((1.0, 1.0), (np.nextafter(bound, math.inf), 1.0)), initial)
         assert err.value.step == 2
 
-    def test_first_offending_record_is_reported(self):
+    def test_first_offending_record_is_reported(self, execute):
         with pytest.raises(DivergenceError, match="^run diverged at step 1: non-finite loss nan$"):
-            _check_divergence(records((math.nan, 1.0), (1e300, 1.0)), 1.0)
+            execute(((math.nan, 1.0), (1e300, 1.0)), 1.0)
         with pytest.raises(DivergenceError, match="^run diverged at step 1: loss 1e\\+300 is above"):
-            _check_divergence(records((1e300, 1.0), (math.inf, 1.0)), 1.0)
+            execute(((1e300, 1.0), (math.inf, 1.0)), 1.0)
+        assert [r.step for r in execute.yielded] == [1, 1]  # no record past the first bad one was asked for
+
+    def test_diverged_run_stops_at_its_first_bad_record(self, tmp_path, evaluate_calls):
+        cfg = parse_config(["--problem", "quadratic", "--shape", "8x8", "--lr", "1e6", "--steps", "600",
+                            "--out", str(tmp_path / "diverged")])
+        with pytest.raises(DivergenceError, match="^run diverged at step 1: loss 374721270024004.44 is above"):
+            run_experiment(cfg)
+        assert len(evaluate_calls) == 2  # one step, not 600
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompareAlgorithms:
@@ -473,6 +508,18 @@ class TestCompareAlgorithms:
         monkeypatch.setattr("lozo.cli._execute", lambda *args: pytest.fail("a run started"))
         with pytest.raises(ConfigError, match="target_loss"):
             compare_algorithms([small_config(tmp_path, steps=2)], target)
+
+    @pytest.mark.parametrize("algo", ["zo-sgd", "lozo", "lozo-m"])
+    def test_a_reached_run_stops_at_its_hit(self, tmp_path, evaluate_calls, algo):
+        cfg = small_config(tmp_path, algo=algo)  # 30 steps, a record every third
+        [(_, e2t, stop)] = compare_algorithms([cfg], target_loss=1e9)
+        # the 10th record, step 28, is the first with a trailing-10 mean
+        assert e2t == 2 * 28 and len(evaluate_calls) == e2t
+        full = optimizers.run(make_problem(cfg.problem), ParamSet.zeros(cfg.problem.shapes), cfg.optimizer, algo, 3)
+        assert stop == full[9].loss  # the loss at the last record, the run's stop
+        evaluate_calls.clear()
+        [(_, e2t, stop)] = compare_algorithms([cfg], target_loss=0.0)
+        assert e2t == "not reached" and len(evaluate_calls) == 2 * 30 and stop == full[-1].loss
 
     def test_mismatched_problems_rejected(self, tmp_path):
         a = small_config(tmp_path)
@@ -715,7 +762,7 @@ class TestMainExitCodes:
         out_csv = tmp_path / "table.csv"
         code = main(["compare", "--config", str(path), "--out", str(out_csv)])
         assert code == 0
-        assert out_csv.read_text().splitlines()[0] == "algo,evals_to_target,final_loss"
+        assert out_csv.read_text().splitlines()[0] == "algo,evals_to_target,stop_loss"
 
     def test_readme_ac7_compare_file_finds_seed0_counts(self, tmp_path, capsys):
         readme = (Path(__file__).parent.parent / "README.md").read_text()

@@ -233,3 +233,15 @@ class TestParamSet:
         assert type(x.shapes) is tuple and x.shapes == tuple(shapes)
         assert x.copy().shapes is x.shapes
         assert ParamSet(x.layers, x.shapes).shapes is x.shapes
+
+    @pytest.mark.parametrize("value", [[(6, 5, 2)], (LayerShape(6, 5, 1),), "same"],
+                             ids=["tuples", "other-rank", "same"])
+    def test_shapes_are_read_only_after_construction(self, value):
+        # x.shapes = [(6, 5, 2)] used to be accepted, and the next lozo_step died in optimizers._period
+        shapes = (LayerShape(6, 5, 2),)
+        x = ParamSet.zeros(shapes)
+        with pytest.raises(AttributeError, match="^ParamSet.shapes is read-only"):
+            x.shapes = x.shapes if value == "same" else value
+        assert x.shapes is shapes and x.copy().shapes is shapes
+        x.layers = [np.ones((6, 5))]  # the layers stay writable
+        assert x.layers[0].sum() == 30.0

@@ -368,6 +368,39 @@ class TestRun:
         with pytest.raises(ValueError):
             run(oracle, ParamSet.zeros(self.shapes), config, "adam")
 
+    @pytest.mark.parametrize("algo", ["zo-sgd", "lozo", "lozo-m"])
+    @pytest.mark.parametrize("eval_every, k", [(1, 4), (3, 2)])
+    def test_closing_iter_run_takes_no_further_step(self, evaluate_calls, algo, eval_every, k):
+        oracle = make_quadratic(self.shapes, data_seed=34, num_samples=2)
+        x = ParamSet.zeros(self.shapes)
+        config = OptimizerConfig(alpha=1e-2, total_steps=20, base_seed=35, nu=3)
+        gen = optimizers.iter_run(oracle, x, config, algo, eval_every)
+        taken = [next(gen) for _ in range(k)]
+        at_close = x.layers[0].tobytes()
+        gen.close()
+        assert [r.step for r in taken] == [1 + eval_every * i for i in range(k)]
+        assert len(evaluate_calls) == 2 * taken[-1].step
+        assert x.layers[0].tobytes() == at_close
+        with pytest.raises(StopIteration):
+            next(gen)
+        assert len(evaluate_calls) == 2 * taken[-1].step
+        full = run(oracle, ParamSet.zeros(self.shapes), config, algo, eval_every)
+        assert [replace(r, wall_ms=0.0) for r in taken] == [replace(r, wall_ms=0.0) for r in full[:k]]
+
+    @pytest.mark.parametrize("algo, eval_every, error, match", [
+        ("adam", 1, ValueError, "unknown algorithm 'adam'"),
+        ("lozo", 0, ValueError, "eval_every must be at least 1"),
+        ("lozo", 1.5, TypeError, "eval_every must be an integer"),
+    ], ids=["algo", "eval_every-0", "eval_every-float"])
+    def test_iter_run_checks_its_arguments_before_the_first_step(self, evaluate_calls, algo, eval_every, error, match):
+        oracle = make_quadratic(self.shapes, data_seed=32, num_samples=2)
+        x = ParamSet.zeros(self.shapes)
+        config = OptimizerConfig(alpha=1e-2, total_steps=6, base_seed=33)
+        gen = optimizers.iter_run(oracle, x, config, algo, eval_every)
+        with pytest.raises(error, match=match):
+            next(gen)
+        assert evaluate_calls == [] and not x.layers[0].any()
+
 
 class TestStateFootprint:
     def test_large_layer_example(self):
@@ -388,6 +421,14 @@ class TestStateFootprint:
     def test_positive_counts(self):
         shapes = [LayerShape(8, 4, 1)]
         assert state_footprint("lozo-m", shapes) > 0
+
+    @pytest.mark.parametrize("algo", ["zo-sgd", "lozo", "lozo-m"])
+    def test_shapes_that_are_not_layer_shapes_are_named(self, algo):
+        # lozo and zo-sgd returned 0 for them, and lozo-m died with "'tuple' object has no attribute 'm'"
+        with pytest.raises(TypeError, match=r"^shapes must hold LayerShape values, got \(2, 2, 1\)$"):
+            state_footprint(algo, [(2, 2, 1)])
+        with pytest.raises(TypeError, match="^shapes must be a sequence of LayerShape"):
+            state_footprint(algo, LayerShape(2, 2, 1))
 
 
 class TestStepMemory:
